@@ -7,11 +7,15 @@ across its three components (payload, sender, reply-to): either all three
 unify with the caller's patterns, or every binding made along the way is
 undone.
 
-Payload views.  A candidate's payload is never matched in place.  With
+Payload views.  A candidate's payload is never matched in place.  It is
+first compared with the pattern by a copy-free structural test
+(``could_unify``) that rejects a functor, arity or constant clash; only a
+candidate that passes is rebuilt for the full match.  With
 ``remember_names`` set the payload is rebuilt against the receiving thread's
 variable registry, so a name reused across messages resolves to one local
 cell and bindings carry over; otherwise a fresh copy keeps the received
-variables disjoint from everything else.
+variables disjoint from everything else.  So a skipped message costs a
+comparison, not a copy, and the registry learns no name from it.
 
 Concurrency contract: any thread may post; only the owning thread receives,
 peeks or commits.  The internal lock covers buffer mutation and blocking
@@ -24,7 +28,9 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional, Union
 
 from .address import Address, match_address
@@ -34,6 +40,7 @@ from .terms import (
     Term,
     Var,
     VarRegistry,
+    could_unify,
     fresh_copy,
     intern_named,
     undo_to,
@@ -45,6 +52,8 @@ POLL = "poll"
 Timeout = Union[float, int, str]
 
 FromPattern = Union[Address, Var, None]
+
+_seq_of = itemgetter(0)
 
 
 class MailboxClosed(Exception):
@@ -142,30 +151,13 @@ class Mailbox:
 
     # -- internals ---------------------------------------------------------
 
-    def _snapshot_after(self, cursor: int) -> list[tuple[int, Envelope]]:
-        with self._cond:
-            if self._closed:
-                raise MailboxClosed()
-            return [(s, e) for (s, e) in self._items if s > cursor]
-
     def _remove(self, seq: int) -> bool:
         with self._cond:
-            for i, (s, _) in enumerate(self._items):
-                if s == seq:
-                    del self._items[i]
-                    return True
+            i = bisect_left(self._items, seq, key=_seq_of)
+            if i < len(self._items) and self._items[i][0] == seq:
+                del self._items[i]
+                return True
             return False
-
-    def _wait_beyond(self, cursor: int, budget: _Budget) -> bool:
-        """Block until a message newer than cursor exists; False on timeout."""
-        with self._cond:
-            while True:
-                if self._closed:
-                    raise MailboxClosed()
-                if any(s > cursor for (s, _) in self._items):
-                    return True
-                if not budget.wait(self._cond):
-                    return False
 
     def _match_env(
         self,
@@ -176,6 +168,8 @@ class Mailbox:
         remember: bool,
         trail: list,
     ) -> bool:
+        if not could_unify(msg_pat, env.payload):
+            return False
         # name identity applies only when the sender asked for it too; a
         # sender that did not remember its names never means them as shared
         payload = (
@@ -188,6 +182,58 @@ class Mailbox:
             and match_address(from_pat, env.sender, trail)
             and match_address(reply_pat, env.reply_to, trail)
         )
+
+    def _scan(
+        self, alts: list[Guard], remember: bool, timeout: Timeout, head_only: bool = False
+    ) -> Iterator[tuple[int, Guard, list]]:
+        """The one scan loop behind every receive.
+
+        Yields (seq, guard, trail) for each buffered message, oldest first,
+        that some alternative accepts; the alternatives are tried in listed
+        order and the first whose patterns match and whose test passes wins.
+        Its bindings stay in effect while the consumer holds the yield and
+        are undone when the scan resumes.  At the end of the buffer the scan
+        suspends per timeout, then examines only newer arrivals; it ends when
+        the timeout is spent, or with head_only after the first message.
+        """
+        budget = _Budget(timeout)
+        cursor = -1
+        while True:
+            with self._cond:
+                while True:
+                    if self._closed:
+                        raise MailboxClosed()
+                    i = bisect_right(self._items, cursor, key=_seq_of)
+                    if i < len(self._items):
+                        batch = self._items[i : i + 1] if head_only else self._items[i:]
+                        break
+                    if not budget.wait(self._cond):
+                        return
+            for seq, env in batch:
+                cursor = seq
+                for g in alts:
+                    trail: list = []
+                    if self._match_env(
+                        env, g.message, g.from_, g.reply, remember, trail
+                    ) and (g.test is None or g.test()):
+                        break
+                    undo_to(trail, 0)
+                else:
+                    continue
+                yield seq, g, trail
+                undo_to(trail, 0)
+                break  # the consumer may have changed the buffer: look again
+            if head_only:
+                return
+
+    def _consume(
+        self, alts: list[Guard], remember: bool, timeout: Timeout, head_only: bool = False
+    ) -> Optional[tuple[Guard, list]]:
+        """Remove the scan's first hit and keep its bindings; None if none."""
+        for seq, g, trail in self._scan(alts, remember, timeout, head_only):
+            self._remove(seq)
+            return g, trail
+        return None
 
     # -- receive operations -------------------------------------------------
 
@@ -203,22 +249,10 @@ class Mailbox:
         Blocks (per opts.timeout) only while the buffer is empty: once a
         first message exists the outcome depends on that message alone.
         """
-        budget = _Budget(opts.timeout)
-        with self._cond:
-            while True:
-                if self._closed:
-                    raise MailboxClosed()
-                if self._items:
-                    seq, env = self._items[0]
-                    break
-                if not budget.wait(self._cond):
-                    return None
-        trail: list = []
-        if self._match_env(env, msg_pat, from_pat, reply_pat, opts.remember_names, trail):
-            self._remove(seq)
-            return Substitution(trail)
-        undo_to(trail, 0)
-        return None
+        hit = self._consume(
+            [Guard(msg_pat, from_pat, reply_pat)], opts.remember_names, opts.timeout, True
+        )
+        return None if hit is None else Substitution(hit[1])
 
     def recv_search(
         self,
@@ -232,20 +266,10 @@ class Mailbox:
         When the scan reaches the end of the buffer the call suspends; only
         newly arrived messages are examined after that.
         """
-        budget = _Budget(opts.timeout)
-        cursor = -1
-        while True:
-            for seq, env in self._snapshot_after(cursor):
-                cursor = seq
-                trail: list = []
-                if self._match_env(
-                    env, msg_pat, from_pat, reply_pat, opts.remember_names, trail
-                ):
-                    self._remove(seq)
-                    return Substitution(trail)
-                undo_to(trail, 0)
-            if not self._wait_beyond(cursor, budget):
-                return None
+        hit = self._consume(
+            [Guard(msg_pat, from_pat, reply_pat)], opts.remember_names, opts.timeout
+        )
+        return None if hit is None else Substitution(hit[1])
 
     def peek(
         self,
@@ -260,25 +284,10 @@ class Mailbox:
         resumes, so abandoning the iteration keeps the last bindings (pair
         with commit() to consume the chosen message).
         """
-        budget = _Budget(opts.timeout)
-        cursor = -1
-        while True:
-            found = None
-            for seq, env in self._snapshot_after(cursor):
-                cursor = seq
-                trail: list = []
-                if self._match_env(
-                    env, msg_pat, from_pat, reply_pat, opts.remember_names, trail
-                ):
-                    found = (seq, trail)
-                    break
-                undo_to(trail, 0)
-            if found is not None:
-                yield MessageRef(found[0]), Substitution(found[1])
-                undo_to(found[1], 0)
-                continue
-            if not self._wait_beyond(cursor, budget):
-                return
+        for seq, _, trail in self._scan(
+            [Guard(msg_pat, from_pat, reply_pat)], opts.remember_names, opts.timeout
+        ):
+            yield MessageRef(seq), Substitution(trail)
 
     def commit(self, ref: MessageRef) -> None:
         """Remove a peeked message from the buffer."""
@@ -299,32 +308,9 @@ class Mailbox:
 
         Name remembering is always on here, as in every high-level receive.
         """
-        deadline: Optional[float] = None
-        cursor = -1
-        while True:
-            for seq, env in self._snapshot_after(cursor):
-                cursor = seq
-                for g in guards:
-                    trail: list = []
-                    if self._match_env(env, g.message, g.from_, g.reply, True, trail):
-                        if g.test is None or g.test():
-                            self._remove(seq)
-                            return g.body() if g.body is not None else Substitution(trail)
-                    undo_to(trail, 0)
-            with self._cond:
-                if self._closed:
-                    raise MailboxClosed()
-                if any(s > cursor for (s, _) in self._items):
-                    continue
-                if timeout is None:
-                    self._cond.wait()
-                    continue
-                secs, alt = timeout
-                now = time.monotonic()
-                if deadline is None:
-                    deadline = now + float(secs)
-                remaining = deadline - now
-                if remaining > 0:
-                    self._cond.wait(remaining)
-                    continue
+        secs, alt = (BLOCK, None) if timeout is None else timeout
+        hit = self._consume(guards, True, secs)
+        if hit is None:
             return alt() if callable(alt) else alt
+        g, trail = hit
+        return g.body() if g.body is not None else Substitution(trail)

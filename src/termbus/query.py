@@ -40,8 +40,8 @@ from .address import (
     term_to_address,
 )
 from .address import resolve as resolve_address
-from .mailbox import BLOCK, Guard, Timeout
-from .runtime import ClauseDB, ClauseError, Node, RuntimeError_
+from .mailbox import BLOCK, Guard, MailboxClosed, Timeout
+from .runtime import ClauseDB, ClauseError, Node, NodeShutdown, RuntimeError_, ThreadExit
 from .syntax import format_term, parse_clause
 from .terms import (
     Atom,
@@ -226,9 +226,12 @@ def query_server_main(node: Node) -> None:
                     Guard(mk("stream_of", call), reply=reply, body=do_stream),
                 ]
             )
-        except (RuntimeError_, AddressError, QueryError) as e:
-            # a malformed request or a vanished client must not kill the loop
-            log.warning("event=request_failed err=%s", e)
+        except (MailboxClosed, NodeShutdown, ThreadExit):
+            raise
+        except Exception as e:
+            # a malformed request, a vanished client or a fault while solving
+            # one request must not kill the loop
+            log.warning("event=request_failed err=%s", e, exc_info=True)
 
 
 def ans_gen(node: Node, call: Term, client: Address):

@@ -227,6 +227,42 @@ def unify_into(a: Term, b: Term, trail: Trail, occurs_check: bool = False) -> bo
     return a == b
 
 
+def could_unify(a: Term, b: Term) -> bool:
+    """Copy-free pre-test: False only when a and b cannot unify.
+
+    A variable on either side (after dereferencing) matches anything, so the
+    answer is False only on an atomic or functor/arity clash.  True is no
+    promise: a repeated variable or a cell another match binds can still
+    make the full unification fail.  Nothing is bound or copied, and the
+    walk uses an explicit stack, so any depth is safe.
+
+    This runs once per skipped message in a selective receive, hence the
+    inlined dereferencing and field comparisons.  Every argument of a
+    compound is compared before any of them is descended into, so a
+    message tag in a first argument rejects at once.
+    """
+    stack = [((a,), (b,))]
+    while stack:
+        xs, ys = stack.pop()
+        for x, y in zip(xs, ys):
+            while type(x) is Var and x.ref is not None:
+                x = x.ref
+            while type(y) is Var and y.ref is not None:
+                y = y.ref
+            t = type(x)
+            if x is y or t is Var or type(y) is Var:
+                continue
+            if t is not type(y):
+                return False
+            if t is Compound:
+                if x.functor != y.functor or len(x.args) != len(y.args):
+                    return False
+                stack.append((x.args, y.args))
+            elif (x.name != y.name) if t is Atom else (x.value != y.value):
+                return False
+    return True
+
+
 class Substitution:
     """The bindings made by one successful match, with an undo handle.
 

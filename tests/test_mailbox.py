@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import termbus.mailbox
 from termbus.address import Address, parse_address
 from termbus.codec import Envelope, Flags
 from termbus.mailbox import (
@@ -376,6 +377,59 @@ class TestNameMemory:
         box.message_choice([Guard(t1, body=lambda: cells.append(deref(v1["P"])))])
         box.message_choice([Guard(t2, body=lambda: cells.append(deref(v2["Q"])))])
         assert cells[0] is cells[1]
+
+
+class TestCopyOnlyTheWinner:
+    """A skipped message is rejected without being copied or interned."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        real = getattr(termbus.mailbox, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(termbus.mailbox, name, counting)
+        return calls
+
+    def test_recv_search_copies_only_the_match(self, monkeypatch):
+        copies = self.count_calls(monkeypatch, "fresh_copy")
+        box = Mailbox()
+        for i in range(100):
+            box.post(env(f"m({i}, data(p, [1, 2, 3]))"))
+        box.post(env("m(100, data(p, [4]))"))
+        t, vs = parse_term_with_vars("m(100, P)")
+        assert box.recv_search(t, opts=POLLING)
+        assert format_term(deref(vs["P"])) == "data(p,[4])"
+        assert len(copies) == 1
+        assert len(box) == 100
+
+    def test_message_choice_interns_only_the_match(self, monkeypatch):
+        interned = self.count_calls(monkeypatch, "intern_named")
+        box = Mailbox()
+        for text in ["a(X)", "b(Y)", "c(Z)", "d(1)", "e(2)"]:
+            box.post(env(text))
+        r = box.message_choice(
+            [
+                Guard(parse_term("x(N)"), body=lambda: "x"),
+                Guard(parse_term("y(N)"), body=lambda: "y"),
+                Guard(parse_term("d(N)"), body=lambda: "d"),
+            ]
+        )
+        assert r == "d"
+        assert len(interned) == 1
+        assert payloads(box) == ["a(X)", "b(Y)", "c(Z)", "e(2)"]
+
+    def test_rejected_message_leaves_the_registry_alone(self):
+        box = Mailbox()
+        box.post(env("offer(Price, Qty)"))
+        remembering = RecvOptions(timeout=POLL, remember_names=True)
+        assert box.recv_search(parse_term("accept(P)"), opts=remembering) is None
+        assert len(box.registry) == 0
+        assert box.recv_search(parse_term("offer(P, Q)"), opts=remembering)
+        assert box.registry.lookup("Price") is not None
 
 
 class TestClose:

@@ -179,6 +179,27 @@ class TestServing:
     def test_unbound_goal_gives_empty_replay(self, served):
         assert list(query_all(served, Var(), query.SERVER_SYMBOL)) == []
 
+    def test_server_survives_a_request_that_raises(self, served, monkeypatch, caplog):
+        failures = []
+
+        def find_all_failing_once(node, call):
+            if not failures:
+                failures.append(call)
+                raise ValueError("solver fault")
+            return find_all(node, call)
+
+        monkeypatch.setattr(query, "find_all", find_all_failing_once)
+        served.send(mk("all_of", parse_goal("edge(a, X)")),
+                    query.SERVER_SYMBOL, remember_names=False)
+        g, vs = parse_goal_with_vars("edge(b, X)")
+        with caplog.at_level(logging.WARNING, logger="termbus.query"):
+            names = [format_term(deref(vs["X"]))
+                     for _ in query_all(served, g, query.SERVER_SYMBOL, timeout=5.0)]
+        assert names == ["c"]
+        assert len(failures) == 1
+        assert "event=request_failed" in caplog.text
+        assert served.live_threads(label="query_main") == 1
+
     def test_reply_goes_to_the_reply_to_thread(self, served):
         # a query placed on behalf of a third thread: answers land there
         seen = []

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from termbus.terms import (
     Atom,
@@ -10,6 +10,7 @@ from termbus.terms import (
     Str,
     Var,
     VarRegistry,
+    could_unify,
     deref,
     fresh_copy,
     intern_named,
@@ -231,6 +232,58 @@ def test_unify_symmetric_up_to_renaming(a, b):
         assert variant(resolve(a), resolve(a2))
         left.undo()
         right.undo()
+
+
+@given(terms(), terms())
+def test_could_unify_false_means_no_unifier(a, b):
+    cells = all_cells(a) + all_cells(b)
+    before = [c.ref for c in cells]
+    if not could_unify(a, b):
+        assert unify(fresh_copy(a), fresh_copy(b)) is None
+    assert [c.ref for c in cells] == before  # nothing bound
+
+
+def _generalise(t, draw):
+    """t with some subterms replaced by fresh variables, so it unifies with t."""
+    t = deref(t)
+    if draw(st.booleans()):
+        return Var()
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(_generalise(a, draw) for a in t.args))
+    return t
+
+
+@given(terms(), st.data())
+def test_could_unify_passes_a_generalisation(t, data):
+    g = _generalise(t, data.draw)
+    assert could_unify(g, t) and could_unify(t, g)
+
+
+def test_could_unify_follows_bindings_and_rejects_clashes():
+    x = Var("X")
+    x.ref = Atom("a")
+    assert could_unify(mk("f", x), mk("f", Atom("a")))
+    assert not could_unify(mk("f", x), mk("f", Atom("b")))
+    assert not could_unify(mk("f", Int(1)), mk("f", Str("1")))
+    assert not could_unify(mk("f", Atom("a")), mk("f", Atom("a"), Atom("b")))
+    assert not could_unify(mk("f", Atom("a")), mk("g", Atom("a")))
+    # a repeated variable is not checked: True here, though unify fails
+    y = Var("Y")
+    assert could_unify(mk("f", y, y), mk("f", Atom("a"), Atom("b")))
+    assert unify(mk("f", y, y), mk("f", Atom("a"), Atom("b"))) is None
+
+
+def test_could_unify_is_stack_safe():
+    n = 100_000
+    items = [Int(i) for i in range(n)]
+    xs = mklist(items)
+    assert not could_unify(xs, mklist(items[:-1] + [Atom("tail")]))
+    assert could_unify(xs, mklist(items[:-1] + [Var()]))
+    deep, var_deep = Atom("leaf"), Var()
+    for _ in range(n):
+        deep, var_deep = mk("s", deep), mk("s", var_deep)
+    assert could_unify(deep, var_deep)
+    assert not could_unify(deep, mk("s", Atom("leaf")))
 
 
 @given(terms())
