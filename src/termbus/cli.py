@@ -28,7 +28,7 @@ from . import query as query_protocol
 from .address import AddressError
 from .query import AnswerStream, QueryError, RemoteTimeout, load_clause_file, query_all
 from .router import Router, RouterConfig
-from .runtime import Node, NodeConfig, RuntimeError_
+from .runtime import Node, NodeConfig, TermbusError
 from .syntax import ParseError, format_term, parse_goal_with_vars, parse_term
 from .terms import deref
 
@@ -221,7 +221,7 @@ def linda_server_main(argv=None) -> int:
     _setup_logging()
     try:
         node = _start_node(conf)
-    except RuntimeError_ as e:
+    except TermbusError as e:
         print(f"cannot start node: {e}", file=sys.stderr)
         return 1
     print(f"linda server {conf.process}@{conf.host} up", flush=True)
@@ -239,7 +239,7 @@ def query_server_main(argv=None) -> int:
     _setup_logging()
     try:
         node = _start_node(conf)
-    except RuntimeError_ as e:
+    except TermbusError as e:
         print(f"cannot start node: {e}", file=sys.stderr)
         return 1
     loaded = 0
@@ -278,7 +278,7 @@ def linda_main(argv=None) -> int:
         return 1
     try:
         node = _start_node(conf)
-    except RuntimeError_ as e:
+    except TermbusError as e:
         print(f"cannot start node: {e}", file=sys.stderr)
         return 1
     wait = conf.timeout if conf.timeout is not None else 10.0
@@ -297,7 +297,7 @@ def linda_main(argv=None) -> int:
             ok = (s.inp if conf.op == "inp" else s.rdp)(pattern, timeout=wait)
             print(format_term(deref(pattern)) if ok else "no match")
         s.disconnect()
-    except (linda_protocol.LindaError, RuntimeError_, AddressError) as e:
+    except (linda_protocol.LindaError, TermbusError, AddressError) as e:
         print(f"linda: {e}", file=sys.stderr)
         return 1
     finally:
@@ -376,7 +376,7 @@ def repl_loop(node: Node, server, timeout: Optional[float] = None,
                     out.write(f"unknown command: {cmd}\n")
             except ParseError as e:
                 out.write(f"parse error: {e}\n")
-            except (QueryError, RuntimeError_, AddressError) as e:
+            except (QueryError, TermbusError, AddressError) as e:
                 out.write(f"error: {e}\n")
             out.flush()
     finally:
@@ -389,7 +389,7 @@ def query_main(argv=None) -> int:
     _setup_logging()
     try:
         node = _start_node(conf)
-    except RuntimeError_ as e:
+    except TermbusError as e:
         print(f"cannot start node: {e}", file=sys.stderr)
         return 1
     try:

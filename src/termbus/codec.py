@@ -24,7 +24,13 @@ Binary term encoding, tag byte first:
 
 Varints are unsigned LEB128.  Decoding is bounds-checked against the frame
 length and never reads past it; truncation, version mismatch and body parse
-failures raise distinct error types.
+failures raise distinct error types.  Encoding and decoding a term are each
+one loop over an explicit stack, so any length or nesting depth is safe.
+
+A router relays frames unchanged and validates only the header (length,
+version, flags and the three addresses): decode_envelope(frame, body=False)
+skips a data frame's body.  A bad body therefore travels on and surfaces at
+the receiving node, whose full decode rejects it.
 """
 
 from __future__ import annotations
@@ -91,10 +97,11 @@ class Flags:
 class Envelope:
     """One message in flight: payload plus destination, sender and reply-to.
 
-    reply_to defaults to the sender when not given explicitly.
+    reply_to defaults to the sender when not given explicitly.  payload is
+    None only in a data frame's header read by decode_envelope(body=False).
     """
 
-    payload: Term
+    payload: Optional[Term]
     to: Address
     sender: Address
     reply_to: Optional[Address] = None
@@ -108,18 +115,20 @@ class Envelope:
 # ---------------------------------------------------------------------------
 # varints
 
+
+def _put_varint(out: bytearray, n: int) -> None:
+    while n > 0x7F:
+        out.append((n & 0x7F) | 0x80)
+        n >>= 7
+    out.append(n)
+
+
 def encode_varint(n: int) -> bytes:
     if n < 0:
         raise ValueError("varint is unsigned")
     out = bytearray()
-    while True:
-        b = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return bytes(out)
+    _put_varint(out, n)
+    return bytes(out)
 
 
 def zigzag(n: int) -> int:
@@ -130,141 +139,150 @@ def unzigzag(z: int) -> int:
     return (z >> 1) ^ -(z & 1)
 
 
-class _Reader:
-    """Bounds-checked cursor over one frame's bytes."""
-
-    __slots__ = ("data", "pos", "end")
-
-    def __init__(self, data, pos: int, end: int):
-        self.data = data
-        self.pos = pos
-        self.end = end
-
-    def u8(self) -> int:
-        if self.pos >= self.end:
+def _get_varint(data, pos: int, end: int) -> tuple[int, int]:
+    """The varint at data[pos:end] and the position after it."""
+    value = shift = 0
+    while True:
+        if pos >= end:
             raise TruncatedFrameError("unexpected end of frame")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
+        b = data[pos]
+        pos += 1
+        value |= (b & 0x7F) << shift
+        if not b & 0x80:
+            return value, pos
+        shift += 7
+        if shift > 70:
+            raise BodyParseError("varint too long")
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > self.end:
-            raise TruncatedFrameError("unexpected end of frame")
-        out = bytes(self.data[self.pos : self.pos + n])
-        self.pos += n
-        return out
 
-    def varint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            b = self.u8()
-            value |= (b & 0x7F) << shift
-            if not (b & 0x80):
-                return value
-            shift += 7
-            if shift > 70:
-                raise BodyParseError("varint too long")
-
-    def utf8(self) -> str:
-        n = self.varint()
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise BodyParseError(f"bad UTF-8: {e}") from None
-
-    def done(self) -> bool:
-        return self.pos == self.end
+def _get_text(data, pos: int, end: int) -> tuple[str, int]:
+    """The length-prefixed UTF-8 text at data[pos:end] and the position after it."""
+    n, pos = _get_varint(data, pos, end)
+    stop = pos + n
+    if stop > end:
+        raise TruncatedFrameError("unexpected end of frame")
+    try:
+        return str(data[pos:stop], "utf-8"), stop
+    except UnicodeDecodeError as e:
+        raise BodyParseError(f"bad UTF-8: {e}") from None
 
 
 # ---------------------------------------------------------------------------
 # binary term codec
 
 def encode_term_binary(t: Term) -> bytes:
+    """The binary encoding of t, written in one pre-order pass."""
     out = bytearray()
+    put = out.append
     serials: dict[int, int] = {}
-
-    def emit_name(name: str) -> None:
-        raw = name.encode("utf-8")
-        out.extend(encode_varint(len(raw)))
-        out.extend(raw)
-
-    def walk(x: Term) -> None:
-        x = deref(x)
-        if isinstance(x, Atom):
-            out.append(TAG_ATOM)
-            emit_name(x.name)
-        elif isinstance(x, Int):
-            out.append(TAG_INT)
-            out.extend(encode_varint(zigzag(x.value)))
-        elif isinstance(x, Str):
-            out.append(TAG_STR)
-            emit_name(x.value)
-        elif isinstance(x, Var):
-            out.append(TAG_VAR)
-            if x.name is not None:
-                emit_name(x.name)
-            else:
-                out.append(0)
-                serial = serials.setdefault(x.id, len(serials))
-                out.extend(encode_varint(serial))
-        elif isinstance(x, Compound):
-            out.append(TAG_COMPOUND)
-            emit_name(x.functor)
-            out.extend(encode_varint(x.arity))
-            for a in x.args:
-                walk(a)
+    stack = [t]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        x = pop()
+        while type(x) is Var and x.ref is not None:
+            x = x.ref
+        kind = type(x)
+        if kind is Compound:
+            tag, text = TAG_COMPOUND, x.functor
+        elif kind is Atom:
+            tag, text = TAG_ATOM, x.name
+        elif kind is Int:
+            put(TAG_INT)
+            _put_varint(out, zigzag(x.value))
+            continue
+        elif kind is Str:
+            tag, text = TAG_STR, x.value
+        elif kind is Var:
+            if x.name is None:
+                put(TAG_VAR)
+                put(0)
+                _put_varint(out, serials.setdefault(x.id, len(serials)))
+                continue
+            tag, text = TAG_VAR, x.name
         else:
             raise CodecError(f"not a term: {x!r}")
-
-    walk(t)
+        raw = text.encode("utf-8")
+        put(tag)
+        _put_varint(out, len(raw))
+        out += raw
+        if kind is Compound:
+            _put_varint(out, len(x.args))
+            push(reversed(x.args))
     return bytes(out)
 
 
-def _decode_term(r: _Reader) -> Term:
+def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
+    """The binary term at data[pos:end] and the position after it.
+
+    A compound is opened when its header is read and closed when its last
+    argument is; ``open_`` holds the compounds still collecting arguments.
+    """
     named: dict[str, Var] = {}
     by_serial: dict[int, Var] = {}
-
-    def walk() -> Term:
-        tag = r.u8()
-        if tag == TAG_ATOM:
-            return Atom(r.utf8())
+    open_: list[tuple[str, int, list]] = []
+    while True:
+        if pos >= end:
+            raise TruncatedFrameError("unexpected end of frame")
+        tag = data[pos]
+        pos += 1
         if tag == TAG_INT:
-            value = unzigzag(r.varint())
+            z, pos = _get_varint(data, pos, end)
+            value = unzigzag(z)
             if not (INT_MIN <= value <= INT_MAX):
                 raise BodyParseError(f"integer out of 64-bit range: {value}")
-            return Int(value)
-        if tag == TAG_STR:
-            return Str(r.utf8())
-        if tag == TAG_VAR:
-            name = r.utf8()
-            if name:
-                v = named.get(name)
-                if v is None:
-                    v = Var(name)
-                    named[name] = v
-                return v
-            serial = r.varint()
-            v = by_serial.get(serial)
-            if v is None:
-                v = Var()
-                by_serial[serial] = v
-            return v
-        if tag == TAG_COMPOUND:
-            functor = r.utf8()
-            arity = r.varint()
-            if arity == 0:
-                raise BodyParseError("compound with zero arity")
-            return Compound(functor, tuple(walk() for _ in range(arity)))
-        raise BodyParseError(f"unknown term tag 0x{tag:02x}")
-
-    return walk()
+            term = Int(value)
+        elif TAG_ATOM <= tag <= TAG_COMPOUND:
+            # one-byte lengths and arities are read in line: they are the
+            # common case, and a call per varint is a large share of the
+            # cost of decoding a list
+            n = data[pos] if pos < end else 0x80
+            if n < 0x80 and pos + 1 + n <= end:
+                pos += 1 + n
+                try:
+                    text = str(data[pos - n : pos], "utf-8")
+                except UnicodeDecodeError as e:
+                    raise BodyParseError(f"bad UTF-8: {e}") from None
+            else:
+                text, pos = _get_text(data, pos, end)
+            if tag == TAG_COMPOUND:
+                arity = data[pos] if pos < end else 0x80
+                if arity < 0x80:
+                    pos += 1
+                else:
+                    arity, pos = _get_varint(data, pos, end)
+                if arity == 0:
+                    raise BodyParseError("compound with zero arity")
+                open_.append((text, arity, []))
+                continue
+            if tag == TAG_ATOM:
+                term = Atom(text)
+            elif tag == TAG_STR:
+                term = Str(text)
+            elif text:
+                term = named.get(text)
+                if term is None:
+                    term = named[text] = Var(text)
+            else:
+                serial, pos = _get_varint(data, pos, end)
+                term = by_serial.get(serial)
+                if term is None:
+                    term = by_serial[serial] = Var()
+        else:
+            raise BodyParseError(f"unknown term tag 0x{tag:02x}")
+        while open_:
+            functor, arity, args = open_[-1]
+            args.append(term)
+            if len(args) < arity:
+                break
+            open_.pop()
+            term = Compound(functor, tuple(args))
+        else:
+            return term, pos
 
 
 def decode_term_binary(data: bytes) -> Term:
-    r = _Reader(data, 0, len(data))
-    t = _decode_term(r)
-    if not r.done():
+    t, pos = _decode_term(data, 0, len(data))
+    if pos != len(data):
         raise BodyParseError("trailing bytes after term")
     return t
 
@@ -274,8 +292,8 @@ def decode_term_binary(data: bytes) -> Term:
 
 def _emit_address(out: bytearray, a: Address) -> None:
     raw = format_address(a).encode("utf-8")
-    out.extend(encode_varint(len(raw)))
-    out.extend(raw)
+    _put_varint(out, len(raw))
+    out += raw
 
 
 def encode_envelope(env: Envelope) -> bytes:
@@ -289,25 +307,32 @@ def encode_envelope(env: Envelope) -> bytes:
     _emit_address(inner, env.sender)
     _emit_address(inner, env.reply_to)
     if env.flags.encoded:
-        inner.extend(encode_term_binary(env.payload))
+        inner += encode_term_binary(env.payload)
     else:
-        inner.extend(syntax.format_term(env.payload).encode("utf-8"))
+        inner += syntax.format_term(env.payload).encode("utf-8")
     return struct.pack(">I", len(inner)) + bytes(inner)
 
 
-def _read_address(r: _Reader, what: str) -> Address:
-    text = r.utf8()
+def _get_address(data, pos: int, end: int, what: str) -> tuple[Address, int]:
+    text, pos = _get_text(data, pos, end)
     try:
         a = parse_address(text)
     except Exception as e:
         raise BodyParseError(f"bad {what} address {text!r}: {e}") from None
     if not a.qualified():
         raise BodyParseError(f"{what} address not fully qualified: {text!r}")
-    return a
+    return a, pos
 
 
-def decode_envelope(frame: bytes) -> Envelope:
-    """Decode one complete frame (length prefix included)."""
+def decode_envelope(frame: bytes, body: bool = True) -> Envelope:
+    """Decode one complete frame (length prefix included).
+
+    With body=False the body of a data frame is not read and the result's
+    payload is None: the header (length, version, flags and the three
+    addresses) is all a router needs to relay the frame unchanged, so a bad
+    data body only surfaces at the node that decodes it in full.  A control
+    frame's body is always decoded, since the body is what it says.
+    """
     if len(frame) < 4:
         raise TruncatedFrameError("frame shorter than its length prefix")
     (length,) = struct.unpack_from(">I", frame, 0)
@@ -317,22 +342,27 @@ def decode_envelope(frame: bytes) -> Envelope:
         raise TruncatedFrameError("frame body shorter than declared length")
     if len(frame) - 4 > length:
         raise BodyParseError("trailing bytes after frame")
-    r = _Reader(frame, 4, 4 + length)
-    version = r.u8()
+    end = 4 + length
+    if end < 5:
+        raise TruncatedFrameError("unexpected end of frame")
+    version = frame[4]
     if version != VERSION:
         raise VersionMismatchError(f"unsupported version 0x{version:02x}")
-    flags = Flags.from_byte(r.u8())
-    to = _read_address(r, "destination")
-    sender = _read_address(r, "sender")
-    reply_to = _read_address(r, "reply-to")
-    if flags.encoded:
-        payload = _decode_term(r)
-        if not r.done():
+    if end < 6:
+        raise TruncatedFrameError("unexpected end of frame")
+    flags = Flags.from_byte(frame[5])
+    to, pos = _get_address(frame, 6, end, "destination")
+    sender, pos = _get_address(frame, pos, end, "sender")
+    reply_to, pos = _get_address(frame, pos, end, "reply-to")
+    if not (body or flags.control):
+        payload = None
+    elif flags.encoded:
+        payload, pos = _decode_term(frame, pos, end)
+        if pos != end:
             raise BodyParseError("trailing bytes after body term")
     else:
-        text = r.take(r.end - r.pos)
         try:
-            payload = syntax.parse_term(text.decode("utf-8"))
+            payload = syntax.parse_term(str(frame[pos:end], "utf-8"))
         except UnicodeDecodeError as e:
             raise BodyParseError(f"bad UTF-8 in body: {e}") from None
         except syntax.ParseError as e:

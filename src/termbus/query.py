@@ -41,7 +41,7 @@ from .address import (
 )
 from .address import resolve as resolve_address
 from .mailbox import BLOCK, Guard, MailboxClosed, Timeout
-from .runtime import ClauseDB, ClauseError, Node, NodeShutdown, RuntimeError_, ThreadExit
+from .runtime import ClauseDB, ClauseError, Node, NodeShutdown, TermbusError, ThreadExit
 from .syntax import format_term, parse_clause
 from .terms import (
     Atom,
@@ -275,7 +275,7 @@ def kill_orphans(node: Node) -> None:
             return
         try:
             node.send(Atom("finish"), term_to_address(deref(qth)), remember_names=False)
-        except (RuntimeError_, AddressError) as e:
+        except (TermbusError, AddressError) as e:
             log.debug("event=orphan_gone err=%s", e)
 
 
@@ -391,7 +391,7 @@ class AnswerStream:
         self._done = True
         try:
             self.node.send(Atom("finish"), self.generator, remember_names=False)
-        except (RuntimeError_, AddressError) as e:
+        except (TermbusError, AddressError) as e:
             log.debug("event=generator_gone err=%s", e)
         self._forget()  # we ended it, so it is known-terminated, not orphaned
 

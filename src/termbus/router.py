@@ -16,7 +16,11 @@ background, draining the hold queue in order once it answers.  With no proxy
 configured undeliverable frames are dropped (and counted).
 
 Frames are relayed as received, never re-encoded, so a router hop preserves
-wire bytes exactly.
+wire bytes exactly.  The router reads only a data frame's header (length,
+version, flags and the three addresses) and drops a frame whose header is
+bad; it never decodes a data body, so a bad body travels on and surfaces at
+the receiving node, which drops it there.  Only control frames, which carry
+the registering process name in their body, are decoded in full.
 """
 
 from __future__ import annotations
@@ -106,8 +110,10 @@ class Router:
         ls.listen(64)
         self._lsock = ls
         self.port = ls.getsockname()[1]
-        self._spawn(self._accept_loop, "accept")
+        # the accept loop is spawned last: from then on it is the only
+        # caller of _spawn, so _threads needs no lock
         self._spawn(self._housekeeping, "keep")
+        self._spawn(self._accept_loop, "accept")
         log.info("event=router_up host=%s port=%d", self.host, self.port)
         return self
 
@@ -134,8 +140,10 @@ class Router:
 
     def _spawn(self, fn, tag: str) -> None:
         t = threading.Thread(target=fn, daemon=True, name=f"router-{self.host}-{tag}")
+        # listed before it runs, so whatever the thread does is seen only
+        # after it is in the list
+        self._threads = [x for x in self._threads if x.is_alive()] + [t]
         t.start()
-        self._threads.append(t)
 
     # -- stats ----------------------------------------------------------------
 
@@ -186,7 +194,7 @@ class Router:
                 if frame is None:
                     break
                 try:
-                    env = decode_envelope(frame)
+                    env = decode_envelope(frame, body=False)
                 except Exception as e:
                     log.warning("event=bad_frame err=%s", e)
                     continue

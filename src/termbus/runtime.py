@@ -60,8 +60,8 @@ log = logging.getLogger("termbus.node")
 TRUE = Atom("true")
 
 
-class RuntimeError_(Exception):
-    pass
+class TermbusError(Exception):
+    """Base of the errors a node raises to its caller."""
 
 
 class ThreadExit(Exception):
@@ -72,23 +72,23 @@ class NodeShutdown(Exception):
     pass
 
 
-class NotAttachedError(RuntimeError_):
+class NotAttachedError(TermbusError):
     pass
 
 
-class UnknownThreadError(RuntimeError_):
+class UnknownThreadError(TermbusError):
     pass
 
 
-class DuplicateSymbolError(RuntimeError_):
+class DuplicateSymbolError(TermbusError):
     pass
 
 
-class RouterUnavailableError(RuntimeError_):
+class RouterUnavailableError(TermbusError):
     pass
 
 
-class ClauseError(RuntimeError_):
+class ClauseError(TermbusError):
     pass
 
 
@@ -282,7 +282,6 @@ class Node:
         self,
         goal: Callable[[], Any],
         symbol: Optional[str] = None,
-        sizes=None,  # accepted for interface parity; host threads size themselves
         label: Optional[str] = None,
     ) -> ThreadHandle:
         """Spawn a node thread running goal().
@@ -653,6 +652,7 @@ class _RouterLink:
                 backoff = min(backoff * 2, self.node.config.reconnect_max)
                 continue
             sock.settimeout(None)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             try:
                 sock.sendall(
                     encode_envelope(make_register(self.node.process, self.node.host))

@@ -31,7 +31,9 @@ from termbus.terms import (
     Str,
     Var,
     deref,
+    list_parts,
     mk,
+    mklist,
     variant,
     INT_MIN,
     INT_MAX,
@@ -45,6 +47,36 @@ B = Address("u", "q", "h")
 
 def test_atom_binary_layout():
     assert encode_term_binary(Atom("a")) == b"\x01\x01a"
+
+
+_X, _Y = Var(), Var()
+
+# the binary layout of every other tag, byte for byte
+GOLDEN = [
+    (Int(-5), "02 09"),
+    (Int(300), "02 d8 04"),
+    (Int(INT_MIN), "02 ff ff ff ff ff ff ff ff ff 01"),
+    (Int(INT_MAX), "02 fe ff ff ff ff ff ff ff ff 01"),
+    (Str("h\u00e9llo"), "03 06 68 c3 a9 6c 6c 6f"),
+    (Var("N"), "04 01 4e"),
+    (mk("f", _X, _Y, _X, _Y), "05 01 66 04 04 00 00 04 00 01 04 00 00 04 00 01"),
+    (mk("f", mk("g", Atom("a"), Str("")), Int(1)), "05 01 66 02 05 01 67 02 01 01 61 03 00 02 02"),
+    (mklist([Int(1), Atom("b")]), "05 01 2e 02 02 02 05 01 2e 02 01 01 62 01 02 5b 5d"),
+]
+
+
+@pytest.mark.parametrize("term,golden", GOLDEN)
+def test_binary_layout_is_pinned(term, golden):
+    data = bytes.fromhex(golden)
+    assert encode_term_binary(term) == data
+    assert variant(decode_term_binary(data), term)
+
+
+def test_envelope_layout_is_pinned():
+    env = Envelope(mk("f", Int(1)), A, B, flags=Flags(encoded=True))
+    assert encode_envelope(env) == bytes.fromhex(
+        "0000001a 01 01 05 743a7040 68 05 753a7140 68 05 753a7140 68 05 01 66 01 02 02"
+    )
 
 
 def test_varint_edges():
@@ -189,3 +221,69 @@ def test_binary_preserves_sharing_raw_renames_consistently():
     for encoded in (True, False):
         back = _roundtrip(t, encoded)
         assert deref(back.payload.args[0]) is deref(back.payload.args[1])
+
+
+def test_header_only_decode_skips_a_data_body():
+    env = Envelope(mk("f", Int(1)), A, B, flags=Flags(encoded=True))
+    frame = encode_envelope(env)
+    garbage = frame[:-6] + b"\x09" * 6
+    for f in (frame, garbage):
+        head = decode_envelope(f, body=False)
+        assert head.payload is None
+        assert head.to == A and head.sender == B and head.reply_to == B
+        assert head.flags == env.flags
+    with pytest.raises(BodyParseError):
+        decode_envelope(garbage)
+
+
+def test_header_only_decode_still_checks_the_header():
+    frame = encode_envelope(Envelope(Atom("x"), A, B, flags=Flags(encoded=True)))
+    bad_version = frame[:4] + b"\x02" + frame[5:]
+    with pytest.raises(VersionMismatchError):
+        decode_envelope(bad_version, body=False)
+    with pytest.raises(TruncatedFrameError):
+        decode_envelope(frame[:-1], body=False)
+    with pytest.raises(BodyParseError):
+        decode_envelope(frame + b"x", body=False)
+
+
+def test_header_only_decode_reads_a_control_body():
+    back = decode_envelope(encode_envelope(make_register("svc", "h")), body=False)
+    assert register_payload_name(back) == "svc"
+
+
+DEEP = 100_000
+
+
+def _reencodes(t, data):
+    # variant() and == recurse, so the check is that the decoded term encodes
+    # back to the very same bytes
+    assert encode_term_binary(t) == data
+
+
+def test_long_list_round_trips_without_recursion():
+    t = mklist(Int(i) for i in range(DEEP))
+    data = encode_term_binary(t)
+    back = decode_term_binary(data)
+    items, tail = list_parts(back)
+    assert tail == Atom("[]") and [x.value for x in items] == list(range(DEEP))
+    _reencodes(back, data)
+    frame = encode_envelope(Envelope(t, A, B, flags=Flags(encoded=True)))
+    env = decode_envelope(frame)
+    _reencodes(env.payload, data)
+    assert encode_envelope(env) == frame
+
+
+def test_deep_nest_round_trips_without_recursion():
+    t = Atom("leaf")
+    for _ in range(DEEP):
+        t = Compound("s", (t,))
+    data = encode_term_binary(t)
+    back = decode_term_binary(data)
+    depth = 0
+    while isinstance(back, Compound):
+        back = back.args[0]
+        depth += 1
+    assert depth == DEEP and back == Atom("leaf")
+    frame = encode_envelope(Envelope(t, A, B, flags=Flags(encoded=True)))
+    assert encode_envelope(decode_envelope(frame)) == frame

@@ -1,13 +1,24 @@
 """Routing daemon: registration, store-and-forward, peering, proxy holding."""
 
-import time
+import logging
+import socket
+import struct
 
 import pytest
 
+from termbus.address import Address
+from termbus.codec import (
+    Envelope,
+    Flags,
+    encode_envelope,
+    encode_varint,
+    make_register,
+    read_frame,
+)
 from termbus.router import Router, RouterConfig
 from termbus.runtime import Node, NodeConfig
 from termbus.syntax import format_term, parse_term, parse_term_with_vars
-from termbus.terms import deref
+from termbus.terms import Int, deref, mklist
 
 from netutil import data_frames_out, free_port, wait_until
 
@@ -258,3 +269,100 @@ class TestStats:
         s = r.stats()
         assert s["ctl_in"] == 2 and s["ctl_out"] == 2
         assert s["frames_in"] == 0 and s["frames_out"] == 0
+
+
+def connect(r, timeout=10.0):
+    s = socket.create_connection(("127.0.0.1", r.port))
+    s.settimeout(timeout)
+    return s
+
+
+def raw_process(r, name):
+    """A bare socket registered with the router as process name."""
+    s = connect(r)
+    s.sendall(encode_envelope(make_register(name, r.host)))
+    assert read_frame(s) is not None  # the acknowledgement
+    return s
+
+
+def raw_frame(to, sender, body=b"\x01\x01a", version=0x01, flags=0x01):
+    """A frame built by hand, so its header may be anything."""
+    inner = bytes([version, flags])
+    for text in (to, sender, sender):
+        raw = text.encode()
+        inner += encode_varint(len(raw)) + raw
+    inner += body
+    return struct.pack(">I", len(inner)) + inner
+
+
+class TestRelay:
+    """The router reads a data frame's header only and relays its bytes."""
+
+    def test_long_list_body_is_relayed_byte_for_byte(self, stack):
+        router, _ = stack
+        r = router("hostA")
+        sink = raw_process(r, "sink")
+        frame = encode_envelope(Envelope(
+            mklist(Int(i) for i in range(100_000)),
+            Address("main", "sink", "hostA"),
+            Address("main", "src", "hostA"),
+            flags=Flags(encoded=True),
+        ))
+        src = connect(r)
+        try:
+            src.sendall(frame)
+            assert read_frame(sink) == frame
+        finally:
+            src.close()
+            sink.close()
+
+    def test_bad_body_is_relayed_and_dropped_at_the_node(self, stack, caplog):
+        caplog.set_level(logging.WARNING, logger="termbus.node")
+        router, node = stack
+        r = router("hostA")
+        b = node("proc_b", "hostA", r)
+        src = connect(r)
+        try:
+            src.sendall(raw_frame("main:proc_b@hostA", "main:src@hostA", body=b"\x09junk"))
+            src.sendall(raw_frame("main:proc_b@hostA", "main:src@hostA", body=b"\x01\x04next"))
+            assert b.recv_search(parse_term("next"), timeout=5.0)
+        finally:
+            src.close()
+        assert r.stats()["frames_out"] == 2
+        assert any("event=drop_malformed_frame" in m for m in caplog.messages)
+
+    def test_bad_header_is_dropped_and_the_connection_keeps_routing(self, stack):
+        router, _ = stack
+        r = router("hostA")
+        sink = raw_process(r, "sink")
+        good = raw_frame("main:sink@hostA", "main:src@hostA")
+        src = connect(r)
+        try:
+            src.sendall(raw_frame("main:sink@hostA", "main:src@hostA", version=0x02))
+            src.sendall(raw_frame("main", "main:src@hostA"))
+            src.sendall(raw_frame("main:sink@hostA", "main:src"))
+            src.sendall(good)
+            assert read_frame(sink) == good
+        finally:
+            src.close()
+            sink.close()
+        s = r.stats()
+        assert s["frames_in"] == 1 and s["frames_out"] == 1
+
+
+class TestConnections:
+    def test_node_link_disables_nagle(self, stack):
+        router, node = stack
+        a = node("proc_a", "hostA", router("hostA"))
+        assert a._link._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_finished_connection_threads_are_pruned(self, stack):
+        router, _ = stack
+        r = router("hostA")
+        # the acknowledgement shows each connection's serving thread is listed
+        for i in range(50):
+            raw_process(r, f"p{i}").close()
+        # accept and housekeeping stay; every connection thread ends
+        wait_until(lambda: sum(t.is_alive() for t in r._threads) == 2, msg="threads end")
+        raw_process(r, "last").close()
+        assert len(r._threads) <= 3
