@@ -25,7 +25,8 @@ Binary term encoding, tag byte first:
 Varints are unsigned LEB128.  Decoding is bounds-checked against the frame
 length and never reads past it; truncation, version mismatch and body parse
 failures raise distinct error types.  Encoding and decoding a term are each
-one loop over an explicit stack, so any length or nesting depth is safe.
+one loop over an explicit stack, so the codec takes any length or nesting
+depth.
 
 A router relays frames unchanged and validates only the header (length,
 version, flags and the three addresses): decode_envelope(frame, body=False)
@@ -232,24 +233,9 @@ def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
                 raise BodyParseError(f"integer out of 64-bit range: {value}")
             term = Int(value)
         elif TAG_ATOM <= tag <= TAG_COMPOUND:
-            # one-byte lengths and arities are read in line: they are the
-            # common case, and a call per varint is a large share of the
-            # cost of decoding a list
-            n = data[pos] if pos < end else 0x80
-            if n < 0x80 and pos + 1 + n <= end:
-                pos += 1 + n
-                try:
-                    text = str(data[pos - n : pos], "utf-8")
-                except UnicodeDecodeError as e:
-                    raise BodyParseError(f"bad UTF-8: {e}") from None
-            else:
-                text, pos = _get_text(data, pos, end)
+            text, pos = _get_text(data, pos, end)
             if tag == TAG_COMPOUND:
-                arity = data[pos] if pos < end else 0x80
-                if arity < 0x80:
-                    pos += 1
-                else:
-                    arity, pos = _get_varint(data, pos, end)
+                arity, pos = _get_varint(data, pos, end)
                 if arity == 0:
                     raise BodyParseError("compound with zero arity")
                 open_.append((text, arity, []))

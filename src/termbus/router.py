@@ -98,7 +98,6 @@ class Router:
         self.ctl_out = 0
         self.dropped = 0
         self.closing = False
-        self._threads: list[threading.Thread] = []
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -110,10 +109,8 @@ class Router:
         ls.listen(64)
         self._lsock = ls
         self.port = ls.getsockname()[1]
-        # the accept loop is spawned last: from then on it is the only
-        # caller of _spawn, so _threads needs no lock
-        self._spawn(self._housekeeping, "keep")
         self._spawn(self._accept_loop, "accept")
+        self._spawn(self._housekeeping, "keep")
         log.info("event=router_up host=%s port=%d", self.host, self.port)
         return self
 
@@ -140,9 +137,6 @@ class Router:
 
     def _spawn(self, fn, tag: str) -> None:
         t = threading.Thread(target=fn, daemon=True, name=f"router-{self.host}-{tag}")
-        # listed before it runs, so whatever the thread does is seen only
-        # after it is in the list
-        self._threads = [x for x in self._threads if x.is_alive()] + [t]
         t.start()
 
     # -- stats ----------------------------------------------------------------

@@ -8,6 +8,12 @@ Variables are mutable binding cells.  Unification binds cells in place and
 records every binding on a trail so that a failed attempt can be unwound,
 leaving every cell exactly as it was.  That undo discipline is what the
 mailbox matching operations and the clause store lean on.
+
+Everything a receive does to a message (could_unify, fresh_copy,
+intern_named, unify_into) walks the term from an explicit stack, so a
+message of any length or depth can be matched and copied.  resolve,
+variables, term_equal, variant and name_unnamed still recurse, once or
+twice per nesting level, and so stop at a few hundred levels.
 """
 
 from __future__ import annotations
@@ -183,11 +189,13 @@ def undo_to(trail: Trail, mark: int) -> None:
 
 
 def _occurs(v: Var, t: Term) -> bool:
-    t = deref(t)
-    if isinstance(t, Var):
-        return t is v
-    if isinstance(t, Compound):
-        return any(_occurs(v, a) for a in t.args)
+    stack = [t]
+    while stack:
+        t = deref(stack.pop())
+        if t is v:
+            return True
+        if isinstance(t, Compound):
+            stack.extend(t.args)
     return False
 
 
@@ -201,30 +209,34 @@ def unify_into(a: Term, b: Term, trail: Trail, occurs_check: bool = False) -> bo
 
     Returns False on mismatch; the caller is responsible for unwinding the
     trail to its entry mark in that case.  By default no occurs-check is
-    performed; pass occurs_check=True to reject cyclic bindings.
+    performed; pass occurs_check=True to reject cyclic bindings.  Argument
+    pairs are unified left to right, depth first, from an explicit stack,
+    so any length or depth is safe.
     """
-    a, b = deref(a), deref(b)
-    if a is b:
-        return True
-    if isinstance(a, Var):
-        if occurs_check and _occurs(a, b):
-            return False
-        _bind(a, b, trail)
-        return True
-    if isinstance(b, Var):
-        if occurs_check and _occurs(b, a):
-            return False
-        _bind(b, a, trail)
-        return True
-    if isinstance(a, Compound) and isinstance(b, Compound):
-        if a.functor != b.functor or a.arity != b.arity:
-            return False
-        return all(
-            unify_into(x, y, trail, occurs_check) for x, y in zip(a.args, b.args)
-        )
-    if type(a) is not type(b):
-        return False
-    return a == b
+    stack: list = []
+    while True:
+        while type(a) is Var and a.ref is not None:
+            a = a.ref
+        while type(b) is Var and b.ref is not None:
+            b = b.ref
+        if a is not b:
+            if type(a) is Var:
+                if occurs_check and _occurs(a, b):
+                    return False
+                _bind(a, b, trail)
+            elif type(b) is Var:
+                if occurs_check and _occurs(b, a):
+                    return False
+                _bind(b, a, trail)
+            elif type(a) is Compound and type(b) is Compound:
+                if a.functor != b.functor or len(a.args) != len(b.args):
+                    return False
+                stack.extend(zip(reversed(a.args), reversed(b.args)))
+            elif type(a) is not type(b) or a != b:
+                return False
+        if not stack:
+            return True
+        a, b = stack.pop()
 
 
 def could_unify(a: Term, b: Term) -> bool:
@@ -318,23 +330,35 @@ def fresh_copy(t: Term) -> Term:
 
     Bound variables are followed, so the copy has no binding connection to
     the original; sharing among the original's unbound variables is preserved
-    in the copy, and names ride along.
+    in the copy, and names ride along.  The walk uses an explicit stack, so
+    any length or depth is safe.
     """
     mapping: dict[int, Var] = {}
-
-    def walk(x: Term) -> Term:
-        x = deref(x)
-        if isinstance(x, Var):
+    # compounds still collecting copied arguments: (original, copies so far)
+    open_: list[tuple[Compound, list]] = []
+    x = t
+    while True:
+        while type(x) is Var and x.ref is not None:
+            x = x.ref
+        if type(x) is Compound:
+            open_.append((x, []))
+            x = x.args[0]
+            continue
+        if type(x) is Var:
             c = mapping.get(x.id)
             if c is None:
-                c = Var(x.name)
-                mapping[x.id] = c
-            return c
-        if isinstance(x, Compound):
-            return Compound(x.functor, tuple(walk(a) for a in x.args))
-        return x
-
-    return walk(t)
+                c = mapping[x.id] = Var(x.name)
+            x = c
+        while open_:
+            src, args = open_[-1]
+            args.append(x)
+            if len(args) < len(src.args):
+                x = src.args[len(args)]
+                break
+            open_.pop()
+            x = Compound(src.functor, tuple(args))
+        else:
+            return x
 
 
 class VarRegistry:
@@ -422,23 +446,34 @@ def intern_named(t: Term, reg: VarRegistry) -> Term:
     This is the receiving half of name remembering: messages from the same
     correspondent that reuse a variable name end up sharing one local cell,
     so a binding made after the first message is visible in the second.
-    Unnamed variables are left as they are.
+    Unnamed variables are left as they are, and a compound none of whose
+    arguments changed is kept rather than rebuilt.  Like fresh_copy this is
+    one loop over an explicit stack.
     """
-
-    def walk(x: Term) -> Term:
-        x = deref(x)
-        if isinstance(x, Var):
-            if x.name is not None:
-                return reg.intern(x.name)
+    open_: list[tuple[Compound, list]] = []
+    x = t
+    while True:
+        while type(x) is Var and x.ref is not None:
+            x = x.ref
+        if type(x) is Compound:
+            open_.append((x, []))
+            x = x.args[0]
+            continue
+        if type(x) is Var and x.name is not None:
+            x = reg.intern(x.name)
+        while open_:
+            src, args = open_[-1]
+            args.append(x)
+            if len(args) < len(src.args):
+                x = src.args[len(args)]
+                break
+            open_.pop()
+            if any(n is not o for n, o in zip(args, src.args)):
+                x = Compound(src.functor, tuple(args))
+            else:
+                x = src
+        else:
             return x
-        if isinstance(x, Compound):
-            new_args = tuple(walk(a) for a in x.args)
-            if all(n is o for n, o in zip(new_args, x.args)):
-                return x
-            return Compound(x.functor, new_args)
-        return x
-
-    return walk(t)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,9 @@ GOLDEN = [
     (mk("f", _X, _Y, _X, _Y), "05 01 66 04 04 00 00 04 00 01 04 00 00 04 00 01"),
     (mk("f", mk("g", Atom("a"), Str("")), Int(1)), "05 01 66 02 05 01 67 02 01 01 61 03 00 02 02"),
     (mklist([Int(1), Atom("b")]), "05 01 2e 02 02 02 05 01 2e 02 01 01 62 01 02 5b 5d"),
+    # lengths and arities of 128 and more take a two-byte varint
+    (Str("ab" * 100), "03 c8 01" + " 61 62" * 100),
+    (mk("f", *[Int(1)] * 130), "05 01 66 82 01" + " 02 02" * 130),
 ]
 
 

@@ -9,7 +9,7 @@ from termbus import linda
 from termbus.router import Router, RouterConfig
 from termbus.runtime import Node, NodeConfig
 from termbus.syntax import format_term, parse_term, parse_term_with_vars
-from termbus.terms import deref
+from termbus.terms import Int, Var, deref, mk, mklist
 
 from netutil import wait_until
 
@@ -94,6 +94,15 @@ class TestOperations:
         s.out(parse_term("rule(X, X)"))
         assert s.rdp(parse_term("rule(3, 3)"))
         assert not s.rdp(parse_term("rule(3, 4)"))
+
+    def test_long_tuples_are_stored_and_matched(self, space):
+        # longer than a recursive copy or unification could go
+        s = session(space)
+        items = mklist(Int(i) for i in range(2000))
+        s.out(mk("big", items))
+        assert s.rdp(mk("big", items))
+        assert s.in_(mk("big", items), timeout=5.0)
+        assert not s.inp(mk("big", Var()))
 
 
 class TestBlocking:

@@ -19,7 +19,7 @@ from termbus.mailbox import (
     StaleReferenceError,
 )
 from termbus.syntax import format_term, parse_term, parse_term_with_vars
-from termbus.terms import Var, deref
+from termbus.terms import Var, deref, list_parts, mk, mklist
 
 ALICE = parse_address("alice:shell@hostA")
 BOB = parse_address("bob:shell@hostB")
@@ -430,6 +430,21 @@ class TestCopyOnlyTheWinner:
         assert len(box.registry) == 0
         assert box.recv_search(parse_term("offer(P, Q)"), opts=remembering)
         assert box.registry.lookup("Price") is not None
+
+
+class TestLongPayloads:
+    def test_a_long_list_is_received_and_consumed(self):
+        # longer than a recursive copy or intern could go
+        items = mklist([Var("X")] * 100_000)
+        for remember in (False, True):
+            box = Mailbox()
+            box.post(Envelope(mk("m", items), ME, ALICE, None, Flags(remember_names=remember)))
+            box.post(env("next"))
+            got = Var()
+            opts = RecvOptions(timeout=POLL, remember_names=remember)
+            assert box.recv_first(mk("m", got), opts=opts)
+            assert len(list_parts(deref(got))[0]) == 100_000
+            assert box.recv_first(parse_term("next"), opts=opts)
 
 
 class TestClose:

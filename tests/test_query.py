@@ -20,7 +20,7 @@ from termbus.query import (
 from termbus.router import Router, RouterConfig
 from termbus.runtime import Node, NodeConfig
 from termbus.syntax import format_term, parse_clause, parse_goal, parse_goal_with_vars
-from termbus.terms import Atom, Int, Var, deref, mk, resolve
+from termbus.terms import Atom, Int, Var, deref, mk, mklist, resolve
 
 from netutil import wait_until
 from queryoracle import canon, oracle_answers, to_data
@@ -327,6 +327,18 @@ class TestDistributed:
         got = [format_term(deref(vs["N"]))
                for _ in query_all(a, g, query.SERVER_SYMBOL, timeout=10.0)]
         assert got == ["1", "2"]
+
+    def test_a_long_request_does_not_wedge_the_server(self, network):
+        server = "query_thread:qs_long@hostq"
+        network("qs_long", EDGE_DB)
+        client = network("qc_long", [], serve=False)
+        # a 600-element list, longer than a recursive term copy could go
+        client.send(mk("all_of", mklist(Int(i) for i in range(600))), server,
+                    remember_names=False)
+        g, vs = parse_goal_with_vars("edge(a, X)")
+        got = [format_term(deref(vs["X"]))
+               for _ in query_all(client, g, server, timeout=5.0)]
+        assert got == ["b"]
 
     def test_split_db_matches_union_oracle(self, network):
         a = network("qs_a", [

@@ -3,6 +3,7 @@
 import logging
 import socket
 import struct
+import threading
 
 import pytest
 
@@ -356,13 +357,18 @@ class TestConnections:
         a = node("proc_a", "hostA", router("hostA"))
         assert a._link._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
-    def test_finished_connection_threads_are_pruned(self, stack):
+    def test_finished_connection_threads_end(self, stack):
         router, _ = stack
-        r = router("hostA")
-        # the acknowledgement shows each connection's serving thread is listed
+        r = router("hostPrune")
+
+        def serving():
+            return sum(t.name == "router-hostPrune-conn" for t in threading.enumerate())
+
         for i in range(50):
             raw_process(r, f"p{i}").close()
-        # accept and housekeeping stay; every connection thread ends
-        wait_until(lambda: sum(t.is_alive() for t in r._threads) == 2, msg="threads end")
-        raw_process(r, "last").close()
-        assert len(r._threads) <= 3
+        wait_until(lambda: serving() == 0, msg="connection threads end")
+        s = raw_process(r, "last")
+        try:
+            assert serving() == 1
+        finally:
+            s.close()

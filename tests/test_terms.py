@@ -76,6 +76,27 @@ def test_occurs_check_toggle():
     sub.undo()
 
 
+def test_unify_binds_left_to_right_depth_first():
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    sub = unify(mk("f", x, mk("g", y), z), mk("f", Int(1), mk("g", Int(2)), Int(3)))
+    assert sub.bound_cells == (x, y, z)
+
+
+def test_unify_is_stack_safe():
+    n = 100_000
+    xs = [Var() for _ in range(n)]
+    sub = unify(mklist(xs), mklist([Int(i) for i in range(n)]))
+    assert sub and resolve(xs[-1]) == Int(n - 1)
+    sub.undo()
+    assert all(x.ref is None for x in xs)
+    leaf = Var("L")
+    deep, deep_leaf = leaf, Atom("leaf")
+    for _ in range(n):
+        deep, deep_leaf = mk("s", deep), mk("s", deep_leaf)
+    assert unify(leaf, deep, occurs_check=True) is None
+    assert unify(deep, deep_leaf) and resolve(leaf) == Atom("leaf")
+
+
 def test_atomic_clashes():
     assert unify(Atom("a"), Atom("b")) is None
     assert unify(Atom("1"), Int(1)) is None
@@ -284,6 +305,36 @@ def test_could_unify_is_stack_safe():
         deep, var_deep = mk("s", deep), mk("s", var_deep)
     assert could_unify(deep, var_deep)
     assert not could_unify(deep, mk("s", Atom("leaf")))
+
+
+def test_copies_are_stack_safe():
+    n = 100_000
+    x = Var("X")
+    xs = mklist([x] * n, tail=Var())
+    copy = fresh_copy(xs)
+    items, tail = list_parts(copy)
+    assert len(items) == n and all(c is items[0] for c in items)
+    assert items[0] is not x and items[0].name == "X" and type(tail) is Var
+    reg = VarRegistry()
+    items, tail = list_parts(intern_named(xs, reg))
+    assert len(items) == n and all(c is reg.lookup("X") for c in items)
+    deep = Var("Y")
+    for _ in range(n):
+        deep = mk("s", deep)
+    for t in (fresh_copy(deep), intern_named(deep, reg)):
+        for _ in range(n):
+            assert t.functor == "s"
+            t = t.args[0]
+        assert type(t) is Var and t.name == "Y"
+
+
+def test_intern_named_keeps_unchanged_compounds():
+    reg = VarRegistry()
+    ground = mk("f", mk("g", Int(1)), Var())
+    assert intern_named(ground, reg) is ground
+    t = mk("f", mk("g", Int(1)), Var("N"))
+    out = intern_named(t, reg)
+    assert out is not t and out.args[0] is t.args[0]
 
 
 @given(terms())
