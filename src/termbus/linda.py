@@ -20,7 +20,9 @@ Wire protocol, all handler replies addressed to the requesting client:
     disconnect             ->  (handler exits)
 
 T' is T instantiated by the match.  Blocking operations suspend the handler
-on the store's change signal; the client simply sees a delayed reply.
+on the store's change signal; the client simply sees a delayed reply.  An
+operation that raises is logged as ``event=request_failed`` and gets no
+reply; the handler and the accept loop go on serving.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .address import Address, term_to_address
-from .mailbox import BLOCK, Guard, Timeout
-from .runtime import Node
+from .mailbox import BLOCK, Guard, MailboxClosed, Timeout
+from .runtime import Node, NodeShutdown, ThreadExit
 from .terms import Atom, Substitution, Term, Var, deref, mk
 
 log = logging.getLogger("termbus.linda")
@@ -53,9 +55,15 @@ def serve(node: Node) -> None:
     log.info("event=linda_up process=%s", node.process)
     while True:
         who = Var()
-        node.recv_search(Atom("connect"), from_=who)
-        client = term_to_address(deref(who))
-        node.fork(_handler(node, client), label="linda_handler")
+        try:
+            node.recv_search(Atom("connect"), from_=who)
+            client = term_to_address(deref(who))
+            node.fork(_handler(node, client), label="linda_handler")
+        except (MailboxClosed, NodeShutdown, ThreadExit):
+            raise
+        except Exception as e:
+            # one bad connect must not stop the server accepting others
+            log.warning("event=request_failed err=%s", e, exc_info=True)
 
 
 def _handler(node: Node, client: Address):
@@ -90,16 +98,25 @@ def _handler(node: Node, client: Address):
                 else:
                     node.send(Atom("fail"), client, remember_names=False)
 
-            stop = node.message_choice(
-                [
-                    Guard(mk("out", t_out), from_=client, body=do_out),
-                    Guard(mk("in", t_in), from_=client, body=do_in),
-                    Guard(mk("rd", t_rd), from_=client, body=do_rd),
-                    Guard(mk("inp", t_inp), from_=client, body=do_inp),
-                    Guard(mk("rdp", t_rdp), from_=client, body=do_rdp),
-                    Guard(Atom("disconnect"), from_=client, body=lambda: "stop"),
-                ]
-            )
+            try:
+                stop = node.message_choice(
+                    [
+                        Guard(mk("out", t_out), from_=client, body=do_out),
+                        Guard(mk("in", t_in), from_=client, body=do_in),
+                        Guard(mk("rd", t_rd), from_=client, body=do_rd),
+                        Guard(mk("inp", t_inp), from_=client, body=do_inp),
+                        Guard(mk("rdp", t_rdp), from_=client, body=do_rdp),
+                        Guard(Atom("disconnect"), from_=client, body=lambda: "stop"),
+                    ]
+                )
+            except (MailboxClosed, NodeShutdown, ThreadExit):
+                raise
+            except Exception as e:
+                # a fault in one operation must not end the client's session;
+                # that operation gets no reply
+                log.warning("event=request_failed client=%s err=%s", client, e,
+                            exc_info=True)
+                continue
             if stop == "stop":
                 log.info("event=client_left client=%s", client)
                 return

@@ -50,6 +50,7 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    could_unify,
     deref,
     fresh_copy,
     list_parts,
@@ -88,8 +89,11 @@ def solve(node: Node, goal: Term, timeout: Optional[float] = None) -> Iterator[S
     iterator undoes those bindings before searching on, and abandoning it
     keeps the last ones made.  Builtins: true, =, integer or atom
     comparison.  ``G ? S`` and ``G ?? S`` ship the subgoal to server S.
-    An unknown predicate logs a diagnostic and produces no solutions, so a
-    serving loop survives bad queries.  timeout bounds each remote exchange.
+    A goal's candidate clauses come from the store's index and each head is
+    pre-tested before its clause is copied.  A predicate with no clauses
+    logs a diagnostic and produces no solutions, so a serving loop survives
+    bad queries; a defined one with no matching clause simply fails.
+    timeout bounds each remote exchange.
     """
     trail: list = []
     for _ in _prove(node, goal, trail, timeout):
@@ -125,7 +129,8 @@ def _prove(node: Node, goal: Term, trail: list, timeout: Optional[float]):
                 if _COMPARE[f](a.name, b.name):
                     yield None
             else:
-                log.warning("event=bad_comparison goal=%s", format_term(resolve(g)))
+                log.warning("event=bad_comparison op=%s left=%s right=%s",
+                            f, type(a).__name__, type(b).__name__)
             return
         if f == "?":
             for _ in query_all(node, g.args[0], g.args[1], timeout=timeout):
@@ -135,16 +140,20 @@ def _prove(node: Node, goal: Term, trail: list, timeout: Optional[float]):
             for _ in query_stream(node, g.args[0], g.args[1], timeout=timeout):
                 yield None
             return
+    # diagnostics name the predicate or the type, never the goal's text:
+    # writing out a deep goal would recurse
     try:
         key = ClauseDB.key_of(g)
     except ClauseError:
-        log.warning("event=uncallable_goal goal=%s", format_term(resolve(g)))
+        log.warning("event=uncallable_goal type=%s", type(g).__name__)
         return
-    matched = node.db.clauses(key)
-    if not matched:
-        log.warning("event=unknown_predicate goal=%s", format_term(resolve(g)))
+    matched = node.db.clauses(g)
+    if not matched and not node.db.defines(key):
+        log.warning("event=unknown_predicate pred=%s/%d", *key)
         return
     for head, body in matched:
+        if not could_unify(g, head):
+            continue
         mark = len(trail)
         clause = fresh_copy(Compound(":-", (head, body)))
         if unify_into(g, clause.args[0], trail):

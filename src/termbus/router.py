@@ -18,8 +18,9 @@ configured undeliverable frames are dropped (and counted).
 Frames are relayed as received, never re-encoded, so a router hop preserves
 wire bytes exactly.  The router reads only a data frame's header (length,
 version, flags and the three addresses) and drops a frame whose header is
-bad; it never decodes a data body, so a bad body travels on and surfaces at
-the receiving node, which drops it there.  Only control frames, which carry
+bad (counted in ``bad_frames``); it never decodes a data body, so a bad body
+travels on and surfaces at the receiving node, which drops it there and
+counts it in its own ``bad_frames``.  Only control frames, which carry
 the registering process name in their body, are decoded in full.
 """
 
@@ -97,6 +98,7 @@ class Router:
         self.ctl_in = 0
         self.ctl_out = 0
         self.dropped = 0
+        self.bad_frames = 0
         self.closing = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -160,6 +162,7 @@ class Router:
                 "ctl_in": self.ctl_in,
                 "ctl_out": self.ctl_out,
                 "dropped": self.dropped,
+                "bad_frames": self.bad_frames,
             }
         s["queued"] = self.queued()
         return s
@@ -191,6 +194,7 @@ class Router:
                     env = decode_envelope(frame, body=False)
                 except Exception as e:
                     log.warning("event=bad_frame err=%s", e)
+                    self._count("bad_frames")
                     continue
                 if env.flags.control:
                     self._count("ctl_in")

@@ -14,7 +14,13 @@ remote delivery problems are asynchronous by design and never surface at
 the send call.
 
 The clause store is the node-wide shared state: assertion-ordered clauses
-per functor/arity with a monotonically increasing change counter.
+per functor/arity with a monotonically increasing change counter.  Each
+predicate is hashed on the leftmost path below its heads (first arguments
+followed down to a constant), so a lookup, retract or resolution step
+visits only the clauses that share the pattern's key.  A pattern whose path
+ends at a variable, or a predicate holding any clause whose path does,
+falls back to the whole predicate in assertion order.  Every candidate
+first passes a copy-free pre-test; only one that passes is copied.
 thread_wait() re-runs a query whenever the counter advances, under the same
 node lock that assert/retract and critical() take, so a retract inside a
 waiting query is atomic with the decision that it succeeded.
@@ -48,6 +54,7 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    could_unify,
     deref,
     fresh_copy,
     name_unnamed,
@@ -132,8 +139,48 @@ class ThreadHandle:
         return self.mailbox.registry
 
 
+def index_key(head: Term) -> Optional[tuple]:
+    """The leftmost path below a head: its clause-store index key.
+
+    Following first arguments down from head, each compound met adds its
+    (functor, arity) and the path ends at the constant reached, so
+    ``tuple(task(3, a, b))`` keys as ``(("task", 3), Int(3))`` and an atom
+    head as ``()``.  None when the path reaches an unbound variable.  Two
+    heads with different keys clash at the first step where the keys
+    differ, so they cannot unify.
+    """
+    path = []
+    t = head
+    while type(t) is Compound:
+        t = deref(t.args[0])
+        if type(t) is Var:
+            return None
+        path.append((t.functor, len(t.args)) if type(t) is Compound else t)
+    return tuple(path)
+
+
+class _Predicate:
+    """One predicate's clauses in assertion order, plus their index."""
+
+    __slots__ = ("clauses", "index", "unkeyed")
+
+    def __init__(self):
+        self.clauses: dict[int, tuple[Term, Term]] = {}  # seq -> (head, body)
+        self.index: dict[tuple, dict[int, tuple[Term, Term]]] = {}
+        self.unkeyed = 0  # clauses whose index key is None
+
+
 class ClauseDB:
-    """Assertion-ordered clauses indexed by functor/arity.
+    """Assertion-ordered clauses per functor/arity, hashed on the leftmost path.
+
+    Each predicate keeps its clauses in a ``seq -> (head, body)`` dict, so
+    removal is O(1), and beside it a hash index from index_key() to the
+    clauses with that key, in the same order.  A pattern gets the clauses
+    sharing its key; it gets all of the predicate's clauses when its own key
+    is None, or when any stored clause's key is None, which keeps assertion
+    order without merging.  lookup and retract share one scan over those
+    candidates, and only one that passes the copy-free could_unify pre-test
+    is copied and unified.
 
     Mutations run under the node lock and bump a change counter that
     thread_wait listens on.  retract matches heads only, which is all the
@@ -142,8 +189,8 @@ class ClauseDB:
 
     def __init__(self, lock: threading.RLock):
         self._cond = threading.Condition(lock)
-        self._clauses: dict[tuple[str, int], list[tuple[Term, Term]]] = {}
-        self.change_count = 0
+        self._preds: dict[tuple[str, int], _Predicate] = {}
+        self.change_count = 0  # also numbers the clauses: it grows on every assert
 
     @staticmethod
     def split_clause(clause: Term) -> tuple[Term, Term]:
@@ -163,25 +210,62 @@ class ClauseDB:
 
     def assertz(self, clause: Term) -> None:
         head, body = self.split_clause(clause)
-        key = self.key_of(head)
+        pred_key = self.key_of(head)
         snapshot = fresh_copy(Compound(":-", (head, body)))
+        entry = (snapshot.args[0], snapshot.args[1])
+        key = index_key(entry[0])
         with self._cond:
-            self._clauses.setdefault(key, []).append(
-                (snapshot.args[0], snapshot.args[1])
-            )
             self.change_count += 1
+            pred = self._preds.get(pred_key)
+            if pred is None:
+                pred = self._preds[pred_key] = _Predicate()
+            pred.clauses[self.change_count] = entry
+            if key is None:
+                pred.unkeyed += 1
+            else:
+                pred.index.setdefault(key, {})[self.change_count] = entry
             self._cond.notify_all()
+
+    def _candidates(self, pat: Term) -> dict[int, tuple[Term, Term]]:
+        """The clauses pat may match, by seq in assertion order; lock held."""
+        pred = self._preds.get(self.key_of(pat))
+        if pred is None:
+            return {}
+        key = None if pred.unkeyed else index_key(pat)
+        return pred.clauses if key is None else pred.index.get(key, {})
+
+    def _scan(self, pat: Term) -> Iterator[tuple[int, Term]]:
+        """(seq, head) of each candidate that passes the pre-test, in order.
+
+        The candidates are snapshotted under the lock on the first step;
+        stored heads are never bound, so the pre-test needs no lock.
+        """
+        with self._cond:
+            snapshot = list(self._candidates(pat).items())
+        for seq, (head, _) in snapshot:
+            if could_unify(pat, head):
+                yield seq, head
 
     def retract(self, head_pat: Term) -> Optional[Substitution]:
         """Remove the first clause whose head unifies; bindings stay made."""
         pat = deref(head_pat)
-        key = self.key_of(pat)
         with self._cond:
-            bucket = self._clauses.get(key, [])
-            for i, (h, _) in enumerate(bucket):
+            for seq, head in self._scan(pat):
                 trail: list = []
-                if unify_into(pat, fresh_copy(h), trail):
-                    del bucket[i]
+                if unify_into(pat, fresh_copy(head), trail):
+                    pred_key = self.key_of(pat)
+                    pred = self._preds[pred_key]
+                    del pred.clauses[seq]
+                    key = index_key(head)
+                    if key is None:
+                        pred.unkeyed -= 1
+                    else:
+                        bucket = pred.index[key]
+                        del bucket[seq]
+                        if not bucket:
+                            del pred.index[key]
+                    if not pred.clauses:
+                        del self._preds[pred_key]
                     self.change_count += 1
                     self._cond.notify_all()
                     return Substitution(trail)
@@ -191,22 +275,32 @@ class ClauseDB:
     def lookup(self, head_pat: Term) -> Iterator[Substitution]:
         """Enumerate matching clauses; bindings undone as iteration advances."""
         pat = deref(head_pat)
-        key = self.key_of(pat)
-        with self._cond:
-            snapshot = list(self._clauses.get(key, []))
-        for h, _ in snapshot:
+        for _, head in self._scan(pat):
             trail: list = []
-            if unify_into(pat, fresh_copy(h), trail):
+            if unify_into(pat, fresh_copy(head), trail):
                 yield Substitution(trail)
             undo_to(trail, 0)
 
-    def clauses(self, key: tuple[str, int]) -> tuple:
+    def clauses(self, head_pat: Term) -> tuple:
+        """(head, body) of the clauses head_pat may match, in assertion order.
+
+        These are the index candidates, not yet pre-tested; the stored terms
+        are shared, so a caller copies one before unifying with it.  Empty
+        for a defined predicate with no candidate as for an undefined one:
+        defines() tells them apart.
+        """
+        pat = deref(head_pat)
         with self._cond:
-            return tuple(self._clauses.get(key, ()))
+            return tuple(self._candidates(pat).values())
+
+    def defines(self, key: tuple[str, int]) -> bool:
+        """True while the predicate name/arity has at least one clause."""
+        with self._cond:
+            return key in self._preds
 
     def size(self) -> int:
         with self._cond:
-            return sum(len(v) for v in self._clauses.values())
+            return sum(len(p.clauses) for p in self._preds.values())
 
 
 class Node:
@@ -225,6 +319,7 @@ class Node:
         self._counters = threading.Lock()
         self.frames_out = 0
         self.frames_in = 0
+        self.bad_frames = 0
         self.closing = False
         self._link: Optional[_RouterLink] = None
         if config.router:
@@ -562,7 +657,11 @@ class Node:
 
     def stats(self) -> dict:
         with self._counters:
-            return {"frames_out": self.frames_out, "frames_in": self.frames_in}
+            return {
+                "frames_out": self.frames_out,
+                "frames_in": self.frames_in,
+                "bad_frames": self.bad_frames,
+            }
 
     # inbound from the router link
     def _deliver_inbound(self, env: Envelope) -> None:
@@ -692,6 +791,7 @@ class _RouterLink:
                 env = decode_envelope(frame)
             except Exception as e:
                 log.warning("event=drop_malformed_frame err=%s", e)
+                self.node._count("bad_frames")
                 continue
             if env.flags.control:
                 continue

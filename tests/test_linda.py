@@ -1,5 +1,6 @@
 """Tuple-space protocol: sessions, matching, blocking and removal rules."""
 
+import logging
 import threading
 import time
 
@@ -42,6 +43,31 @@ class TestSessionLifecycle:
         s.disconnect()
         wait_until(lambda: space.live_threads(label="linda_handler") == 0,
                    msg="handler gone")
+
+
+class TestFaults:
+    def test_handler_survives_an_operation_that_raises(self, space, monkeypatch, caplog):
+        s = session(space)
+        real = space.assert_clause
+        failures = []
+
+        def assert_failing_once(clause):
+            if not failures:
+                failures.append(clause)
+                raise ValueError("store fault")
+            return real(clause)
+
+        monkeypatch.setattr(space, "assert_clause", assert_failing_once)
+        with caplog.at_level(logging.WARNING, logger="termbus.linda"):
+            # the failing out gets no reply, so send it without awaiting one
+            space.send(mk("out", parse_term("job(1)")), s.handler, remember_names=False)
+            s.out(parse_term("job(2)"), timeout=5.0)
+            t, vs = parse_term_with_vars("job(N)")
+            assert s.in_(t, timeout=5.0)
+        assert format_term(deref(vs["N"])) == "2"
+        assert len(failures) == 1
+        assert "event=request_failed" in caplog.text
+        assert space.live_threads(label="linda_handler") == 1
 
 
 class TestOperations:

@@ -335,10 +335,30 @@ class TestDistributed:
         # a 600-element list, longer than a recursive term copy could go
         client.send(mk("all_of", mklist(Int(i) for i in range(600))), server,
                     remember_names=False)
+        answers = Var()
+        assert client.recv_search(mk("answer_list", answers), from_=server,
+                                  timeout=5.0, remember_names=False)
+        assert deref(answers) == Atom("[]")
         g, vs = parse_goal_with_vars("edge(a, X)")
         got = [format_term(deref(vs["X"]))
                for _ in query_all(client, g, server, timeout=5.0)]
         assert got == ["b"]
+
+    def test_a_deep_unknown_goal_gets_an_empty_answer(self, network, caplog):
+        server = "query_thread:qs_deep@hostq"
+        network("qs_deep", EDGE_DB)
+        client = network("qc_deep", [], serve=False)
+        goal = Atom("x")
+        for _ in range(600):
+            goal = mk("nosuch", goal)
+        with caplog.at_level(logging.WARNING, logger="termbus.query"):
+            assert list(query_all(client, goal, server, timeout=5.0)) == []
+        assert "event=unknown_predicate pred=nosuch/1" in caplog.text
+        assert "event=request_failed" not in caplog.text
+        g, vs = parse_goal_with_vars("edge(b, X)")
+        got = [format_term(deref(vs["X"]))
+               for _ in query_all(client, g, server, timeout=5.0)]
+        assert got == ["c"]
 
     def test_split_db_matches_union_oracle(self, network):
         a = network("qs_a", [

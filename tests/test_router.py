@@ -330,6 +330,8 @@ class TestRelay:
         finally:
             src.close()
         assert r.stats()["frames_out"] == 2
+        assert r.stats()["bad_frames"] == 0
+        assert b.stats()["bad_frames"] == 1 and b.stats()["frames_in"] == 1
         assert any("event=drop_malformed_frame" in m for m in caplog.messages)
 
     def test_bad_header_is_dropped_and_the_connection_keeps_routing(self, stack):
@@ -349,6 +351,7 @@ class TestRelay:
             sink.close()
         s = r.stats()
         assert s["frames_in"] == 1 and s["frames_out"] == 1
+        assert s["bad_frames"] == 3 and s["dropped"] == 0
 
 
 class TestConnections:

@@ -1,12 +1,18 @@
 """Node behaviour: threads, symbols, local send, the clause store, waiting."""
 
+import logging
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import termbus.runtime
+from termbus import linda
 from termbus.mailbox import Guard, MailboxClosed
+from termbus.query import find_all, solve
 from termbus.runtime import (
+    ClauseDB,
     DuplicateSymbolError,
     Node,
     NodeConfig,
@@ -15,8 +21,8 @@ from termbus.runtime import (
     ThreadExit,
     UnknownThreadError,
 )
-from termbus.syntax import format_term, parse_term, parse_term_with_vars
-from termbus.terms import Var, deref
+from termbus.syntax import format_term, parse_clause, parse_term, parse_term_with_vars
+from termbus.terms import Atom, Compound, Int, Str, Var, deref, fresh_copy, mk, unify
 
 
 @pytest.fixture
@@ -192,7 +198,7 @@ class TestLocalSend:
         for _ in range(20):
             node.recv_first(parse_term("m"), timeout=2.0)
         after = node.stats()
-        assert after == before == {"frames_out": 0, "frames_in": 0}
+        assert after == before == {"frames_out": 0, "frames_in": 0, "bad_frames": 0}
 
     def test_local_copies_are_separate(self, node):
         # receiver binding must not leak back into the sender's term
@@ -357,6 +363,191 @@ class TestClauseStore:
 
     def test_critical_callable_form(self, node):
         assert node.critical(lambda: "ran") == "ran"
+
+
+# -- the clause index against a naive ordered list -----------------------------
+
+# same text as Atom, Int and Str, so a key that confused them would show
+_LEAVES = [Atom("1"), Int(1), Str("1"), Atom("a"), Int(2), None]  # None: a variable
+_PATH_FUNCTORS = [("task", 3), ("f", 1), ("g", 2)]
+
+
+def _leaf(x):
+    return Var() if x is None else x
+
+
+@st.composite
+def first_args(draw):
+    """A first argument whose leftmost path is 0-3 compounds long and ends at
+    a constant or a variable, with constants or variables off the path."""
+    t = _leaf(draw(st.sampled_from(_LEAVES)))
+    for _ in range(draw(st.integers(0, 3))):
+        name, arity = draw(st.sampled_from(_PATH_FUNCTORS))
+        rest = [_leaf(draw(st.sampled_from(_LEAVES))) for _ in range(arity - 1)]
+        t = Compound(name, (t, *rest))
+    return t
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["assertz", "retract", "lookup", "clauses"]),
+        st.sampled_from(["p", "tuple"]),
+        first_args(),
+    ),
+    max_size=40,
+)
+
+
+class NaiveStore:
+    """Reference: one list in assertion order, every clause copied and tried."""
+
+    def __init__(self):
+        self.clauses = []  # (id, head)
+
+    def matching(self, pat):
+        ids = []
+        for i, head in self.clauses:
+            sub = unify(pat, fresh_copy(head))
+            if sub:
+                ids.append(i)
+                sub.undo()
+        return ids
+
+    def retract(self, pat):
+        ids = self.matching(pat)
+        if not ids:
+            return None
+        self.clauses = [(i, h) for i, h in self.clauses if i != ids[0]]
+        return ids[0]
+
+
+def _head_id(head):
+    return deref(deref(head).args[1]).value
+
+
+def _left_path(t):
+    """Reference leftmost path: [(name, arity) of each compound ..., constant],
+    or None when it ends at a variable."""
+    t = deref(t)
+    if isinstance(t, Var):
+        return None
+    if isinstance(t, Compound):
+        rest = _left_path(t.args[0])
+        return None if rest is None else [(type(t), t.functor, t.arity)] + rest
+    return [t]
+
+
+class TestClauseIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(_OPS)
+    def test_index_agrees_with_a_naive_ordered_list(self, ops):
+        db, ref = ClauseDB(threading.RLock()), NaiveStore()
+
+        def check_retract(pat):
+            want = ref.retract(pat)
+            sub = db.retract(pat)
+            assert (None if sub is None else deref(pat.args[1]).value) == want
+
+        for n, (op, pred, first) in enumerate(ops):
+            if op == "assertz":
+                head = Compound(pred, (first, Int(n)))
+                db.assertz(head)
+                ref.clauses.append((n, fresh_copy(head)))
+                continue
+            pat = Compound(pred, (first, Var()))
+            if op == "retract":
+                check_retract(pat)
+            elif op == "lookup":
+                want = ref.matching(pat)
+                assert [deref(pat.args[1]).value for _ in db.lookup(pat)] == want
+            else:
+                got = [_head_id(h) for h, _ in db.clauses(pat)]
+                same_pred = [(i, _left_path(h.args[0])) for i, h in ref.clauses
+                             if h.functor == pred]
+                key = _left_path(first)
+                if key is None or any(k is None for _, k in same_pred):
+                    assert got == [i for i, _ in same_pred]
+                else:
+                    assert got == [i for i, k in same_pred if k == key]
+                want = ref.matching(pat)
+                assert [i for i in got if i in want] == want  # no match is missed
+            assert db.size() == len(ref.clauses)
+            assert db.defines((pred, 2)) == any(h.functor == pred for _, h in ref.clauses)
+        # drain with keyed patterns: a clause whose first argument is a
+        # variable goes first whenever it was asserted earlier
+        while ref.clauses:
+            check_retract(fresh_copy(ref.clauses[-1][1]))
+            assert db.size() == len(ref.clauses)
+
+    def test_retracting_the_unkeyed_clause_restores_keyed_candidates(self):
+        db = ClauseDB(threading.RLock())
+        for text in ["p(X)", "p(a)", "p(b)"]:
+            db.assertz(parse_term(text))
+        assert len(db.clauses(parse_term("p(a)"))) == 3  # p(X) forces the full list
+        t, vs = parse_term_with_vars("p(b)")
+        assert db.retract(t)
+        assert [format_term(h) for h, _ in db.clauses(parse_term("p(b)"))] == ["p(b)"]
+        assert len(db.clauses(parse_term("p(Y)"))) == 2
+
+    def test_atom_int_and_str_of_one_text_key_apart(self):
+        db = ClauseDB(threading.RLock())
+        for first in [Int(1), Str("1"), Atom("1")]:
+            db.assertz(mk("tuple", mk("task", first, Var())))
+        for first in [Int(1), Str("1"), Atom("1")]:
+            got = db.clauses(mk("tuple", mk("task", first, Var())))
+            assert [deref(h.args[0]).args[0] for h, _ in got] == [first]
+
+    def test_a_keyed_pattern_gets_one_edge_of_a_thousand(self, node):
+        for i in range(1000):
+            node.assert_clause(mk("edge", Atom(f"n{i}"), Atom(f"n{i + 1}")))
+        got = node.db.clauses(mk("edge", Atom("n500"), Var()))
+        assert [format_term(h) for h, _ in got] == ["edge(n500,n501)"]
+
+    def test_linda_in_by_key_copies_one_tuple(self, node, monkeypatch):
+        for k in range(2000):
+            node.assert_clause(mk("tuple", mk("task", Int(k), Atom("o1"), Int(k % 7))))
+        node.fork(lambda: linda.serve(node), symbol=linda.SERVER_SYMBOL)
+        s = linda.connect(node, linda.SERVER_SYMBOL)
+        copies = []
+        real = termbus.runtime.fresh_copy
+
+        def counting(t):
+            if deref(t).functor == "tuple":  # a stored tuple, not a local message
+                copies.append(t)
+            return real(t)
+
+        monkeypatch.setattr(termbus.runtime, "fresh_copy", counting)
+        t, vs = parse_term_with_vars("task(1500, Owner, Load)")
+        assert s.in_(t, timeout=5.0)
+        assert format_term(deref(vs["Load"])) == str(1500 % 7)
+        assert len(copies) == 1
+        assert node.db.size() == 1999
+
+    def test_path_resolution_visits_at_most_two_clauses_a_step(self, node, monkeypatch):
+        for i in range(200):
+            node.assert_clause(parse_clause(f"edge(n{i}, n{i + 1})."))
+        node.assert_clause(parse_clause("path(X, Y) :- edge(X, Y)."))
+        node.assert_clause(parse_clause("path(X, Y) :- edge(X, Z), path(Z, Y)."))
+        sizes = []
+        real = node.db.clauses
+
+        def sized(pat):
+            got = real(pat)
+            sizes.append(len(got))
+            return got
+
+        monkeypatch.setattr(node.db, "clauses", sized)
+        answers = find_all(node, parse_term("path(n0, X)"))
+        assert len(answers) == 200
+        assert sizes and max(sizes) <= 2
+
+    def test_a_defined_predicate_without_a_match_fails_quietly(self, node, caplog):
+        node.assert_clause(parse_term("edge(n0, n1)"))
+        with caplog.at_level(logging.WARNING, logger="termbus.query"):
+            assert list(solve(node, parse_term("edge(n99, X)"))) == []
+            assert "unknown_predicate" not in caplog.text
+            assert list(solve(node, parse_term("vertex(n99)"))) == []
+        assert "event=unknown_predicate pred=vertex/1" in caplog.text
 
 
 class TestShutdown:
