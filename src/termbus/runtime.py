@@ -14,16 +14,17 @@ remote delivery problems are asynchronous by design and never surface at
 the send call.
 
 The clause store is the node-wide shared state: assertion-ordered clauses
-per functor/arity with a monotonically increasing change counter.  Each
-predicate is hashed on the leftmost path below its heads (first arguments
-followed down to a constant), so a lookup, retract or resolution step
-visits only the clauses that share the pattern's key.  A pattern whose path
-ends at a variable, or a predicate holding any clause whose path does,
-falls back to the whole predicate in assertion order.  Every candidate
-first passes a copy-free pre-test; only one that passes is copied.
+per functor/arity with a monotonically increasing change counter.
 thread_wait() re-runs a query whenever the counter advances, under the same
 node lock that assert/retract and critical() take, so a retract inside a
 waiting query is atomic with the decision that it succeeded.
+
+Each predicate is hashed on the leftmost path below its heads (first
+arguments followed down to a constant), so a lookup, retract or resolution
+step visits only the clauses that share the pattern's key.  A pattern whose
+path ends at a variable, or a predicate holding any clause whose path does,
+falls back to the whole predicate in assertion order.  Every candidate
+first passes a copy-free pre-test; only one that passes is copied.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ class ThreadHandle:
         return self.mailbox.registry
 
 
-def index_key(head: Term) -> Optional[tuple]:
+def _index_key(head: Term) -> Optional[tuple]:
     """The leftmost path below a head: its clause-store index key.
 
     Following first arguments down from head, each compound met adds its
@@ -174,7 +175,7 @@ class ClauseDB:
     """Assertion-ordered clauses per functor/arity, hashed on the leftmost path.
 
     Each predicate keeps its clauses in a ``seq -> (head, body)`` dict, so
-    removal is O(1), and beside it a hash index from index_key() to the
+    removal is O(1), and beside it a hash index from _index_key() to the
     clauses with that key, in the same order.  A pattern gets the clauses
     sharing its key; it gets all of the predicate's clauses when its own key
     is None, or when any stored clause's key is None, which keeps assertion
@@ -213,7 +214,7 @@ class ClauseDB:
         pred_key = self.key_of(head)
         snapshot = fresh_copy(Compound(":-", (head, body)))
         entry = (snapshot.args[0], snapshot.args[1])
-        key = index_key(entry[0])
+        key = _index_key(entry[0])
         with self._cond:
             self.change_count += 1
             pred = self._preds.get(pred_key)
@@ -231,7 +232,7 @@ class ClauseDB:
         pred = self._preds.get(self.key_of(pat))
         if pred is None:
             return {}
-        key = None if pred.unkeyed else index_key(pat)
+        key = None if pred.unkeyed else _index_key(pat)
         return pred.clauses if key is None else pred.index.get(key, {})
 
     def _scan(self, pat: Term) -> Iterator[tuple[int, Term]]:
@@ -256,7 +257,7 @@ class ClauseDB:
                     pred_key = self.key_of(pat)
                     pred = self._preds[pred_key]
                     del pred.clauses[seq]
-                    key = index_key(head)
+                    key = _index_key(head)
                     if key is None:
                         pred.unkeyed -= 1
                     else:
