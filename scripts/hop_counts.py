@@ -3,7 +3,10 @@
 A message between threads of one node never touches a socket.  Between two
 processes on the same host it crosses the router once (sender to router,
 router to receiver: 2 data frames).  Across hosts it also crosses the peer
-link (3 frames).  The counts are exact, not averages.
+link (3 frames).  The counts are exact, not averages, and an invariant:
+the script exits 1 when any placement costs other than 0, 2 or 3 frames.
+
+Run it as ``PYTHONPATH=src python scripts/hop_counts.py``.
 """
 
 import sys
@@ -73,15 +76,18 @@ def cross_host() -> int:
 
 def main() -> int:
     rows = [
-        ("same node (thread to thread)", same_node()),
-        ("same host (one router)", same_host()),
-        ("cross host (two routers)", cross_host()),
+        ("same node (thread to thread)", 0, same_node()),
+        ("same host (one router)", 2, same_host()),
+        ("cross host (two routers)", 3, cross_host()),
     ]
-    width = max(len(name) for name, _ in rows)
+    width = max(len(name) for name, _, _ in rows)
     print(f"{'placement':<{width}}  data frames")
-    for name, count in rows:
+    for name, _, count in rows:
         print(f"{name:<{width}}  {count:>11}")
-    return 0
+    wrong = [f"{name}: {count}, expected {want}" for name, want, count in rows if count != want]
+    for line in wrong:
+        print(f"hop count broken: {line}", file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ from .codec import (
     read_frame,
     register_payload_name,
 )
+from .counters import Counters
 
 log = logging.getLogger("termbus.router")
 
@@ -92,13 +93,9 @@ class Router:
         self._peers_lock = threading.Lock()
         self._held: dict[str, deque[bytes]] = {}
         self._held_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
-        self.frames_in = 0
-        self.frames_out = 0
-        self.ctl_in = 0
-        self.ctl_out = 0
-        self.dropped = 0
-        self.bad_frames = 0
+        self._counters = Counters(
+            "frames_in", "frames_out", "ctl_in", "ctl_out", "dropped", "bad_frames"
+        )
         self.closing = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -143,10 +140,6 @@ class Router:
 
     # -- stats ----------------------------------------------------------------
 
-    def _count(self, attr: str, k: int = 1) -> None:
-        with self._stats_lock:
-            setattr(self, attr, getattr(self, attr) + k)
-
     def queued(self) -> int:
         with self._regs_lock:
             n = sum(len(r.pending) for r in self._regs.values())
@@ -155,15 +148,7 @@ class Router:
         return n
 
     def stats(self) -> dict:
-        with self._stats_lock:
-            s = {
-                "frames_in": self.frames_in,
-                "frames_out": self.frames_out,
-                "ctl_in": self.ctl_in,
-                "ctl_out": self.ctl_out,
-                "dropped": self.dropped,
-                "bad_frames": self.bad_frames,
-            }
+        s = self._counters.snapshot()
         s["queued"] = self.queued()
         return s
 
@@ -194,16 +179,16 @@ class Router:
                     env = decode_envelope(frame, body=False)
                 except Exception as e:
                     log.warning("event=bad_frame err=%s", e)
-                    self._count("bad_frames")
+                    self._counters.add("bad_frames")
                     continue
                 if env.flags.control:
-                    self._count("ctl_in")
+                    self._counters.add("ctl_in")
                     name = register_payload_name(env)
                     if name is not None:
                         self._register(name, conn)
                         registered.append(name)
                     continue
-                self._count("frames_in")
+                self._counters.add("frames_in")
                 self._route(frame, env)
         except OSError:
             pass
@@ -231,11 +216,11 @@ class Router:
             if reg.sock is not None and reg.sock is not conn:
                 hard_close(reg.sock)
             reg.sock = conn
-            self._count("ctl_out")
+            self._counters.add("ctl_out")
             try:
                 conn.sendall(ack)
             except OSError:
-                self._count("ctl_out", -1)
+                self._counters.add("ctl_out", -1)
                 reg.sock = None
                 return
             log.info(
@@ -245,11 +230,11 @@ class Router:
                 frame = reg.pending.popleft()
                 # counted before the write so the count is never behind a
                 # delivery the destination has already observed
-                self._count("frames_out")
+                self._counters.add("frames_out")
                 try:
                     conn.sendall(frame)
                 except OSError:
-                    self._count("frames_out", -1)
+                    self._counters.add("frames_out", -1)
                     reg.pending.appendleft(frame)
                     reg.sock = None
                     return
@@ -265,23 +250,23 @@ class Router:
 
     def _to_process(self, name: Optional[str], frame: bytes) -> None:
         if name is None:
-            self._count("dropped")
+            self._counters.add("dropped")
             log.warning("event=drop_no_process")
             return
         reg = self._reg_for(name)
         with reg.lock:
             if reg.sock is not None:
-                self._count("frames_out")
+                self._counters.add("frames_out")
                 try:
                     reg.sock.sendall(frame)
                     return
                 except OSError:
-                    self._count("frames_out", -1)
+                    self._counters.add("frames_out", -1)
                     reg.sock = None
             reg.pending.append(frame)
             if len(reg.pending) > self.config.queue_bound:
                 reg.pending.popleft()
-                self._count("dropped")
+                self._counters.add("dropped")
                 log.warning("event=queue_overflow name=%s", name)
 
     def _to_host(self, label: str, frame: bytes) -> None:
@@ -302,7 +287,7 @@ class Router:
         if proxy is not None and proxy != label:
             if self._send_peer(proxy, frame):
                 return
-        self._count("dropped")
+        self._counters.add("dropped")
         log.warning("event=drop_unreachable host=%s", label)
 
     def _hold(self, label: str, frame: bytes) -> None:
@@ -311,7 +296,7 @@ class Router:
             q.append(frame)
             if len(q) > self.config.queue_bound:
                 q.popleft()
-                self._count("dropped")
+                self._counters.add("dropped")
                 log.warning("event=hold_overflow host=%s", label)
 
     # -- peer links ---------------------------------------------------------------
@@ -321,11 +306,11 @@ class Router:
         if link is None:
             return False
         with link.lock:
-            self._count("frames_out")
+            self._counters.add("frames_out")
             try:
                 link.sock.sendall(frame)
             except OSError:
-                self._count("frames_out", -1)
+                self._counters.add("frames_out", -1)
                 self._drop_peer(label, link)
                 return False
             link.last_used = time.monotonic()

@@ -48,6 +48,7 @@ from .codec import (
     make_register,
     read_frame,
 )
+from .counters import Counters
 from .mailbox import BLOCK, Guard, Mailbox, MessageRef, RecvOptions, Timeout
 from .terms import (
     Atom,
@@ -317,10 +318,7 @@ class Node:
         self._undelivered: dict[Union[int, str], list[Envelope]] = {}
         self._next_tid = 0
         self._tl = threading.local()
-        self._counters = threading.Lock()
-        self.frames_out = 0
-        self.frames_in = 0
-        self.bad_frames = 0
+        self._counters = Counters("frames_out", "frames_in", "bad_frames")
         self.closing = False
         self._link: Optional[_RouterLink] = None
         if config.router:
@@ -652,21 +650,12 @@ class Node:
 
     # -- stats ----------------------------------------------------------------
 
-    def _count(self, attr: str, k: int = 1) -> None:
-        with self._counters:
-            setattr(self, attr, getattr(self, attr) + k)
-
     def stats(self) -> dict:
-        with self._counters:
-            return {
-                "frames_out": self.frames_out,
-                "frames_in": self.frames_in,
-                "bad_frames": self.bad_frames,
-            }
+        return self._counters.snapshot()
 
     # inbound from the router link
     def _deliver_inbound(self, env: Envelope) -> None:
-        self._count("frames_in")
+        self._counters.add("frames_in")
         with self._tables:
             target = self._find_handle(env.to.thread)
             if target is None:
@@ -686,9 +675,10 @@ class Node:
 class _RouterLink:
     """One duplex connection to this host's router, with reconnection.
 
-    Outbound frames sent while the link is down are buffered and flushed
-    after the next successful registration; frame counters count actual
-    socket writes and reads.
+    Outbound frames sent while the link is down are buffered and written
+    after the next successful registration, before any new frame, so the
+    order of one sender's frames survives a router restart; frame counters
+    count actual socket writes and reads.
     """
 
     def __init__(self, node: Node, endpoint: str):
@@ -712,35 +702,23 @@ class _RouterLink:
             sock, self._sock = self._sock, None
         hard_close(sock)
 
+    def _write(self, sock: socket.socket, frame: bytes) -> bool:
+        """One counted socket write, _wlock held; False when the socket failed."""
+        # counted before the write so the count is never behind a delivery
+        self.node._counters.add("frames_out")
+        try:
+            sock.sendall(frame)
+            return True
+        except OSError:
+            self.node._counters.add("frames_out", -1)
+            return False
+
     def send_frame(self, frame: bytes) -> None:
         with self._wlock:
-            sock = self._sock
-            if sock is None:
-                self._outbox.append(frame)
+            if self._sock is not None and self._write(self._sock, frame):
                 return
-            self.node._count("frames_out")
-            try:
-                sock.sendall(frame)
-            except OSError:
-                self.node._count("frames_out", -1)
-                self._outbox.append(frame)
-                self._sock = None
-                return
-
-    def _flush_outbox(self) -> None:
-        while True:
-            with self._wlock:
-                if not self._outbox or self._sock is None:
-                    return
-                frame = self._outbox.popleft()
-                self.node._count("frames_out")
-                try:
-                    self._sock.sendall(frame)
-                except OSError:
-                    self.node._count("frames_out", -1)
-                    self._outbox.appendleft(frame)
-                    self._sock = None
-                    return
+            self._sock = None
+            self._outbox.append(frame)
 
     def _run(self) -> None:
         backoff = self.node.config.reconnect_min
@@ -767,13 +745,19 @@ class _RouterLink:
                 continue
             backoff = self.node.config.reconnect_min
             with self._wlock:
+                # frames buffered while the link was down go out before the
+                # socket is published, so no direct send can overtake them
+                while self._outbox and self._write(sock, self._outbox[0]):
+                    self._outbox.popleft()
+                if self._outbox:
+                    hard_close(sock)
+                    continue
                 self._sock = sock
             self.ready.set()
             log.info(
                 "event=registered process=%s router=%s:%d",
                 self.node.process, self.addr[0], self.addr[1],
             )
-            self._flush_outbox()
             self._read_loop(sock)
             with self._wlock:
                 if self._sock is sock:
@@ -792,7 +776,7 @@ class _RouterLink:
                 env = decode_envelope(frame)
             except Exception as e:
                 log.warning("event=drop_malformed_frame err=%s", e)
-                self.node._count("bad_frames")
+                self.node._counters.add("bad_frames")
                 continue
             if env.flags.control:
                 continue

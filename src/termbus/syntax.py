@@ -30,6 +30,7 @@ from .terms import (
     Term,
     Var,
     deref,
+    variables,
     INT_MIN,
     INT_MAX,
 )
@@ -275,11 +276,6 @@ _INFIX_PRIO = {
 }
 
 
-def _guard_colon(rhs: str) -> str:
-    # ':' directly followed by a negative number would re-tokenize as ':-'
-    return " " + rhs if rhs.startswith("-") else rhs
-
-
 def quote_atom(name: str) -> str:
     if name == "[]" or _BARE_ATOM_RE.match(name):
         return name
@@ -307,87 +303,81 @@ def format_term(t: Term) -> str:
 
     Variables whose names are not identifier-shaped (possible in decoded
     foreign input) and unnamed variables are written under generated ``_G<n>``
-    names, consistently within one call.
+    names, consistently within one call.  The writer is one loop over a stack
+    of pending text and ``(term, max_prio)`` items, so any depth is safe.
     """
-    used: set[str] = set()
+    vs = variables(t)
+    display = {v: v.name for v in vs if v.name is not None and _VAR_NAME_RE.match(v.name)}
+    used = set(display.values())
+    n = 0
+    for v in vs:
+        if v not in display:
+            n += 1
+            while f"_G{n}" in used:
+                n += 1
+            display[v] = f"_G{n}"
 
-    def collect(x: Term) -> None:
+    out: list[str] = []
+    stack: list = [(t, 1200)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        x, max_prio = item
         x = deref(x)
-        if isinstance(x, Var):
-            if x.name is not None and _VAR_NAME_RE.match(x.name):
-                used.add(x.name)
-        elif isinstance(x, Compound):
-            for a in x.args:
-                collect(a)
+        if type(x) is Var:
+            out.append(display[x])
+        elif type(x) is Atom:
+            out.append(quote_atom(x.name))
+        elif type(x) is Int:
+            out.append(str(x.value))
+        elif type(x) is Str:
+            out.append(_quote_str(x.value))
+        else:
+            stack.extend(reversed(_pieces(x, max_prio)))
+    return "".join(out)
 
-    collect(t)
-    display: dict[int, str] = {}
-    counter = [0]
 
-    def var_name(v: Var) -> str:
-        if v.name is not None and _VAR_NAME_RE.match(v.name):
-            return v.name
-        name = display.get(v.id)
-        if name is None:
-            while True:
-                counter[0] += 1
-                name = f"_G{counter[0]}"
-                if name not in used:
-                    break
-            used.add(name)
-            display[v.id] = name
-        return name
-
-    def write(x: Term, max_prio: int) -> str:
-        x = deref(x)
-        if isinstance(x, Var):
-            return var_name(x)
-        if isinstance(x, Atom):
-            return quote_atom(x.name)
-        if isinstance(x, Int):
-            return str(x.value)
-        if isinstance(x, Str):
-            return _quote_str(x.value)
-        assert isinstance(x, Compound)
-        if x.functor == "." and x.arity == 2:
-            return write_list(x)
-        if x.functor == ":" and x.arity == 2:
-            rhs = deref(x.args[1])
-            if isinstance(rhs, Compound) and rhs.functor == "@" and rhs.arity == 2:
-                body = (
-                    f"{write(x.args[0], 0)}:{_guard_colon(write(rhs.args[0], 0))}"
-                    f"@{write(rhs.args[1], 0)}"
-                )
-            else:
-                body = f"{write(x.args[0], 0)}:{_guard_colon(write(x.args[1], 0))}"
-            return body if max_prio >= 200 else f"({body})"
-        prio = _INFIX_PRIO.get(x.functor) if x.arity == 2 else None
-        if prio is not None:
-            if x.functor == ",":
-                body = f"{write(x.args[0], 999)},{write(x.args[1], 1000)}"
-            elif x.functor == ":-":
-                body = f"{write(x.args[0], 1199)} :- {write(x.args[1], 1199)}"
-            else:
-                sub = prio - 1
-                body = f"{write(x.args[0], sub)}{x.functor}{write(x.args[1], sub)}"
-            return body if prio <= max_prio else f"({body})"
-        args = ",".join(write(a, 700) for a in x.args)
-        # "[]" is only bare as the empty-list atom, never as a functor
-        functor = "'[]'" if x.functor == "[]" else quote_atom(x.functor)
-        return f"{functor}({args})"
-
-    def write_list(x: Compound) -> str:
-        items = []
+def _pieces(x: Compound, max_prio: int) -> list:
+    """The text of compound x, left to right, as strings and (term, prio) items."""
+    if x.functor == "." and x.arity == 2:
+        parts: list = ["["]
         node: Term = x
-        while True:
-            node = deref(node)
-            if isinstance(node, Compound) and node.functor == "." and node.arity == 2:
-                items.append(write(node.args[0], 700))
-                node = node.args[1]
-            else:
-                break
-        if isinstance(node, Atom) and node.name == "[]":
-            return "[" + ",".join(items) + "]"
-        return "[" + ",".join(items) + "|" + write(node, 700) + "]"
-
-    return write(t, 1200)
+        while type(node) is Compound and node.functor == "." and node.arity == 2:
+            parts += [(node.args[0], 700), ","]
+            node = deref(node.args[1])
+        if node == NIL:
+            parts[-1] = "]"
+        else:
+            parts[-1] = "|"
+            parts += [(node, 700), "]"]
+        return parts
+    if x.functor == ":" and x.arity == 2:
+        # thread:process@host; ':' directly followed by a negative number
+        # would re-tokenize as ':-', so that number is spaced off
+        rhs = deref(x.args[1])
+        if type(rhs) is Compound and rhs.functor == "@" and rhs.arity == 2:
+            mid, host = deref(rhs.args[0]), ["@", (rhs.args[1], 0)]
+        else:
+            mid, host = rhs, []
+        colon = ": " if type(mid) is Int and mid.value < 0 else ":"
+        parts = [(x.args[0], 0), colon, (mid, 0), *host]
+        return parts if max_prio >= 200 else ["(", *parts, ")"]
+    prio = _INFIX_PRIO.get(x.functor) if x.arity == 2 else None
+    if prio is not None:
+        left, right = x.args
+        if x.functor == ",":
+            parts = [(left, 999), ",", (right, 1000)]
+        elif x.functor == ":-":
+            parts = [(left, 1199), " :- ", (right, 1199)]
+        else:
+            parts = [(left, prio - 1), x.functor, (right, prio - 1)]
+        return parts if prio <= max_prio else ["(", *parts, ")"]
+    # "[]" is only bare as the empty-list atom, never as a functor
+    functor = "'[]'" if x.functor == "[]" else quote_atom(x.functor)
+    parts = [functor + "("]
+    for a in x.args:
+        parts += [(a, 700), ","]
+    parts[-1] = ")"
+    return parts

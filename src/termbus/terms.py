@@ -9,11 +9,14 @@ records every binding on a trail so that a failed attempt can be unwound,
 leaving every cell exactly as it was.  That undo discipline is what the
 mailbox matching operations and the clause store lean on.
 
-Everything a receive does to a message (could_unify, fresh_copy,
-intern_named, unify_into) walks the term from an explicit stack, so a
-message of any length or depth can be matched and copied.  resolve,
-variables, term_equal, variant and name_unnamed still recurse, once or
-twice per nesting level, and so stop at a few hundred levels.
+No walker recurses, so a term of any length or depth can be matched,
+copied, compared, named and written.  unify_into and could_unify are
+specialised loops of their own, because every receive runs them; every other
+walker is one of three loops over an explicit stack: a post-order rebuild
+(_rebuild: fresh_copy, intern_named, resolve), a pre-order walk over
+dereferenced subterms (_subterms: variables, name_unnamed, the occurs check
+and the writer's name pass) and a pairwise walk (_pairwise: term_equal,
+variant).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
+from operator import is_
 from typing import Callable, Iterator, Optional, Union
 
 INT_MIN = -(2**63)
@@ -93,7 +97,7 @@ class Compound:
 Term = Union[Atom, Int, Str, Var, Compound]
 
 # ---------------------------------------------------------------------------
-# dereference / inspection
+# dereference, the three traversals, inspection
 
 
 def deref(t: Term) -> Term:
@@ -103,77 +107,117 @@ def deref(t: Term) -> Term:
     return t
 
 
+def _subterms(t: Term) -> Iterator[Term]:
+    """Every subterm of t, dereferenced, in pre-order, left to right."""
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        while type(x) is Var and x.ref is not None:
+            x = x.ref
+        yield x
+        if type(x) is Compound:
+            stack.extend(reversed(x.args))
+
+
+def _rebuild(t: Term, var: Callable[[Var], Term]) -> Term:
+    """t rebuilt bottom-up with each unbound variable v replaced by var(v).
+
+    Bound variables are followed.  A compound whose arguments all come back
+    as the very objects it holds is kept, not rebuilt, so it is shared with
+    the result.  So one holding a bound variable is always rebuilt, and one
+    holding an unbound variable v is kept only when var(v) is v.
+    """
+    # compounds still collecting their arguments: [original, index of the
+    # argument being rebuilt, the new arguments or None while all are same]
+    open_: list[list] = []
+    x = t
+    while True:
+        while type(x) is Var and x.ref is not None:
+            x = x.ref
+        if type(x) is Compound:
+            open_.append([x, 0, None])
+            x = x.args[0]
+            continue
+        if type(x) is Var:
+            x = var(x)
+        while open_:
+            frame = open_[-1]
+            src, i, args = frame
+            if args is not None:
+                args.append(x)
+            elif x is not src.args[i]:
+                args = frame[2] = [*src.args[:i], x]
+            i += 1
+            if i < len(src.args):
+                frame[1] = i
+                x = src.args[i]
+                break
+            open_.pop()
+            x = src if args is None else Compound(src.functor, tuple(args))
+        else:
+            return x
+
+
+def _pairwise(a: Term, b: Term, same_vars: Callable[[Term, Term], bool]) -> bool:
+    """True when a and b agree after dereferencing, position by position.
+
+    Atomic terms compare by value and compounds by functor and arity;
+    wherever either side is a variable, same_vars(x, y) decides.
+    """
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        while type(x) is Var and x.ref is not None:
+            x = x.ref
+        while type(y) is Var and y.ref is not None:
+            y = y.ref
+        if type(x) is Var or type(y) is Var:
+            if not same_vars(x, y):
+                return False
+        elif type(x) is not type(y):
+            return False
+        elif type(x) is Compound:
+            if x.functor != y.functor or len(x.args) != len(y.args):
+                return False
+            stack.extend(zip(reversed(x.args), reversed(y.args)))
+        elif x != y:
+            return False
+    return True
+
+
 def resolve(t: Term) -> Term:
     """Deep snapshot of t with every bound variable replaced by its value.
 
     Unbound variables are kept as the very same cells, so the result still
     shares them with the input.
     """
-    t = deref(t)
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(resolve(a) for a in t.args))
-    return t
+    return _rebuild(t, lambda v: v)
 
 
 def variables(t: Term) -> list[Var]:
     """Unbound variables of t in first-occurrence order (left to right)."""
-    out: list[Var] = []
-    seen: set[int] = set()
-
-    def walk(x: Term) -> None:
-        x = deref(x)
-        if isinstance(x, Var):
-            if x.id not in seen:
-                seen.add(x.id)
-                out.append(x)
-        elif isinstance(x, Compound):
-            for a in x.args:
-                walk(a)
-
-    walk(t)
-    return out
+    return list(dict.fromkeys(x for x in _subterms(t) if type(x) is Var))
 
 
 def term_equal(a: Term, b: Term) -> bool:
     """Structural equality after dereferencing; variables compare by identity."""
-    a, b = deref(a), deref(b)
-    if isinstance(a, Var) or isinstance(b, Var):
-        return a is b
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Compound):
-        return (
-            a.functor == b.functor
-            and a.arity == b.arity
-            and all(term_equal(x, y) for x, y in zip(a.args, b.args))
-        )
-    return a == b
+    return _pairwise(a, b, is_)
 
 
 def variant(a: Term, b: Term) -> bool:
     """True when a and b are equal up to a consistent renaming of variables."""
-    fwd: dict[int, int] = {}
-    rev: dict[int, int] = {}
+    fwd: dict[Var, Var] = {}
+    rev: dict[Var, Var] = {}
 
-    def walk(x: Term, y: Term) -> bool:
-        x, y = deref(x), deref(y)
-        if isinstance(x, Var) and isinstance(y, Var):
-            if fwd.setdefault(x.id, y.id) != y.id:
-                return False
-            if rev.setdefault(y.id, x.id) != x.id:
-                return False
-            return True
-        if isinstance(x, Var) or isinstance(y, Var):
-            return False
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Compound):
-            if x.functor != y.functor or x.arity != y.arity:
-                return False
-            return all(walk(p, q) for p, q in zip(x.args, y.args))
-        return x == y
+    def same_vars(x: Term, y: Term) -> bool:
+        return (
+            type(x) is Var
+            and type(y) is Var
+            and fwd.setdefault(x, y) is y
+            and rev.setdefault(y, x) is x
+        )
 
-    return walk(a, b)
+    return _pairwise(a, b, same_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +233,7 @@ def undo_to(trail: Trail, mark: int) -> None:
 
 
 def _occurs(v: Var, t: Term) -> bool:
-    stack = [t]
-    while stack:
-        t = deref(stack.pop())
-        if t is v:
-            return True
-        if isinstance(t, Compound):
-            stack.extend(t.args)
-    return False
+    return any(x is v for x in _subterms(t))
 
 
 def _bind(v: Var, t: Term, trail: Trail) -> None:
@@ -330,35 +367,18 @@ def fresh_copy(t: Term) -> Term:
 
     Bound variables are followed, so the copy has no binding connection to
     the original; sharing among the original's unbound variables is preserved
-    in the copy, and names ride along.  The walk uses an explicit stack, so
-    any length or depth is safe.
+    in the copy, and names ride along.  A subterm holding no variable cell
+    is shared with the original rather than copied.
     """
-    mapping: dict[int, Var] = {}
-    # compounds still collecting copied arguments: (original, copies so far)
-    open_: list[tuple[Compound, list]] = []
-    x = t
-    while True:
-        while type(x) is Var and x.ref is not None:
-            x = x.ref
-        if type(x) is Compound:
-            open_.append((x, []))
-            x = x.args[0]
-            continue
-        if type(x) is Var:
-            c = mapping.get(x.id)
-            if c is None:
-                c = mapping[x.id] = Var(x.name)
-            x = c
-        while open_:
-            src, args = open_[-1]
-            args.append(x)
-            if len(args) < len(src.args):
-                x = src.args[len(args)]
-                break
-            open_.pop()
-            x = Compound(src.functor, tuple(args))
-        else:
-            return x
+    mapping: dict[Var, Var] = {}
+
+    def fresh(v: Var) -> Var:
+        c = mapping.get(v)
+        if c is None:
+            c = mapping[v] = Var(v.name)
+        return c
+
+    return _rebuild(t, fresh)
 
 
 class VarRegistry:
@@ -419,24 +439,12 @@ def name_unnamed(t: Term, reg: VarRegistry) -> Term:
     adopted into the registry as well.  Applying the operation twice is the
     same as applying it once.
     """
-    seen: set[int] = set()
-
-    def walk(x: Term) -> None:
-        x = deref(x)
-        if isinstance(x, Var):
-            if x.id in seen:
-                return
-            seen.add(x.id)
-            if x.name is None:
-                x.name = reg.generate_name()
-                reg._cells[x.name] = x
-            else:
-                reg.adopt(x)
-        elif isinstance(x, Compound):
-            for a in x.args:
-                walk(a)
-
-    walk(t)
+    for v in variables(t):
+        if v.name is None:
+            v.name = reg.generate_name()
+            reg._cells[v.name] = v
+        else:
+            reg.adopt(v)
     return t
 
 
@@ -447,33 +455,9 @@ def intern_named(t: Term, reg: VarRegistry) -> Term:
     correspondent that reuse a variable name end up sharing one local cell,
     so a binding made after the first message is visible in the second.
     Unnamed variables are left as they are, and a compound none of whose
-    arguments changed is kept rather than rebuilt.  Like fresh_copy this is
-    one loop over an explicit stack.
+    arguments changed is kept rather than rebuilt.
     """
-    open_: list[tuple[Compound, list]] = []
-    x = t
-    while True:
-        while type(x) is Var and x.ref is not None:
-            x = x.ref
-        if type(x) is Compound:
-            open_.append((x, []))
-            x = x.args[0]
-            continue
-        if type(x) is Var and x.name is not None:
-            x = reg.intern(x.name)
-        while open_:
-            src, args = open_[-1]
-            args.append(x)
-            if len(args) < len(src.args):
-                x = src.args[len(args)]
-                break
-            open_.pop()
-            if any(n is not o for n, o in zip(args, src.args)):
-                x = Compound(src.functor, tuple(args))
-            else:
-                x = src
-        else:
-            return x
+    return _rebuild(t, lambda v: v if v.name is None else reg.intern(v.name))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from termbus.query import (
 from termbus.router import Router, RouterConfig
 from termbus.runtime import Node, NodeConfig
 from termbus.syntax import format_term, parse_clause, parse_goal, parse_goal_with_vars
-from termbus.terms import Atom, Int, Var, deref, mk, mklist, resolve
+from termbus.terms import Atom, Int, Var, deref, list_parts, mk, mklist, resolve
 
 from netutil import wait_until
 from queryoracle import canon, oracle_answers, to_data
@@ -354,6 +354,35 @@ class TestDistributed:
         with caplog.at_level(logging.WARNING, logger="termbus.query"):
             assert list(query_all(client, goal, server, timeout=5.0)) == []
         assert "event=unknown_predicate pred=nosuch/1" in caplog.text
+        assert "event=request_failed" not in caplog.text
+        g, vs = parse_goal_with_vars("edge(b, X)")
+        got = [format_term(deref(vs["X"]))
+               for _ in query_all(client, g, server, timeout=5.0)]
+        assert got == ["c"]
+
+    def test_an_all_of_over_a_2000_element_list_is_answered(self, network):
+        server = "query_thread:qs_list@hostq"
+        network("qs_list", EDGE_DB + ["same(X, X)."])
+        client = network("qc_list", [], serve=False)
+        y = Var()
+        goal = mk("same", mklist(Int(i) for i in range(2000)), y)
+        got = [list_parts(resolve(y))[0]
+               for _ in query_all(client, goal, server, timeout=10.0)]
+        assert len(got) == 1 and got[0] == [Int(i) for i in range(2000)]
+        g, vs = parse_goal_with_vars("edge(a, X)")
+        got = [format_term(deref(vs["X"]))
+               for _ in query_all(client, g, server, timeout=5.0)]
+        assert got == ["b"]
+
+    def test_a_1200_deep_unknown_goal_gets_an_empty_answer(self, network, caplog):
+        server = "query_thread:qs_deeper@hostq"
+        network("qs_deeper", EDGE_DB)
+        client = network("qc_deeper", [], serve=False)
+        goal = Atom("[]")
+        for _ in range(1200):
+            goal = mk("nosuch", goal)
+        with caplog.at_level(logging.WARNING, logger="termbus.query"):
+            assert list(query_all(client, goal, server, timeout=5.0)) == []
         assert "event=request_failed" not in caplog.text
         g, vs = parse_goal_with_vars("edge(b, X)")
         got = [format_term(deref(vs["X"]))

@@ -3,7 +3,9 @@
 import logging
 import socket
 import struct
+import sys
 import threading
+import time
 
 import pytest
 
@@ -19,7 +21,7 @@ from termbus.codec import (
 from termbus.router import Router, RouterConfig
 from termbus.runtime import Node, NodeConfig
 from termbus.syntax import format_term, parse_term, parse_term_with_vars
-from termbus.terms import Int, deref, mklist
+from termbus.terms import Int, Var, deref, list_parts, mk, mklist
 
 from netutil import data_frames_out, free_port, wait_until
 
@@ -103,6 +105,32 @@ class TestSameHost:
         assert format_term(deref(vs["A"])) == "'odd atom'"
 
 
+    def _long_list_crosses(self, stack, n, encoded):
+        router, node = stack
+        r = router("hostA")
+        a = node("proc_a", "hostA", r)
+        b = node("proc_b", "hostA", r)
+        # the default send names the tail variable, so the receiver interns it
+        a.send(mk("big", mklist([Int(i) for i in range(n)], tail=Var())),
+               "main:proc_b@hostA", encoded=encoded)
+        got = Var()
+        assert b.recv_first(mk("big", got), timeout=30.0)
+        items, tail = list_parts(deref(got))
+        assert len(items) == n and items[-1] == Int(n - 1)
+        assert type(tail) is Var and tail.name == "_A1"
+
+    def test_default_send_of_a_long_list_crosses(self, stack):
+        self._long_list_crosses(stack, 100_000, encoded=True)
+
+    def test_a_long_list_crosses_as_a_text_body(self, stack):
+        self._long_list_crosses(stack, 10_000, encoded=False)
+
+    def test_stats_keys(self, stack):
+        router, _ = stack
+        assert list(router("hostA").stats()) == [
+            "frames_in", "frames_out", "ctl_in", "ctl_out", "dropped", "bad_frames", "queued",
+        ]
+
 class TestStoreAndForward:
     def test_frames_wait_for_first_registration(self, stack):
         router, node = stack
@@ -156,6 +184,53 @@ class TestStoreAndForward:
         got = drain(b, "early(I)", 2)
         assert [g["I"] for g in got] == ["1", "2"]
 
+
+    def test_router_restart_keeps_one_senders_order(self, stack):
+        # a thread streams frames while its router restarts; the frames the
+        # node buffered while the link was down must reach the new router
+        # before any frame the thread writes after reconnection
+        router, node = stack
+        port = free_port()
+        r = router("hostA", bind=f"127.0.0.1:{port}", queue_bound=100_000)
+        a = node("proc_a", "hostA", r)
+        b = node("proc_b", "hostA", r)
+        limit, sent, got = [10**9], [0], []
+        sender_done, receiver_done = threading.Event(), threading.Event()
+
+        def sender():
+            while sent[0] < limit[0]:
+                a.send(mk("m", Int(sent[0])), "sink:proc_b@hostA", remember_names=False)
+                sent[0] += 1
+                if sent[0] % 100 == 0:
+                    time.sleep(0.002)
+            sender_done.set()
+
+        def receiver():
+            # runs until the stream has ended and stayed quiet for 0.5 s
+            while True:
+                x = Var()
+                if b.recv_first(mk("m", x), timeout=0.5, remember_names=False):
+                    got.append(deref(x).value)
+                elif sender_done.is_set():
+                    break
+            receiver_done.set()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # more thread switches, more interleavings
+        try:
+            a.fork(sender)
+            b.fork(receiver, symbol="sink")
+            wait_until(lambda: len(got) > 500, msg="stream flowing")
+            r.stop()
+            time.sleep(0.5)
+            router("hostA", bind=f"127.0.0.1:{port}", queue_bound=100_000)
+            limit[0] = sent[0] + 8000
+            assert receiver_done.wait(60.0)
+        finally:
+            sys.setswitchinterval(switch)
+        inversions = sum(1 for x, y in zip(got, got[1:]) if y < x)
+        assert inversions == 0
+        assert got[-1] == limit[0] - 1
 
 class TestCrossRouter:
     def test_delivery_and_three_frame_cost(self, stack):

@@ -22,7 +22,9 @@ from termbus.runtime import (
     UnknownThreadError,
 )
 from termbus.syntax import format_term, parse_clause, parse_term, parse_term_with_vars
-from termbus.terms import Atom, Compound, Int, Str, Var, deref, fresh_copy, mk, unify
+from termbus.terms import (
+    Atom, Compound, Int, Str, Var, deref, fresh_copy, list_parts, mk, mklist, unify,
+)
 
 
 @pytest.fixture
@@ -199,6 +201,16 @@ class TestLocalSend:
             node.recv_first(parse_term("m"), timeout=2.0)
         after = node.stats()
         assert after == before == {"frames_out": 0, "frames_in": 0, "bad_frames": 0}
+
+    def test_default_send_of_a_long_list(self, node):
+        # name remembering walks the whole message on both sides
+        n = 100_000
+        node.send(mk("big", mklist([Int(i) for i in range(n)], tail=Var())), "main")
+        got = Var()
+        assert node.recv_first(mk("big", got), timeout=10.0)
+        items, tail = list_parts(deref(got))
+        assert len(items) == n and items[-1] == Int(n - 1)
+        assert type(tail) is Var and tail.name == "_A1"
 
     def test_local_copies_are_separate(self, node):
         # receiver binding must not leak back into the sender's term

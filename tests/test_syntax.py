@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -178,3 +179,128 @@ def test_roundtrip_seeded_bulk():
     rng = random.Random(2024)
     for _ in range(500):
         roundtrip(gen_term(rng))
+
+
+# ---------------------------------------------------------------------------
+# writer golden text, recorded from the recursive writer this one replaced
+
+A, B, C, D = Atom("a"), Atom("b"), Atom("c"), Atom("d")
+
+
+def _bound(v, t):
+    v.ref = t
+    return v
+
+
+def _golden_cases():
+    u = Var()
+    return [
+        # nested infix priorities, ',' and ':-'
+        (mk("=", mk("?", A, B), mk(",", C, D)), "a?b=(c,d)"),
+        (mk("?", mk("=", A, B), C), "(a=b)?c"),
+        (mk("=", mk("=", A, B), C), "(a=b)=c"),
+        (mk("??", A, mk("?", B, C)), "a??(b?c)"),
+        (mk(",", mk(",", A, B), C), "(a,b),c"),
+        (mk(",", A, mk(",", B, C)), "a,b,c"),
+        (mk(":-", Atom("h"), mk(",", A, mk(",", mk("<", Var("X"), Int(3)), C))),
+         "h :- a,X<3,c"),
+        (mk(":-", mk(":-", A, B), C), "(a :- b) :- c"),
+        (mk(":-", A, mk(":-", B, C)), "a :- (b :- c)"),
+        (mk("f", mk(",", A, B), mk(":-", A, B), mk("=", A, B), mk("?", A, B)),
+         "f((a,b),(a :- b),a=b,a?b)"),
+        (mk(",", mk(":-", A, B), mk("=<", A, mk(">=", B, C))), "(a :- b),a=<(b>=c)"),
+        (mk("=", A, Int(-1)), "a=-1"),
+        (mk(":-", A, Int(-7)), "a :- -7"),
+        (mk(",", Int(-1), Int(-2)), "-1,-2"),
+        # lists, partial lists and list-like compounds
+        (mklist([A, B], tail=Var("T")), "[a,b|T]"),
+        (mklist([A], tail=Atom("x")), "[a|x]"),
+        (mklist([mk(",", A, B), mk("=", A, B), mklist([Int(1)]), Atom("[]")]),
+         "[(a,b),a=b,[1],[]]"),
+        (mklist([Int(-1), mk(":", A, B)], tail=mk("f", A)), "[-1,a:b|f(a)]"),
+        (Compound(".", (A,)), "'.'(a)"),
+        (Compound(".", (A, B, C)), "'.'(a,b,c)"),
+        (mklist([A], tail=_bound(Var("L"), mklist([B], tail=_bound(Var("M"), Atom("[]"))))),
+         "[a,b]"),
+        # the '[]' functor against the '[]' atom
+        (Compound("[]", (A,)), "'[]'(a)"),
+        (Atom("[]"), "[]"),
+        (mk("f", Atom("[]"), Compound("[]", (Atom("[]"), B))), "f([],'[]'([],b))"),
+        # addresses with and without '@'
+        (mk(":", A, mk("@", B, C)), "a:b@c"),
+        (mk(":", A, B), "a:b"),
+        (mk(":", Int(3), mk("@", Atom("proc"), Atom("host"))), "3:proc@host"),
+        (mk("f", mk(":", A, mk("@", B, C)), mk(":", A, B)), "f(a:b@c,a:b)"),
+        (mk("=", Var("X"), mk(":", A, B)), "X=a:b"),
+        (mk(":", mk(":", A, B), C), "(a:b):c"),
+        (mk(":", A, mk(":", B, C)), "a:(b:c)"),
+        (mk("@", A, B), "'@'(a,b)"),
+        (mk(":", A, mk("@", mk(",", B, C), D)), "a:(b,c)@d"),
+        # ':' before a negative number is spaced so it does not read as ':-'
+        (mk(":", A, Int(-1)), "a: -1"),
+        (mk(":", Int(1), mk("@", Int(-1), Int(-2))), "1: -1@-2"),
+        (mk(":", A, _bound(Var("N"), Int(-5))), "a: -5"),
+        (mk(":", A, mk("@", _bound(Var("P"), Int(-3)), B)), "a: -3@b"),
+        (mk(":", Int(-1), Int(0)), "-1:0"),
+        (mklist([mk(":", A, Int(-1))]), "[a: -1]"),
+        # quoted atoms and strings with escapes
+        (Atom("it's"), "'it\\'s'"),
+        (Atom("a\\b"), "'a\\\\b'"),
+        (Atom("tab\there"), "'tab\\there'"),
+        (Atom("line\nx\r"), "'line\\nx\\r'"),
+        (Atom(""), "''"),
+        (Atom("Hello"), "'Hello'"),
+        (Atom("two words"), "'two words'"),
+        (Atom("."), "'.'"),
+        (Atom(","), "','"),
+        (Atom("é"), "'é'"),
+        (Str('say "hi"'), '"say \\"hi\\""'),
+        (Str("line\nbreak\t\\ \r'"), '"line\\nbreak\\t\\\\ \\r\'"'),
+        (Str(""), '""'),
+        (Str("héllo"), '"héllo"'),
+        (Compound("two words", (A,)), "'two words'(a)"),
+        (Compound("it's", (Str("x"),)), "'it\\'s'(\"x\")"),
+        (Compound(",", (A, B, C)), "','(a,b,c)"),
+        (Compound("=", (A,)), "'='(a)"),
+        (Compound("-", (Int(1), Int(2))), "'-'(1,2)"),
+        # unnamed variables and names that are not variable-shaped
+        (mk("f", u, u, Var()), "f(_G1,_G1,_G2)"),
+        (mk("f", Var("_G1"), Var(), Var("_G3"), Var()), "f(_G1,_G2,_G3,_G4)"),
+        (mk("g", Var("no good"), Var("1abc"), Var(""), Var("lower"), Var("_"), Var("_x")),
+         "g(_G1,_G2,_G3,_G4,_,_x)"),
+        (mklist([Var(), Var("A")], tail=Var()), "[_G1,A|_G2]"),
+        (mk("h", _bound(Var("B"), mk("k", Var(), Var("C")))), "h(k(_G1,C))"),
+        (mk("n", Int(2**63 - 1), Int(-(2**63)), Int(0)),
+         "n(9223372036854775807,-9223372036854775808,0)"),
+    ]
+
+
+def test_writer_matches_golden_text():
+    for t, text in _golden_cases():
+        assert format_term(t) == text
+
+
+def test_writer_matches_golden_digest_of_seeded_terms():
+    # the digest covers format_term of termgen.gen_term's first 1000 terms
+    # from random.Random(5); it changes if gen_term itself changes
+    rng = random.Random(5)
+    text = "\n".join(format_term(gen_term(rng)) for _ in range(1000))
+    assert len(text) == 47857
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7ddc6584d0415be239a5b9f2e74a1fc5da5040e97b0182c7b2dc138c181b64c3"
+    )
+
+
+def test_writer_is_stack_safe():
+    n = 100_000
+    assert format_term(mklist([Int(i) for i in range(n)], tail=Var("T"))) == (
+        "[" + ",".join(str(i) for i in range(n)) + "|T]"
+    )
+    deep = Atom("x")
+    for _ in range(n):
+        deep = mk("s", deep)
+    assert format_term(deep) == "s(" * n + "x" + ")" * n
+    left = Atom("a")
+    for _ in range(n):
+        left = mk("=", left, Int(-1))
+    assert format_term(left) == "(" * (n - 1) + "a=-1" + ")=-1" * (n - 1)

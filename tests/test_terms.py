@@ -328,6 +328,74 @@ def test_copies_are_stack_safe():
         assert type(t) is Var and t.name == "Y"
 
 
+def _nested(n, leaf, shape):
+    """A list of n integers ending in leaf, or leaf under n nested s/1."""
+    if shape == "long":
+        return mklist([Int(i) for i in range(n)], tail=leaf)
+    t = leaf
+    for _ in range(n):
+        t = mk("s", t)
+    return t
+
+
+@pytest.mark.parametrize("shape", ["long", "deep"])
+def test_walkers_are_stack_safe(shape):
+    n = 100_000
+    u = Var()
+    t = _nested(n, u, shape)
+    assert variables(t) == [u]
+    assert term_equal(t, _nested(n, u, shape))
+    assert not term_equal(t, _nested(n, Var(), shape))
+    assert variant(t, _nested(n, Var(), shape))
+    assert not variant(t, _nested(n, Atom("end"), shape))
+    reg = VarRegistry()
+    assert name_unnamed(t, reg) is t
+    assert u.name == "_A1" and reg.lookup("_A1") is u
+    u.ref = Atom("end")
+    try:
+        snapshot = resolve(t)
+    finally:
+        u.ref = None
+    assert variables(snapshot) == []
+    assert term_equal(snapshot, _nested(n, Atom("end"), shape))
+
+
+def _raw_compounds(t):
+    """Every Compound object reachable from t, bindings followed."""
+    out, stack = [], [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Var):
+            if x.ref is not None:
+                stack.append(x.ref)
+        elif isinstance(x, Compound):
+            out.append(x)
+            stack.extend(x.args)
+    return out
+
+
+def test_fresh_copy_shares_only_subterms_without_cells():
+    ground = mk("g", mklist([Int(1), Atom("a")]))
+    x = Var("X")
+    x.ref = mk("h", Int(2))
+    t = mk("f", ground, mk("k", x), mk("k", Var()))
+    c = fresh_copy(t)
+    assert c.args[0] is ground
+    assert c.args[1] is not t.args[1] and c.args[1].args[0] is x.ref
+    assert c.args[2] is not t.args[2]
+    rng = random.Random(11)
+    for _ in range(300):
+        t = gen_term(rng)
+        for v in all_cells(t)[::2]:
+            v.ref = gen_term(rng, depth=2, var_pool=[])
+        before = {id(x) for x in _raw_compounds(t)}
+        c = fresh_copy(t)
+        assert variant(resolve(t), c)
+        for sub in _raw_compounds(c):
+            if id(sub) in before:
+                assert all_cells(sub) == []
+
+
 def test_intern_named_keeps_unchanged_compounds():
     reg = VarRegistry()
     ground = mk("f", mk("g", Int(1)), Var())
