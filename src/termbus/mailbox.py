@@ -7,15 +7,29 @@ across its three components (payload, sender, reply-to): either all three
 unify with the caller's patterns, or every binding made along the way is
 undone.
 
-Payload views.  A candidate's payload is never matched in place.  It is
-first compared with the pattern by a copy-free structural test
-(``could_unify``) that rejects a functor, arity or constant clash; only a
-candidate that passes is rebuilt for the full match.  With
-``remember_names`` set the payload is rebuilt against the receiving thread's
-variable registry, so a name reused across messages resolves to one local
-cell and bindings carry over; otherwise a fresh copy keeps the received
-variables disjoint from everything else.  So a skipped message costs a
-comparison, not a copy, and the registry learns no name from it.
+The index.  Beside the buffer, each mailbox files every message under the
+leftmost path of its payload (keyindex.index_key), computed once when it is
+posted; a payload whose path ends at a variable is filed under None.  A
+receive that may skip messages (recv_search, peek, message_choice) and whose
+every alternative has a message pattern with a non-None key reads only
+those keys' messages and the None ones, merged in arrival order: any other
+message clashes with every pattern, so skipping it unread changes no
+outcome.  Every other receive, and recv_first always, scans the whole
+buffer.
+
+Payload views.  Every candidate is first compared with the pattern by a
+copy-free structural test (``could_unify``) that rejects a functor, arity
+or constant clash; only a candidate that passes is matched in full, so a
+skipped message costs a comparison, not a copy, and the registry learns no
+name from it.  With ``remember_names`` set, and the sender's flag set too,
+the payload is rebuilt against the receiving thread's variable registry, so
+a name reused across messages resolves to one local cell and bindings carry
+over.  Otherwise the payload must stay disjoint from everything else.  A
+payload posted as owned (the sending node's private copy, which nothing
+else refers to) is unified in place by a consuming receive: the trail undoes
+a failed match or a rejected guard, and a consumed message leaves the buffer
+with its bindings.  Any other payload, and every payload a peek looks at, is
+matched as a fresh copy, so the buffered term is never bound.
 
 Concurrency contract: any thread may post; only the owning thread receives,
 peeks or commits.  The internal lock covers buffer mutation and blocking
@@ -30,11 +44,11 @@ import threading
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional, Union
 
 from .address import Address, match_address
 from .codec import Envelope
+from .keyindex import KeyIndex, index_key, seq_of
 from .terms import (
     Substitution,
     Term,
@@ -52,8 +66,6 @@ POLL = "poll"
 Timeout = Union[float, int, str]
 
 FromPattern = Union[Address, Var, None]
-
-_seq_of = itemgetter(0)
 
 
 class MailboxClosed(Exception):
@@ -118,11 +130,26 @@ class _Budget:
         return True
 
 
+def _pattern_keys(alts: list[Guard]) -> Optional[tuple]:
+    """The distinct index keys of the alternatives' message patterns, or
+    None when one of them has none."""
+    keys: dict = {}
+    for g in alts:
+        key = index_key(g.message)
+        if key is None:
+            return None
+        keys[key] = None
+    return tuple(keys)
+
+
 class Mailbox:
     def __init__(self, registry: Optional[VarRegistry] = None):
         self.registry = registry if registry is not None else VarRegistry()
         self._cond = threading.Condition()
         self._items: list[tuple[int, Envelope]] = []
+        self._index = KeyIndex()  # the same (seq, env) pairs by payload key
+        self._keys: dict[int, Optional[tuple]] = {}  # seq -> its index key
+        self._owned: set[int] = set()  # seqs whose payload may be bound in place
         self._next_seq = 0
         self._closed = False
 
@@ -130,32 +157,46 @@ class Mailbox:
         with self._cond:
             return len(self._items)
 
-    def post(self, env: Envelope) -> None:
+    def post(self, env: Envelope, owned: bool = False) -> None:
         """Append an envelope and wake the owner.  Any thread may call this.
 
+        owned says that nothing else refers to env.payload's variable cells,
+        so a consuming receive may bind them in place instead of copying.
         Posts to a closed mailbox are dropped; the sender was already told
         everything it is entitled to know by the local delivery rules.
         """
+        key = index_key(env.payload)
         with self._cond:
             if self._closed:
                 return
-            self._items.append((self._next_seq, env))
+            seq = self._next_seq
             self._next_seq += 1
+            item = (seq, env)
+            self._items.append(item)
+            self._index.add(key, item)
+            self._keys[seq] = key
+            if owned:
+                self._owned.add(seq)
             self._cond.notify_all()
 
     def close(self) -> None:
         with self._cond:
             self._closed = True
             self._items.clear()
+            self._index.clear()
+            self._keys.clear()
+            self._owned.clear()
             self._cond.notify_all()
 
     # -- internals ---------------------------------------------------------
 
     def _remove(self, seq: int) -> bool:
         with self._cond:
-            i = bisect_left(self._items, seq, key=_seq_of)
+            i = bisect_left(self._items, seq, key=seq_of)
             if i < len(self._items) and self._items[i][0] == seq:
                 del self._items[i]
+                self._index.remove(self._keys.pop(seq), seq)
+                self._owned.discard(seq)
                 return True
             return False
 
@@ -167,16 +208,18 @@ class Mailbox:
         reply_pat: FromPattern,
         remember: bool,
         trail: list,
+        in_place: bool = False,
     ) -> bool:
         if not could_unify(msg_pat, env.payload):
             return False
         # name identity applies only when the sender asked for it too; a
         # sender that did not remember its names never means them as shared
-        payload = (
-            intern_named(env.payload, self.registry)
-            if remember and env.flags.remember_names
-            else fresh_copy(env.payload)
-        )
+        if remember and env.flags.remember_names:
+            payload = intern_named(env.payload, self.registry)
+        elif in_place:
+            payload = env.payload
+        else:
+            payload = fresh_copy(env.payload)
         return (
             unify_into(msg_pat, payload, trail)
             and match_address(from_pat, env.sender, trail)
@@ -184,7 +227,12 @@ class Mailbox:
         )
 
     def _scan(
-        self, alts: list[Guard], remember: bool, timeout: Timeout, head_only: bool = False
+        self,
+        alts: list[Guard],
+        remember: bool,
+        timeout: Timeout,
+        head_only: bool = False,
+        consuming: bool = False,
     ) -> Iterator[tuple[int, Guard, list]]:
         """The one scan loop behind every receive.
 
@@ -195,26 +243,38 @@ class Mailbox:
         are undone when the scan resumes.  At the end of the buffer the scan
         suspends per timeout, then examines only newer arrivals; it ends when
         the timeout is spent, or with head_only after the first message.
+        When every alternative's message pattern has a key (and not
+        head_only) only the messages filed under those keys or under None
+        are examined.  consuming lets an owned payload be matched in place:
+        the caller removes the first message yielded.
         """
         budget = _Budget(timeout)
+        keys = None if head_only else _pattern_keys(alts)
         cursor = -1
         while True:
             with self._cond:
                 while True:
                     if self._closed:
                         raise MailboxClosed()
-                    i = bisect_right(self._items, cursor, key=_seq_of)
-                    if i < len(self._items):
+                    if keys is None:
+                        i = bisect_right(self._items, cursor, key=seq_of)
                         batch = self._items[i : i + 1] if head_only else self._items[i:]
+                    else:
+                        batch = self._index.after(keys, cursor)
+                        if not batch:
+                            # nothing newer can match: do not look at it again
+                            cursor = self._next_seq - 1
+                    if batch:
                         break
                     if not budget.wait(self._cond):
                         return
             for seq, env in batch:
                 cursor = seq
+                in_place = consuming and seq in self._owned
                 for g in alts:
                     trail: list = []
                     if self._match_env(
-                        env, g.message, g.from_, g.reply, remember, trail
+                        env, g.message, g.from_, g.reply, remember, trail, in_place
                     ) and (g.test is None or g.test()):
                         break
                     undo_to(trail, 0)
@@ -230,7 +290,7 @@ class Mailbox:
         self, alts: list[Guard], remember: bool, timeout: Timeout, head_only: bool = False
     ) -> Optional[tuple[Guard, list]]:
         """Remove the scan's first hit and keep its bindings; None if none."""
-        for seq, g, trail in self._scan(alts, remember, timeout, head_only):
+        for seq, g, trail in self._scan(alts, remember, timeout, head_only, True):
             self._remove(seq)
             return g, trail
         return None

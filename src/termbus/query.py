@@ -11,6 +11,14 @@ store, either all at once or one answer at a time:
     finish -> A       stops the generator early
     (from A)          fail                  no (further) solution; generator gone
 
+A request whose handling raises is answered, by the server for all_of and
+stream_of or by the generator mid-stream, with
+``query_error(Request, Type, Message)``: the request as the server saw it,
+the exception's class name as an atom and its text as a string.
+query_all and AnswerStream raise it as RemoteError, a QueryError; a client
+takes only the error whose echoed request could unify with its own, and a
+stream that gets one is closed.
+
 Replies go to the ``reply_to`` of the request, not its sender, so a query can
 be placed on behalf of a third thread.  Requests and answers are matched by
 address, never by variable name: every send in the protocol switches name
@@ -47,6 +55,7 @@ from .terms import (
     Atom,
     Compound,
     Int,
+    Str,
     Substitution,
     Term,
     Var,
@@ -76,6 +85,10 @@ class QueryError(Exception):
 
 class RemoteTimeout(QueryError):
     """A remote server did not reply within the configured window."""
+
+
+class RemoteError(QueryError):
+    """A remote server answered the request with query_error."""
 
 
 # --------------------------------------------------------------------------
@@ -143,12 +156,11 @@ def _prove(node: Node, goal: Term, trail: list, timeout: Optional[float]):
     # diagnostics name the predicate or the type, never the goal's text:
     # writing out a deep goal would recurse
     try:
-        key = ClauseDB.key_of(g)
+        matched = node.db.clauses(g)
     except ClauseError:
         log.warning("event=uncallable_goal type=%s", type(g).__name__)
         return
-    matched = node.db.clauses(g)
-    if not matched and not node.db.defines(key):
+    if not matched and not node.db.defines(key := ClauseDB.key_of(g)):
         log.warning("event=unknown_predicate pred=%s/%d", *key)
         return
     for head, body in matched:
@@ -206,7 +218,8 @@ def query_server_main(node: Node) -> None:
     then sweep this thread's own remote streams (solving may have opened
     some on other servers, and the answers are already safely collected).
     stream_of gets a fresh generator thread whose address goes back to the
-    client; all further traffic for that query bypasses this loop.
+    client; all further traffic for that query bypasses this loop.  A
+    request that raises is answered with query_error and swept all the same.
     """
     node.set_symbol(SERVER_SYMBOL)
     log.info("event=query_server_up process=%s", node.process)
@@ -214,19 +227,21 @@ def query_server_main(node: Node) -> None:
         call, reply = Var(), Var()
 
         def do_all(c=call, r=reply):
-            client = term_to_address(deref(r))
-            answers = find_all(node, c)
-            node.send(mk("answer_list", mklist(answers)), client, remember_names=False)
-            kill_orphans(node)
+            try:
+                _answer(node, term_to_address(deref(r)), mk("all_of", c),
+                        lambda: mk("answer_list", mklist(find_all(node, c))))
+            finally:
+                kill_orphans(node)
 
         def do_stream(c=call, r=reply):
             client = term_to_address(deref(r))
-            h = node.fork(ans_gen(node, c, client), label=GENERATOR_LABEL)
-            node.send(
-                mk("query_thread_is", address_to_term(Address(h.id, node.process, node.host))),
-                client,
-                remember_names=False,
-            )
+
+            def start():
+                h = node.fork(ans_gen(node, c, client), label=GENERATOR_LABEL)
+                return mk("query_thread_is",
+                          address_to_term(Address(h.id, node.process, node.host)))
+
+            _answer(node, client, mk("stream_of", c), start)
 
         try:
             node.message_choice(
@@ -238,21 +253,48 @@ def query_server_main(node: Node) -> None:
         except (MailboxClosed, NodeShutdown, ThreadExit):
             raise
         except Exception as e:
-            # a malformed request, a vanished client or a fault while solving
-            # one request must not kill the loop
+            # a malformed request or a vanished client must not kill the loop
             log.warning("event=request_failed err=%s", e, exc_info=True)
+
+
+def _answer(node: Node, client: Address, request: Term, work) -> None:
+    """Send client the reply work() returns, if any, or query_error when
+    work raises: a fault while serving one request must reach its client."""
+    try:
+        msg = work()
+    except (MailboxClosed, NodeShutdown, ThreadExit):
+        raise
+    except Exception as e:
+        log.warning("event=request_failed err=%s", e, exc_info=True)
+        msg = mk("query_error", request, Atom(type(e).__name__), Str(str(e)))
+    if msg is not None:
+        node.send(msg, client, remember_names=False)
+
+
+def _error_guard(request: Term, source: Address) -> Guard:
+    """The alternative that takes source's query_error reply to request and
+    raises it as QueryError."""
+    echoed, kind, text = Var(), Var(), Var()
+
+    def fail():
+        raise RemoteError(
+            f"{source} failed: {format_term(resolve(kind))}: {format_term(resolve(text))}"
+        )
+
+    return Guard(mk("query_error", echoed, kind, text), from_=source,
+                 test=lambda: could_unify(echoed, request), body=fail)
 
 
 def ans_gen(node: Node, call: Term, client: Address):
     """Thread goal: search call and feed solutions to client on demand.
 
     Sends the first answer unprompted, then waits for next or finish from
-    the client between solutions.  Exhaustion is reported with fail.  The
-    exit hook sweeps remote streams this search opened, on every exit path,
-    which is what propagates a finish down a delegation chain.
+    the client between solutions.  Exhaustion is reported with fail, and a
+    search that raises with query_error.  The exit hook sweeps remote
+    streams this search opened, on every exit path, which is what
+    propagates a finish down a delegation chain.
     """
-    def run():
-        node.on_exit(lambda: kill_orphans(node))
+    def search():
         name_unnamed(call, node.current().registry)
         for _ in solve(node, call):
             node.send(mk("answer_instance", fresh_copy(call)), client, remember_names=False)
@@ -263,8 +305,12 @@ def ans_gen(node: Node, call: Term, client: Address):
                 ]
             )
             if word == "finish":
-                return
-        node.send(Atom("fail"), client, remember_names=False)
+                return None
+        return Atom("fail")
+
+    def run():
+        node.on_exit(lambda: kill_orphans(node))
+        _answer(node, client, mk("stream_of", call), search)
 
     return run
 
@@ -305,16 +351,16 @@ def query_all(
     outstanding requests to different servers cannot cross.
     """
     dest = _server_address(node, server)
-    node.send(mk("all_of", call), dest, remember_names=False)
+    request = mk("all_of", call)
+    node.send(request, dest, remember_names=False)
     answers = Var()
-    got = node.recv_search(
-        mk("answer_list", answers),
-        from_=dest,
-        timeout=BLOCK if timeout is None else timeout,
-        remember_names=False,
+    node.message_choice(
+        [
+            Guard(mk("answer_list", answers), from_=dest, body=lambda: None),
+            _error_guard(request, dest),
+        ],
+        timeout=_reply_timeout(timeout, f"no answer_list from {dest} within {timeout}s"),
     )
-    if got is None:
-        raise RemoteTimeout(f"no answer_list from {dest} within {timeout}s")
     items, _ = list_parts(answers)
     for item in items:
         trail: list = []
@@ -347,21 +393,23 @@ class AnswerStream:
         self.call = call
         self.timeout: Timeout = BLOCK if timeout is None else timeout
         dest = _server_address(node, server)
-        node.send(mk("stream_of", call), dest, remember_names=False)
+        self._request = mk("stream_of", call)
+        node.send(self._request, dest, remember_names=False)
         who = Var()
-        if node.recv_search(
-            mk("query_thread_is", who),
-            from_=dest,
-            timeout=self.timeout,
-            remember_names=False,
-        ) is None:
-            raise RemoteTimeout(f"no generator address from {dest}")
+        node.message_choice(
+            [
+                Guard(mk("query_thread_is", who), from_=dest, body=lambda: None),
+                _error_guard(self._request, dest),
+            ],
+            timeout=_reply_timeout(self.timeout, f"no generator address from {dest}"),
+        )
         self.generator = term_to_address(deref(who))
         self._owner = Int(node.my_id())
         node.assert_clause(mk("remote_thread", self._owner, address_to_term(self.generator)))
         self._trail: list = []
         self._started = False
         self._done = False
+        self._error = _error_guard(self._request, self.generator)
 
     def pull(self) -> Optional[Substitution]:
         """Demand one answer; None once the stream is exhausted.
@@ -376,13 +424,20 @@ class AnswerStream:
             self.node.send(Atom("next"), self.generator, remember_names=False)
         self._started = True
         got = Var()
-        kind = self.node.message_choice(
-            [
-                Guard(mk("answer_instance", got), from_=self.generator, body=lambda: "answer"),
-                Guard(Atom("fail"), from_=self.generator, body=lambda: "fail"),
-            ],
-            timeout=None if self.timeout == BLOCK else (self.timeout, _stream_silent),
-        )
+        try:
+            kind = self.node.message_choice(
+                [
+                    Guard(mk("answer_instance", got), from_=self.generator,
+                          body=lambda: "answer"),
+                    Guard(Atom("fail"), from_=self.generator, body=lambda: "fail"),
+                    self._error,  # unbound unless it matched, which ends the stream
+                ],
+                timeout=_reply_timeout(self.timeout, "no answer from the remote generator"),
+            )
+        except RemoteError:
+            self._done = True  # the generator exits after reporting its fault
+            self._forget()
+            raise
         if kind == "fail":
             self._done = True
             self._forget()
@@ -421,8 +476,16 @@ class AnswerStream:
             yield sub
 
 
-def _stream_silent():
-    raise RemoteTimeout("no answer from the remote generator")
+def _reply_timeout(timeout: Optional[Timeout], missing: str):
+    """message_choice's timeout for awaiting a reply: none under BLOCK, else
+    one whose alternative raises RemoteTimeout(missing)."""
+    if timeout is None or timeout == BLOCK:
+        return None
+
+    def silent():
+        raise RemoteTimeout(missing)
+
+    return timeout, silent
 
 
 def query_stream(

@@ -7,9 +7,10 @@ threads' clause-store activity is available through critical() rather than
 through scheduler control.
 
 Sending is location-transparent.  A destination inside this node is handed
-its deep-copied payload directly (no frames, no sockets); anything else is
-encoded into a wire frame and pushed to the configured router, which owns
-all further delivery concerns.  Local sends to unknown threads fail loudly;
+a deep copy of the payload directly (no frames, no sockets), posted as
+owned so that its receive need not copy it again; anything else is encoded
+into a wire frame and pushed to the configured router, which owns all
+further delivery concerns.  Local sends to unknown threads fail loudly;
 remote delivery problems are asynchronous by design and never surface at
 the send call.
 
@@ -19,11 +20,11 @@ thread_wait() re-runs a query whenever the counter advances, under the same
 node lock that assert/retract and critical() take, so a retract inside a
 waiting query is atomic with the decision that it succeeded.
 
-Each predicate is hashed on the leftmost path below its heads (first
-arguments followed down to a constant), so a lookup, retract or resolution
-step visits only the clauses that share the pattern's key.  A pattern whose
-path ends at a variable, or a predicate holding any clause whose path does,
-falls back to the whole predicate in assertion order.  Every candidate
+Each predicate is hashed on the leftmost path of its heads (keyindex,
+the key mailboxes file messages under), so a lookup, retract or resolution
+step visits only the clauses that share the pattern's key, merged in
+assertion order with the clauses whose path ends at a variable.  A pattern
+whose own path ends at a variable gets the whole predicate.  Every candidate
 first passes a copy-free pre-test; only one that passes is copied.
 """
 
@@ -35,6 +36,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional, Union
 
 from .address import Address, AddressContext, AddressError, parse_address, resolve
@@ -49,13 +51,13 @@ from .codec import (
     read_frame,
 )
 from .counters import Counters
+from .keyindex import KeyIndex, index_key
 from .mailbox import BLOCK, Guard, Mailbox, MessageRef, RecvOptions, Timeout
 from .terms import (
     Atom,
     Compound,
     Substitution,
     Term,
-    Var,
     could_unify,
     deref,
     fresh_copy,
@@ -141,48 +143,32 @@ class ThreadHandle:
         return self.mailbox.registry
 
 
-def _index_key(head: Term) -> Optional[tuple]:
-    """The leftmost path below a head: its clause-store index key.
-
-    Following first arguments down from head, each compound met adds its
-    (functor, arity) and the path ends at the constant reached, so
-    ``tuple(task(3, a, b))`` keys as ``(("task", 3), Int(3))`` and an atom
-    head as ``()``.  None when the path reaches an unbound variable.  Two
-    heads with different keys clash at the first step where the keys
-    differ, so they cannot unify.
-    """
-    path = []
-    t = head
-    while type(t) is Compound:
-        t = deref(t.args[0])
-        if type(t) is Var:
-            return None
-        path.append((t.functor, len(t.args)) if type(t) is Compound else t)
-    return tuple(path)
+_entry_of = itemgetter(1)  # (seq, entry) -> entry
 
 
 class _Predicate:
     """One predicate's clauses in assertion order, plus their index."""
 
-    __slots__ = ("clauses", "index", "unkeyed")
+    __slots__ = ("clauses", "index")
 
     def __init__(self):
-        self.clauses: dict[int, tuple[Term, Term]] = {}  # seq -> (head, body)
-        self.index: dict[tuple, dict[int, tuple[Term, Term]]] = {}
-        self.unkeyed = 0  # clauses whose index key is None
+        # seq -> (seq, (head, body)), and the same pairs filed by head key
+        self.clauses: dict[int, tuple[int, tuple[Term, Term]]] = {}
+        self.index = KeyIndex()
 
 
 class ClauseDB:
     """Assertion-ordered clauses per functor/arity, hashed on the leftmost path.
 
-    Each predicate keeps its clauses in a ``seq -> (head, body)`` dict, so
-    removal is O(1), and beside it a hash index from _index_key() to the
-    clauses with that key, in the same order.  A pattern gets the clauses
-    sharing its key; it gets all of the predicate's clauses when its own key
-    is None, or when any stored clause's key is None, which keeps assertion
-    order without merging.  lookup and retract share one scan over those
-    candidates, and only one that passes the copy-free could_unify pre-test
-    is copied and unified.
+    Each predicate keeps its clauses in a ``seq -> (seq, (head, body))``
+    dict, so removal is O(1), and beside it a KeyIndex that files the same
+    pairs under their head's index_key(), the key a mailbox files messages
+    under; clauses whose key is None have a list of their own.  A pattern
+    with a key gets the clauses sharing it merged by seq with the None list,
+    so assertion order holds and one clause such as p(X) adds itself, not
+    the whole predicate; a pattern whose own key is None gets every clause.
+    lookup and retract share one scan over those candidates, and only one
+    that passes the copy-free could_unify pre-test is copied and unified.
 
     Mutations run under the node lock and bump a change counter that
     thread_wait listens on.  retract matches heads only, which is all the
@@ -215,26 +201,24 @@ class ClauseDB:
         pred_key = self.key_of(head)
         snapshot = fresh_copy(Compound(":-", (head, body)))
         entry = (snapshot.args[0], snapshot.args[1])
-        key = _index_key(entry[0])
+        key = index_key(entry[0])
         with self._cond:
             self.change_count += 1
             pred = self._preds.get(pred_key)
             if pred is None:
                 pred = self._preds[pred_key] = _Predicate()
-            pred.clauses[self.change_count] = entry
-            if key is None:
-                pred.unkeyed += 1
-            else:
-                pred.index.setdefault(key, {})[self.change_count] = entry
+            pair = pred.clauses[self.change_count] = (self.change_count, entry)
+            pred.index.add(key, pair)
             self._cond.notify_all()
 
-    def _candidates(self, pat: Term) -> dict[int, tuple[Term, Term]]:
-        """The clauses pat may match, by seq in assertion order; lock held."""
+    def _candidates(self, pat: Term) -> list[tuple[int, tuple[Term, Term]]]:
+        """(seq, (head, body)) of the clauses pat may match, in assertion
+        order, as a new list; lock held."""
         pred = self._preds.get(self.key_of(pat))
         if pred is None:
-            return {}
-        key = None if pred.unkeyed else _index_key(pat)
-        return pred.clauses if key is None else pred.index.get(key, {})
+            return []
+        key = index_key(pat)
+        return list(pred.clauses.values()) if key is None else pred.index.after((key,))
 
     def _scan(self, pat: Term) -> Iterator[tuple[int, Term]]:
         """(seq, head) of each candidate that passes the pre-test, in order.
@@ -243,7 +227,7 @@ class ClauseDB:
         stored heads are never bound, so the pre-test needs no lock.
         """
         with self._cond:
-            snapshot = list(self._candidates(pat).items())
+            snapshot = self._candidates(pat)
         for seq, (head, _) in snapshot:
             if could_unify(pat, head):
                 yield seq, head
@@ -258,14 +242,7 @@ class ClauseDB:
                     pred_key = self.key_of(pat)
                     pred = self._preds[pred_key]
                     del pred.clauses[seq]
-                    key = _index_key(head)
-                    if key is None:
-                        pred.unkeyed -= 1
-                    else:
-                        bucket = pred.index[key]
-                        del bucket[seq]
-                        if not bucket:
-                            del pred.index[key]
+                    pred.index.remove(index_key(head), seq)
                     if not pred.clauses:
                         del self._preds[pred_key]
                     self.change_count += 1
@@ -293,7 +270,7 @@ class ClauseDB:
         """
         pat = deref(head_pat)
         with self._cond:
-            return tuple(self._candidates(pat).values())
+            return tuple(map(_entry_of, self._candidates(pat)))
 
     def defines(self, key: tuple[str, int]) -> bool:
         """True while the predicate name/arity has at least one clause."""
@@ -318,7 +295,7 @@ class Node:
         self._undelivered: dict[Union[int, str], list[Envelope]] = {}
         self._next_tid = 0
         self._tl = threading.local()
-        self._counters = Counters("frames_out", "frames_in", "bad_frames")
+        self._counters = Counters("frames_out", "frames_in", "bad_frames", "dropped")
         self.closing = False
         self._link: Optional[_RouterLink] = None
         if config.router:
@@ -420,6 +397,7 @@ class Node:
         h.status = ThreadHandle.EXITED
         h.mailbox.close()
         with self._tables:
+            self._threads.pop(h.id, None)
             if h.symbol is not None and self._symbols.get(h.symbol) == h.id:
                 del self._symbols[h.symbol]
 
@@ -542,7 +520,9 @@ class Node:
         flags = Flags(encoded=encoded, remember_names=remember_names)
         if dest.process == self.process and dest.host == self.host:
             target = self._lookup_local(dest.thread)
-            target.mailbox.post(Envelope(fresh_copy(payload), dest, sender, reply, flags))
+            target.mailbox.post(
+                Envelope(fresh_copy(payload), dest, sender, reply, flags), owned=True
+            )
             return
         if self._link is None:
             raise RouterUnavailableError(
@@ -656,15 +636,24 @@ class Node:
     # inbound from the router link
     def _deliver_inbound(self, env: Envelope) -> None:
         self._counters.add("frames_in")
+        to = env.to.thread
         with self._tables:
-            target = self._find_handle(env.to.thread)
+            target = self._find_handle(to)
             if target is None:
+                if isinstance(to, int) and to <= self._next_tid:
+                    # ids are never reused, so this thread is gone for good
+                    self._counters.add("dropped")
+                    log.debug(
+                        "event=drop_exited_target to=%s from=%s", env.to, env.sender
+                    )
+                    return
                 # the addressed thread may not exist yet (backlog flushed by
                 # the router can outrun thread startup); hold a bounded few
-                held = self._undelivered.setdefault(env.to.thread, [])
+                held = self._undelivered.setdefault(to, [])
                 held.append(env)
                 if len(held) > 128:
                     held.pop(0)
+                    self._counters.add("dropped")
                     log.warning(
                         "event=drop_unknown_target to=%s from=%s", env.to, env.sender
                     )

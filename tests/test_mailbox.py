@@ -19,7 +19,12 @@ from termbus.mailbox import (
     StaleReferenceError,
 )
 from termbus.syntax import format_term, parse_term, parse_term_with_vars
-from termbus.terms import Var, deref, list_parts, mk, mklist
+from termbus.terms import (
+    Atom, Int, Str, Var, deref, fresh_copy, list_parts, mk, mklist, resolve, undo_to,
+    unify_into, variant,
+)
+
+from termgen import terms
 
 ALICE = parse_address("alice:shell@hostA")
 BOB = parse_address("bob:shell@hostB")
@@ -534,3 +539,171 @@ def test_recv_search_takes_oldest_and_keeps_rest(texts):
         expected = list(texts)
         expected.remove(first)
         assert payloads(box) == expected
+
+
+class TestOwnedPayloads:
+    """A consuming receive binds an owned payload in place; nothing else does."""
+
+    @staticmethod
+    def post_owned(box, text):
+        t, vs = parse_term_with_vars(text)
+        box.post(Envelope(t, ME, ALICE, None, Flags(remember_names=False)), owned=True)
+        return vs
+
+    def test_consuming_an_owned_payload_makes_no_copy(self, monkeypatch):
+        copies = TestCopyOnlyTheWinner.count_calls(monkeypatch, "fresh_copy")
+        box = Mailbox()
+        vs = self.post_owned(box, "offer(X, 3)")
+        box.post(env("offer(Y, 4)", remember=False))
+        for n, want in ((3, 0), (4, 1)):
+            assert box.recv_search(parse_term(f"offer(a, {n})"), opts=POLLING)
+            assert len(copies) == want
+        assert deref(vs["X"]) == parse_term("a")  # the consumed cell itself
+
+    def test_a_failed_guard_test_leaves_the_buffered_payload_unbound(self):
+        box = Mailbox()
+        vs = self.post_owned(box, "offer(X)")
+        seen = []
+
+        def reject():
+            seen.append(format_term(deref(vs["X"])))
+            return False
+
+        r = box.message_choice([Guard(parse_term("offer(a)"), test=reject)],
+                               timeout=(POLL, lambda: "none"))
+        assert r == "none"
+        assert seen == ["a"]  # matched in place, then undone
+        assert deref(vs["X"]) is vs["X"]
+        assert len(box) == 1
+
+    def test_an_abandoned_peek_leaves_the_buffered_payload_unbound(self):
+        box = Mailbox()
+        vs = self.post_owned(box, "offer(X)")
+        ref, _ = next(box.peek(parse_term("offer(a)"), opts=POLLING))
+        assert deref(vs["X"]) is vs["X"]
+        box.commit(ref)
+        assert len(box) == 0
+
+
+# -- the keyed index against a linear scan -----------------------------------
+
+# same text as Atom, Int and Str, so a key that confused them would show
+_KEYS = [Int(1), Str("1"), Atom("1"), Atom("a"), Int(2)]
+_SHAPES = ["keyed", "deep", "var_first", "bare_var", "const"]
+
+
+@st.composite
+def shaped(draw):
+    """(shape, constant, second argument): data for one payload or pattern.
+
+    keyed m(K, A) and deep m(f(K), A) have a key; var_first m(V, A) and
+    bare_var V end at a variable; const is the constant K alone."""
+    shape = draw(st.sampled_from(_SHAPES))
+    arg = draw(st.one_of(st.none(), terms(max_depth=2)))
+    return shape, draw(st.sampled_from(_KEYS)), arg
+
+
+def build(spec):
+    """A fresh term for spec, plus the variable X in it that a guard test reads."""
+    shape, k, arg = spec
+    x = Var("X")
+    a = x if arg is None else mk("w", x, fresh_copy(arg))
+    if shape == "keyed":
+        return mk("m", k, a), x
+    if shape == "deep":
+        return mk("m", mk("f", k), a), x
+    if shape == "var_first":
+        return mk("m", Var(), a), x
+    if shape == "bare_var":
+        return x, x
+    return k, x  # x stays unbound: a rejecting test never fires
+
+
+class Reference:
+    """The buffer as a plain list, every entry copied and tried in order."""
+
+    def __init__(self, specs):
+        self.items = [build(s)[0] for s in specs]
+
+    def hits(self, guards):
+        """(message index, guard index, resolved pattern) for each message
+        some guard accepts, the first such guard, in buffer order."""
+        out = []
+        for i, item in enumerate(self.items):
+            for gi, (pat, var, reject) in enumerate(guards):
+                trail = []
+                if unify_into(pat, fresh_copy(item), trail) and not (
+                    reject and type(deref(var)) is Int
+                ):
+                    out.append((i, gi, resolve(pat)))
+                    undo_to(trail, 0)
+                    break
+                undo_to(trail, 0)
+        return out
+
+
+def filled(specs, owned_mask):
+    box = Mailbox()
+    for spec, owned in zip(specs, owned_mask):
+        box.post(Envelope(build(spec)[0], ME, ALICE, None, Flags(remember_names=False)),
+                 owned=owned)
+    return box
+
+
+_BUFFERS = st.lists(st.tuples(shaped(), st.booleans()), max_size=10)
+
+
+class TestKeyedIndexAgreesWithALinearScan:
+    @settings(max_examples=150, deadline=None)
+    @given(_BUFFERS, shaped())
+    def test_recv_search_and_peek(self, buffer, pspec):
+        specs = [s for s, _ in buffer]
+        hits = Reference(specs).hits([(*build(pspec), False)])
+        box = filled(specs, [o for _, o in buffer])
+        pat, _ = build(pspec)
+        peeked = [(r.seq, resolve(pat)) for r, _ in box.peek(pat, opts=POLLING)]
+        assert [seq for seq, _ in peeked] == [i for i, _, _ in hits]
+        assert all(variant(a, b) for (_, a), (_, _, b) in zip(peeked, hits))
+        got = box.recv_search(pat, opts=POLLING)
+        if not hits:
+            assert got is None and len(box) == len(specs)
+        else:
+            i, _, want = hits[0]
+            assert got and variant(resolve(pat), want)
+            assert [s for s, _ in box._items] == [j for j in range(len(specs)) if j != i]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_BUFFERS, st.lists(st.tuples(shaped(), st.booleans()), min_size=1, max_size=3))
+    def test_message_choice(self, buffer, gspecs):
+        specs = [s for s, _ in buffer]
+        hits = Reference(specs).hits([(*build(s), reject) for s, reject in gspecs])
+        box = filled(specs, [o for _, o in buffer])
+        pats, guards = [], []
+        for gi, (s, reject) in enumerate(gspecs):
+            pat, var = build(s)
+            pats.append(pat)
+            test = (lambda v=var: type(deref(v)) is not Int) if reject else None
+            guards.append(Guard(pat, test=test, body=lambda gi=gi: gi))
+        r = box.message_choice(guards, timeout=(POLL, lambda: None))
+        if not hits:
+            assert r is None and len(box) == len(specs)
+        else:
+            i, gi, want = hits[0]
+            assert r == gi and variant(resolve(pats[gi]), want)
+            assert [s for s, _ in box._items] == [j for j in range(len(specs)) if j != i]
+
+
+def test_a_blocked_keyed_search_takes_the_first_matching_arrival():
+    box = Mailbox()
+    box.post(env("m(1, early)"))
+    got = []
+    t, vs = parse_term_with_vars("m(3, P)")
+    th = threading.Thread(target=lambda: got.append(box.recv_search(t, opts=RecvOptions(2.0))))
+    th.start()
+    time.sleep(0.05)
+    for text in ["n(V)", "m(2, x)", "m(3, first)", "m(V, y)", "m(3, second)"]:
+        box.post(env(text))
+    th.join(timeout=3)
+    assert not th.is_alive() and got[0]
+    assert format_term(deref(vs["P"])) == "first"
+    assert payloads(box) == ["m(1,early)", "n(V)", "m(2,x)", "m(V,y)", "m(3,second)"]

@@ -9,6 +9,7 @@ import pytest
 from termbus import query
 from termbus.address import Address
 from termbus.query import (
+    QueryError,
     RemoteTimeout,
     find_all,
     kill_orphans,
@@ -199,6 +200,39 @@ class TestServing:
         assert len(failures) == 1
         assert "event=request_failed" in caplog.text
         assert served.live_threads(label="query_main") == 1
+
+    def test_a_request_that_raises_gets_an_error_reply(self, served, monkeypatch):
+        real = query.find_all
+
+        def find_all_failing_once(node, call):
+            monkeypatch.setattr(query, "find_all", real)
+            raise ValueError("solver fault")
+
+        monkeypatch.setattr(query, "find_all", find_all_failing_once)
+        g, vs = parse_goal_with_vars("edge(a, X)")
+        t0 = time.monotonic()
+        with pytest.raises(QueryError, match="ValueError.*solver fault"):
+            list(query_all(served, g, query.SERVER_SYMBOL, timeout=3.0))
+        assert time.monotonic() - t0 < 1.0
+        assert deref(vs["X"]) is vs["X"]
+        names = [format_term(deref(vs["X"]))
+                 for _ in query_all(served, g, query.SERVER_SYMBOL, timeout=5.0)]
+        assert names == ["b"]
+        assert served.live_threads(label="query_main") == 1
+
+    def test_a_stream_whose_search_raises_gets_an_error_reply(self, served, monkeypatch):
+        def failing_solve(node, goal, timeout=None):
+            raise ValueError("solver fault")
+            yield
+
+        monkeypatch.setattr(query, "solve", failing_solve)
+        s = query_stream(served, parse_goal("edge(a, X)"), query.SERVER_SYMBOL, timeout=5.0)
+        with pytest.raises(QueryError, match="solver fault"):
+            s.pull()
+        assert s.closed and s.pull() is None
+        assert orphan_count(served) == 0  # a failed generator is no orphan
+        wait_until(lambda: served.live_threads(label=query.GENERATOR_LABEL) == 0,
+                   msg="failed generator exits")
 
     def test_reply_goes_to_the_reply_to_thread(self, served):
         # a query placed on behalf of a third thread: answers land there

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import termbus.runtime
 from termbus import linda
+from termbus.address import Address
+from termbus.codec import Envelope, Flags
 from termbus.mailbox import Guard, MailboxClosed
 from termbus.query import find_all, solve
 from termbus.runtime import (
@@ -25,6 +27,8 @@ from termbus.syntax import format_term, parse_clause, parse_term, parse_term_wit
 from termbus.terms import (
     Atom, Compound, Int, Str, Var, deref, fresh_copy, list_parts, mk, mklist, unify,
 )
+
+from netutil import wait_until
 
 
 @pytest.fixture
@@ -200,7 +204,9 @@ class TestLocalSend:
         for _ in range(20):
             node.recv_first(parse_term("m"), timeout=2.0)
         after = node.stats()
-        assert after == before == {"frames_out": 0, "frames_in": 0, "bad_frames": 0}
+        assert after == before == {
+            "frames_out": 0, "frames_in": 0, "bad_frames": 0, "dropped": 0,
+        }
 
     def test_default_send_of_a_long_list(self, node):
         # name remembering walks the whole message on both sides
@@ -477,10 +483,10 @@ class TestClauseIndex:
                 same_pred = [(i, _left_path(h.args[0])) for i, h in ref.clauses
                              if h.functor == pred]
                 key = _left_path(first)
-                if key is None or any(k is None for _, k in same_pred):
+                if key is None:
                     assert got == [i for i, _ in same_pred]
-                else:
-                    assert got == [i for i, k in same_pred if k == key]
+                else:  # the pattern's key merged with the unkeyed clauses
+                    assert got == [i for i, k in same_pred if k is None or k == key]
                 want = ref.matching(pat)
                 assert [i for i in got if i in want] == want  # no match is missed
             assert db.size() == len(ref.clauses)
@@ -495,7 +501,7 @@ class TestClauseIndex:
         db = ClauseDB(threading.RLock())
         for text in ["p(X)", "p(a)", "p(b)"]:
             db.assertz(parse_term(text))
-        assert len(db.clauses(parse_term("p(a)"))) == 3  # p(X) forces the full list
+        assert len(db.clauses(parse_term("p(a)"))) == 2  # p(X) and p(a), not p(b)
         t, vs = parse_term_with_vars("p(b)")
         assert db.retract(t)
         assert [format_term(h) for h, _ in db.clauses(parse_term("p(b)"))] == ["p(b)"]
@@ -508,6 +514,22 @@ class TestClauseIndex:
         for first in [Int(1), Str("1"), Atom("1")]:
             got = db.clauses(mk("tuple", mk("task", first, Var())))
             assert [deref(h.args[0]).args[0] for h, _ in got] == [first]
+
+    def test_one_unkeyed_clause_adds_itself_not_the_predicate(self):
+        db = ClauseDB(threading.RLock())
+        db.assertz(parse_term("p(X)"))
+        for i in range(1000):
+            db.assertz(mk("p", Atom(f"k{i}")))
+        got = db.clauses(mk("p", Atom("k500")))
+        assert [format_term(h) for h, _ in got] == ["p(X)", "p(k500)"]
+
+    def test_keyed_and_unkeyed_clauses_come_back_in_assertion_order(self):
+        db = ClauseDB(threading.RLock())
+        for text in ["p(a, 1)", "p(X, 2)", "p(a, 3)", "p(b, 4)"]:
+            db.assertz(parse_term(text))
+        t, vs = parse_term_with_vars("p(a, N)")
+        assert [format_term(deref(vs["N"])) for _ in db.lookup(t)] == ["1", "2", "3"]
+        assert len(db.clauses(t)) == 3
 
     def test_a_keyed_pattern_gets_one_edge_of_a_thousand(self, node):
         for i in range(1000):
@@ -560,6 +582,48 @@ class TestClauseIndex:
             assert "unknown_predicate" not in caplog.text
             assert list(solve(node, parse_term("vertex(n99)"))) == []
         assert "event=unknown_predicate pred=vertex/1" in caplog.text
+
+
+class TestBoundedState:
+    def test_finished_threads_leave_no_handle(self, node):
+        for _ in range(20):
+            batch = [node.fork(lambda: None) for _ in range(100)]
+            for h in batch:
+                h.pythread.join(timeout=5)
+                assert not h.pythread.is_alive()
+        stay = threading.Event()
+        live = node.fork(stay.wait)
+        try:
+            with node._tables:
+                assert list(node._threads.values()) == [node.current(), live]
+        finally:
+            stay.set()
+
+    def test_frames_for_exited_threads_are_dropped_and_counted(self, node):
+        gone = [node.fork(lambda: None) for _ in range(5)]
+        for h in gone:
+            h.pythread.join(timeout=5)
+        me = node.self_address()
+        for i in range(500):
+            to = Address(gone[i % 5].id, node.process, node.host)
+            node._deliver_inbound(Envelope(Atom("finish"), to, me, me, Flags()))
+        assert node._undelivered == {}
+        assert node.stats()["dropped"] == 500
+        # an id not yet allocated still waits for its thread
+        to = Address(node._next_tid + 1, node.process, node.host)
+        node._deliver_inbound(Envelope(Atom("early"), to, me, me, Flags()))
+        got = []
+        node.fork(lambda: got.append(node.recv_first(Atom("early"), timeout=2.0)))
+        wait_until(lambda: got, msg="held frame delivered")
+        assert got[0] and node.stats()["dropped"] == 500
+
+    def test_overflowing_an_unbound_symbol_is_counted(self, node):
+        me = node.self_address()
+        to = Address("later", node.process, node.host)
+        for i in range(130):
+            node._deliver_inbound(Envelope(mk("m", Int(i)), to, me, me, Flags()))
+        assert len(node._undelivered["later"]) == 128
+        assert node.stats()["dropped"] == 2
 
 
 class TestShutdown:
