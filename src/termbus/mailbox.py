@@ -9,13 +9,13 @@ undone.
 
 The index.  Beside the buffer, each mailbox files every message under the
 leftmost path of its payload (keyindex.index_key), computed once when it is
-posted; a payload whose path ends at a variable is filed under None.  A
-receive that may skip messages (recv_search, peek, message_choice) and whose
-every alternative has a message pattern with a non-None key reads only
-those keys' messages and the None ones, merged in arrival order: any other
-message clashes with every pattern, so skipping it unread changes no
-outcome.  Every other receive, and recv_first always, scans the whole
-buffer.
+posted and kept in the buffered item with its owned flag; a payload whose
+path ends at a variable is filed under None.  A receive that may skip
+messages (recv_search, peek, message_choice) and whose every alternative
+has a message pattern with a non-None key reads only those keys' messages
+and the None ones, merged in arrival order: any other message clashes with
+every pattern, so skipping it unread changes no outcome.  Every other
+receive, and recv_first always, scans the whole buffer.
 
 Payload views.  Every candidate is first compared with the pattern by a
 copy-free structural test (``could_unify``) that rejects a functor, arity
@@ -130,26 +130,27 @@ class _Budget:
         return True
 
 
-def _pattern_keys(alts: list[Guard]) -> Optional[tuple]:
+def _pattern_keys(alts: list[Guard]) -> Optional[list]:
     """The distinct index keys of the alternatives' message patterns, or
     None when one of them has none."""
-    keys: dict = {}
+    keys = []
     for g in alts:
         key = index_key(g.message)
         if key is None:
             return None
-        keys[key] = None
-    return tuple(keys)
+        if key not in keys:
+            keys.append(key)
+    return keys
 
 
 class Mailbox:
     def __init__(self, registry: Optional[VarRegistry] = None):
         self.registry = registry if registry is not None else VarRegistry()
         self._cond = threading.Condition()
-        self._items: list[tuple[int, Envelope]] = []
-        self._index = KeyIndex()  # the same (seq, env) pairs by payload key
-        self._keys: dict[int, Optional[tuple]] = {}  # seq -> its index key
-        self._owned: set[int] = set()  # seqs whose payload may be bound in place
+        # (seq, env, key, owned): the payload's index key, and whether the
+        # payload may be bound in place, both fixed when it is posted
+        self._items: list[tuple[int, Envelope, Optional[tuple], bool]] = []
+        self._index = KeyIndex()  # the same items by payload key
         self._next_seq = 0
         self._closed = False
 
@@ -171,12 +172,9 @@ class Mailbox:
                 return
             seq = self._next_seq
             self._next_seq += 1
-            item = (seq, env)
+            item = (seq, env, key, owned)
             self._items.append(item)
             self._index.add(key, item)
-            self._keys[seq] = key
-            if owned:
-                self._owned.add(seq)
             self._cond.notify_all()
 
     def close(self) -> None:
@@ -184,8 +182,6 @@ class Mailbox:
             self._closed = True
             self._items.clear()
             self._index.clear()
-            self._keys.clear()
-            self._owned.clear()
             self._cond.notify_all()
 
     # -- internals ---------------------------------------------------------
@@ -194,9 +190,7 @@ class Mailbox:
         with self._cond:
             i = bisect_left(self._items, seq, key=seq_of)
             if i < len(self._items) and self._items[i][0] == seq:
-                del self._items[i]
-                self._index.remove(self._keys.pop(seq), seq)
-                self._owned.discard(seq)
+                self._index.remove(self._items.pop(i)[2], seq)
                 return True
             return False
 
@@ -268,9 +262,9 @@ class Mailbox:
                         break
                     if not budget.wait(self._cond):
                         return
-            for seq, env in batch:
+            for seq, env, _, owned in batch:
                 cursor = seq
-                in_place = consuming and seq in self._owned
+                in_place = consuming and owned
                 for g in alts:
                     trail: list = []
                     if self._match_env(

@@ -38,7 +38,7 @@ def env(text, sender=ALICE, reply=None, remember=True):
 
 
 def payloads(box):
-    return [format_term(e.payload) for _, e in box._items]
+    return [format_term(item[1].payload) for item in box._items]
 
 
 POLLING = RecvOptions(timeout=POLL)
@@ -670,7 +670,7 @@ class TestKeyedIndexAgreesWithALinearScan:
         else:
             i, _, want = hits[0]
             assert got and variant(resolve(pat), want)
-            assert [s for s, _ in box._items] == [j for j in range(len(specs)) if j != i]
+            assert [item[0] for item in box._items] == [j for j in range(len(specs)) if j != i]
 
     @settings(max_examples=150, deadline=None)
     @given(_BUFFERS, st.lists(st.tuples(shaped(), st.booleans()), min_size=1, max_size=3))
@@ -690,7 +690,7 @@ class TestKeyedIndexAgreesWithALinearScan:
         else:
             i, gi, want = hits[0]
             assert r == gi and variant(resolve(pats[gi]), want)
-            assert [s for s, _ in box._items] == [j for j in range(len(specs)) if j != i]
+            assert [item[0] for item in box._items] == [j for j in range(len(specs)) if j != i]
 
 
 def test_a_blocked_keyed_search_takes_the_first_matching_arrival():
