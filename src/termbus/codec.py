@@ -356,6 +356,27 @@ def decode_envelope(frame: bytes, body: bool = True) -> Envelope:
     return Envelope(payload, to, sender, reply_to, flags)
 
 
+def cut_frames(buf: bytearray) -> list[bytes]:
+    """Remove the complete frames at the front of buf and return them in order.
+
+    What stays in buf is the start of a frame still arriving.  A length
+    prefix over MAX_FRAME raises BodyParseError: no frame can follow it.
+    """
+    frames = []
+    pos, n = 0, len(buf)
+    with memoryview(buf) as view:  # one copy per frame, not two
+        while n - pos >= 4:
+            (length,) = struct.unpack_from(">I", view, pos)
+            if length > MAX_FRAME:
+                raise BodyParseError(f"frame length {length} exceeds limit")
+            if pos + 4 + length > n:
+                break
+            frames.append(bytes(view[pos : pos + 4 + length]))
+            pos += 4 + length
+    del buf[:pos]
+    return frames
+
+
 def split_frames(data: bytes) -> Iterator[bytes]:
     """Iterate the complete frames in a byte string, in order.
 
@@ -363,16 +384,10 @@ def split_frames(data: bytes) -> Iterator[bytes]:
     splitting yields exactly N byte chunks.  A trailing partial frame raises
     TruncatedFrameError.
     """
-    pos = 0
-    n = len(data)
-    while pos < n:
-        if pos + 4 > n:
-            raise TruncatedFrameError("partial length prefix")
-        (length,) = struct.unpack_from(">I", data, pos)
-        if pos + 4 + length > n:
-            raise TruncatedFrameError("partial frame")
-        yield data[pos : pos + 4 + length]
-        pos += 4 + length
+    rest = bytearray(data)
+    yield from cut_frames(rest)
+    if rest:
+        raise TruncatedFrameError("partial length prefix" if len(rest) < 4 else "partial frame")
 
 
 # ---------------------------------------------------------------------------

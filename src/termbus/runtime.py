@@ -687,9 +687,10 @@ class _RouterLink:
         self._thread.start()
 
     def close(self) -> None:
-        with self._wlock:
-            sock, self._sock = self._sock, None
-        hard_close(sock)
+        # Not under _wlock: a writer blocked in sendall holds it while the
+        # router, pausing a producer whose consumer is slow, reads nothing.
+        # The shutdown fails that write and its frame goes back to the outbox.
+        hard_close(self._sock)
 
     def _write(self, sock: socket.socket, frame: bytes) -> bool:
         """One counted socket write, _wlock held; False when the socket failed."""

@@ -9,19 +9,23 @@ import time
 
 import pytest
 
+import termbus.router
 from termbus.address import Address
 from termbus.codec import (
     Envelope,
     Flags,
+    decode_envelope,
     encode_envelope,
     encode_varint,
+    is_register_ack,
     make_register,
+    make_register_ack,
     read_frame,
 )
 from termbus.router import Router, RouterConfig
 from termbus.runtime import Node, NodeConfig
 from termbus.syntax import format_term, parse_term, parse_term_with_vars
-from termbus.terms import Int, Var, deref, list_parts, mk, mklist
+from termbus.terms import Int, Str, Var, deref, list_parts, mk, mklist
 
 from netutil import data_frames_out, free_port, wait_until
 
@@ -274,6 +278,19 @@ class TestCrossRouter:
         s = ra.stats()
         assert s["frames_in"] == s["frames_out"] + s["queued"] + s["dropped"]
 
+    def test_idle_link_is_closed_and_redialled(self, stack, monkeypatch):
+        monkeypatch.setattr(termbus.router, "PEER_IDLE", 0.2)
+        router, node = stack
+        rb = router("hostB")
+        ra = router("hostA", peers={"hostB": rb.endpoint()})
+        a = node("proc_a", "hostA", ra)
+        b = node("proc_b", "hostB", rb)
+        a.send(parse_term("first"), "main:proc_b@hostB")
+        assert b.recv_search(parse_term("first"), timeout=5.0)
+        wait_until(lambda: not ra._peers, msg="idle link closed")
+        a.send(parse_term("second"), "main:proc_b@hostB")
+        assert b.recv_search(parse_term("second"), timeout=5.0)
+
 
 class TestProxy:
     def test_proxy_holds_and_drains_in_order(self, stack):
@@ -299,6 +316,28 @@ class TestProxy:
         got = drain(c, "held(I)", 5)
         assert [g["I"] for g in got] == [str(i) for i in range(5)]
         wait_until(lambda: rb.queued() == 0, msg="proxy drained")
+
+    def test_a_dial_that_never_answers_ends_in_the_hold_queue(self, stack):
+        # a listener whose backlog is full leaves further dials unanswered
+        ls = socket.socket()
+        ls.bind(("127.0.0.1", 0))
+        ls.listen(0)
+        fill = [socket.socket() for _ in range(4)]
+        for s in fill:
+            s.setblocking(False)
+            s.connect_ex(ls.getsockname())
+        router, node = stack
+        port = ls.getsockname()[1]
+        ra = router("hostA", peers={"hostX": f"127.0.0.1:{port}"}, proxies={"hostX": "hostA"})
+        a = node("proc_a", "hostA", ra)
+        try:
+            a.send(parse_term("late"), "main:proc_x@hostX")
+            wait_until(lambda: ra.queued() == 1, msg="frame held after the dial timed out")
+            s = ra.stats()
+            assert s["frames_in"] == 1 and s["frames_out"] == 0 and s["dropped"] == 0
+        finally:
+            for s in fill + [ls]:
+                s.close()
 
     def test_direct_route_used_when_peer_is_up(self, stack):
         router, node = stack
@@ -435,18 +474,203 @@ class TestConnections:
         a = node("proc_a", "hostA", router("hostA"))
         assert a._link._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
-    def test_finished_connection_threads_end(self, stack):
+    def test_node_shutdown_ends_a_write_blocked_by_its_router(self):
+        # a router that acknowledges the registration and then never reads
+        ls = socket.create_server(("127.0.0.1", 0))
+        conns = []
+
+        def fake_router():
+            c, _ = ls.accept()
+            conns.append(c)
+            read_frame(c)
+            c.sendall(encode_envelope(make_register_ack("proc_a", "hostA")))
+
+        threading.Thread(target=fake_router, daemon=True).start()
+        a = Node(NodeConfig(process="proc_a", host="hostA",
+                            router=f"127.0.0.1:{ls.getsockname()[1]}")).start()
+        sent = [0]
+
+        def stream():
+            a.attach()
+            for i in range(100):
+                a.send(mk("m", Int(i), Str("x" * 150_000)), "main:proc_b@hostA")
+                sent[0] = i + 1
+
+        streamer = threading.Thread(target=stream, daemon=True)
+        streamer.start()
+        try:
+            quiet(lambda: sent[0])
+            assert sent[0] < 100, "the writes never blocked"
+            closer = threading.Thread(target=a.shutdown, daemon=True)
+            closer.start()
+            closer.join(1.0)
+            assert not closer.is_alive()
+            streamer.join(5.0)
+            assert not streamer.is_alive()
+            # the frame whose write failed went back to the outbox
+            assert a.stats()["frames_out"] + len(a._link._outbox) == 100
+        finally:
+            for c in conns + [ls]:
+                c.close()
+            a.shutdown()
+
+    def test_one_thread_and_no_state_per_connection(self, stack):
         router, _ = stack
         r = router("hostPrune")
 
-        def serving():
-            return sum(t.name == "router-hostPrune-conn" for t in threading.enumerate())
+        def router_threads():
+            return sum(t.name.startswith("router-hostPrune") for t in threading.enumerate())
 
-        for i in range(50):
-            raw_process(r, f"p{i}").close()
-        wait_until(lambda: serving() == 0, msg="connection threads end")
+        assert router_threads() == 1
+        live = [raw_process(r, f"p{i}") for i in range(50)]
+        assert router_threads() == 1
+        for s in live:
+            s.close()
+        wait_until(lambda: not r._conns, msg="finished connections forgotten")
         s = raw_process(r, "last")
         try:
-            assert serving() == 1
+            assert router_threads() == 1 and len(r._conns) == 1
         finally:
             s.close()
+
+
+def data_frame(to, seq, pad=0):
+    """An encoded data frame m(seq, Pad) from main:src@hostA, pad bytes long."""
+    return encode_envelope(Envelope(
+        mk("m", Int(seq), Str("x" * pad)),
+        Address("main", to, "hostA"),
+        Address("main", "src", "hostA"),
+        flags=Flags(encoded=True),
+    ))
+
+
+def frame_seq(frame):
+    return deref(decode_envelope(frame).payload).args[0].value
+
+
+def quiet(counter, still=0.3, timeout=10.0):
+    """Wait until counter() holds one value for still seconds."""
+    deadline = time.monotonic() + timeout
+    last, since = counter(), time.monotonic()
+    while time.monotonic() < deadline:
+        time.sleep(0.02)
+        now = counter()
+        if now != last:
+            last, since = now, time.monotonic()
+        elif time.monotonic() - since >= still:
+            return now
+    raise AssertionError("counter never settled")
+
+
+class TestSlowConsumer:
+    """A registered consumer that stops reading pauses its producer only."""
+
+    FRAMES, PAD = 120, 150_000
+
+    @pytest.fixture
+    def stalled(self, stack):
+        """A router whose consumer 'slow' never reads while 'src' streams
+        FRAMES frames of PAD bytes to it, until the router pauses src."""
+        router, _ = stack
+        r = router("hostA")
+        slow = raw_process(r, "slow")
+        src = connect(r)
+        sent = [0]
+
+        def stream():
+            try:
+                for i in range(self.FRAMES):
+                    src.sendall(data_frame("slow", i, self.PAD))
+                    sent[0] = i + 1
+            except OSError:
+                pass
+
+        t = threading.Thread(target=stream, daemon=True)
+        t.start()
+        quiet(lambda: sent[0])
+        assert sent[0] < self.FRAMES, "the stream never stalled"
+        try:
+            yield r, slow, sent, t
+        finally:
+            slow.close()
+            src.close()
+            t.join(10.0)
+
+    def test_the_paused_producer_resumes_when_the_consumer_reads(self, stalled):
+        r, slow, sent, streamer = stalled
+        got = [frame_seq(read_frame(slow)) for _ in range(self.FRAMES)]
+        assert got == list(range(self.FRAMES))
+        streamer.join(10.0)
+        assert sent[0] == self.FRAMES
+        s = r.stats()
+        assert s["frames_in"] == s["frames_out"] == self.FRAMES and s["dropped"] == 0
+
+    def test_stop_returns_while_a_consumer_stalls(self, stalled):
+        r, _, _, _ = stalled
+        stopper = threading.Thread(target=r.stop, daemon=True)
+        stopper.start()
+        stopper.join(1.0)
+        assert not stopper.is_alive()
+
+    def test_reregistration_is_acknowledged_and_gets_the_backlog(self, stalled):
+        r, _, sent, streamer = stalled
+        fresh = connect(r, timeout=1.0)
+        try:
+            fresh.sendall(encode_envelope(make_register("slow", r.host)))
+            assert is_register_ack(decode_envelope(read_frame(fresh)))
+            fresh.settimeout(10.0)
+            got = [frame_seq(read_frame(fresh))]
+            while got[-1] != self.FRAMES - 1:
+                got.append(frame_seq(read_frame(fresh)))
+        finally:
+            fresh.close()
+        assert got == sorted(set(got))
+        streamer.join(10.0)
+        assert sent[0] == self.FRAMES
+
+    def test_other_traffic_flows_while_a_producer_is_paused(self, stalled):
+        r, _, _, _ = stalled
+        fast = raw_process(r, "fast")
+        other = connect(r)
+        try:
+            other.sendall(data_frame("fast", 7))
+            fast.settimeout(1.0)
+            assert frame_seq(read_frame(fast)) == 7
+        finally:
+            fast.close()
+            other.close()
+        assert r.stats()["dropped"] == 0
+
+
+class TestFramingFaults:
+    """A connection that breaks framing is closed alone and counted."""
+
+    def _fault_closes_only_its_connection(self, r, breaks):
+        sink = raw_process(r, "sink")
+        bad, good = connect(r), connect(r)
+        try:
+            breaks(bad)
+            wait_until(lambda: r.stats()["bad_frames"] == 1, msg="fault counted")
+            if bad.fileno() != -1:
+                assert bad.recv(1) == b""  # the router closed it
+            good.sendall(data_frame("sink", 1))
+            assert frame_seq(read_frame(sink)) == 1
+        finally:
+            for s in (sink, bad, good):
+                s.close()
+        assert r.stats()["bad_frames"] == 1
+
+    def test_oversized_length_prefix(self, stack):
+        router, _ = stack
+        self._fault_closes_only_its_connection(
+            router("hostA"), lambda s: s.sendall(struct.pack(">I", 100 << 20) + b"\x01")
+        )
+
+    def test_close_in_mid_frame(self, stack):
+        router, _ = stack
+
+        def half_then_close(s):
+            s.sendall(data_frame("sink", 0)[:10])
+            s.close()
+
+        self._fault_closes_only_its_connection(router("hostA"), half_then_close)
