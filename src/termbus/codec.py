@@ -47,6 +47,7 @@ from .terms import Atom, Compound, Int, Str, Term, Var, deref, INT_MIN, INT_MAX
 
 VERSION = 0x01
 MAX_FRAME = 64 * 1024 * 1024
+RECV_SIZE = 64 * 1024  # bytes asked of one socket read cut by cut_frames
 
 TAG_ATOM = 0x01
 TAG_INT = 0x02
@@ -393,21 +394,6 @@ def split_frames(data: bytes) -> Iterator[bytes]:
 # ---------------------------------------------------------------------------
 # socket helpers and control frames
 
-def recv_exact(sock, n: int) -> Optional[bytes]:
-    """Read exactly n bytes; None on EOF at a frame boundary."""
-    chunks = []
-    got = 0
-    while got < n:
-        chunk = sock.recv(n - got)
-        if not chunk:
-            if got == 0:
-                return None
-            raise TruncatedFrameError("connection closed mid-frame")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
 def hard_close(sock) -> None:
     """shutdown() before close().
 
@@ -425,20 +411,6 @@ def hard_close(sock) -> None:
         sock.close()
     except OSError:
         pass
-
-
-def read_frame(sock) -> Optional[bytes]:
-    """Read one complete frame from a socket; None on clean EOF."""
-    head = recv_exact(sock, 4)
-    if head is None:
-        return None
-    (length,) = struct.unpack(">I", head)
-    if length > MAX_FRAME:
-        raise BodyParseError(f"frame length {length} exceeds limit")
-    body = recv_exact(sock, length)
-    if body is None:
-        raise TruncatedFrameError("connection closed mid-frame")
-    return head + body
 
 
 ROUTER_PROCESS = "router"

@@ -32,7 +32,7 @@ seq_of = itemgetter(0)
 
 def index_key(t: Term) -> Optional[tuple]:
     """The leftmost path of t, or None when it ends at an unbound variable."""
-    path = ()
+    path = []  # a list, since extending a tuple would copy it at each step
     while True:
         while type(t) is Var:
             if t.ref is None:
@@ -42,10 +42,9 @@ def index_key(t: Term) -> Optional[tuple]:
             args = t.args
             path += (t.functor, len(args))
             t = args[0]
-        elif type(t) is Atom:
-            return path + (Atom, t.name)
         else:
-            return path + (type(t), t.value)
+            path += (Atom, t.name) if type(t) is Atom else (type(t), t.value)
+            return tuple(path)
 
 
 class KeyIndex:

@@ -49,7 +49,7 @@ from .address import (
 )
 from .address import resolve as resolve_address
 from .mailbox import BLOCK, Guard, MailboxClosed, Timeout
-from .runtime import ClauseDB, ClauseError, Node, NodeShutdown, TermbusError, ThreadExit
+from .runtime import TRUE, ClauseDB, ClauseError, Node, NodeShutdown, TermbusError, ThreadExit
 from .syntax import format_term, parse_clause
 from .terms import (
     Atom,
@@ -107,54 +107,76 @@ def solve(node: Node, goal: Term, timeout: Optional[float] = None) -> Iterator[S
     logs a diagnostic and produces no solutions, so a serving loop survives
     bad queries; a defined one with no matching clause simply fails.
     timeout bounds each remote exchange.
+
+    The search is one loop over the goals left, as nested ``(goal, rest)``
+    pairs, and a stack of choicepoints: a goal's untried alternatives, the
+    trail length when it was reached and the goals after it.  So no
+    conjunction or recursion in the clauses uses the Python stack.
     """
     trail: list = []
-    for _ in _prove(node, goal, trail, timeout):
-        yield Substitution(trail)
+    goals = (goal, None)
+    choices: list = []
+    while True:
+        if goals is None:
+            yield Substitution(trail)
+        else:
+            g, rest = goals
+            g = deref(g)
+            f = g.functor if type(g) is Compound and len(g.args) == 2 else None
+            if f == ",":
+                goals = (g.args[0], (g.args[1], rest))
+                continue
+            if f == "=":
+                proved = unify_into(g.args[0], g.args[1], trail)
+            elif f in _COMPARE:
+                proved = _compare(f, g.args[0], g.args[1])
+            else:
+                proved = type(g) is Atom and g.name == "true"
+                if not proved:
+                    choices.append((_alternatives(node, g, f, trail, timeout), len(trail), rest))
+            if proved:
+                goals = rest
+                continue
+        # backtrack: the newest choicepoint's next alternative
+        while choices:
+            alternatives, mark, rest = choices[-1]
+            undo_to(trail, mark)
+            body = next(alternatives, None)
+            if body is not None:
+                goals = (body, rest)
+                break
+            choices.pop()
+        else:
+            undo_to(trail, 0)
+            return
 
 
-def _prove(node: Node, goal: Term, trail: list, timeout: Optional[float]):
-    g = deref(goal)
-    if isinstance(g, Var):
+def _compare(op: str, a: Term, b: Term) -> bool:
+    a, b = deref(a), deref(b)
+    if type(a) is Int and type(b) is Int:
+        return _COMPARE[op](a.value, b.value)
+    if type(a) is Atom and type(b) is Atom:
+        return _COMPARE[op](a.name, b.name)
+    log.warning("event=bad_comparison op=%s left=%s right=%s",
+                op, type(a).__name__, type(b).__name__)
+    return False
+
+
+def _alternatives(node: Node, g: Term, f: Optional[str], trail: list,
+                  timeout: Optional[float]) -> Iterator[Term]:
+    """The ways to prove g, a goal that is no builtin, one at a time: each is
+    the goal left to prove once it is taken.  f is g's functor when g is a
+    compound of arity 2."""
+    if type(g) is Var:
         log.warning("event=unbound_goal")
         return
-    if isinstance(g, Atom) and g.name == "true":
-        yield None
+    if f == "?" or f == "??":
+        remote = query_all if f == "?" else query_stream
+        for _ in remote(node, g.args[0], g.args[1], timeout=timeout):
+            yield TRUE
         return
-    if isinstance(g, Compound) and g.arity == 2:
-        f = g.functor
-        if f == ",":
-            for _ in _prove(node, g.args[0], trail, timeout):
-                yield from _prove(node, g.args[1], trail, timeout)
-            return
-        if f == "=":
-            mark = len(trail)
-            if unify_into(g.args[0], g.args[1], trail):
-                yield None
-            undo_to(trail, mark)
-            return
-        if f in _COMPARE:
-            a, b = deref(g.args[0]), deref(g.args[1])
-            if isinstance(a, Int) and isinstance(b, Int):
-                if _COMPARE[f](a.value, b.value):
-                    yield None
-            elif isinstance(a, Atom) and isinstance(b, Atom):
-                if _COMPARE[f](a.name, b.name):
-                    yield None
-            else:
-                log.warning("event=bad_comparison op=%s left=%s right=%s",
-                            f, type(a).__name__, type(b).__name__)
-            return
-        if f == "?":
-            for _ in query_all(node, g.args[0], g.args[1], timeout=timeout):
-                yield None
-            return
-        if f == "??":
-            for _ in query_stream(node, g.args[0], g.args[1], timeout=timeout):
-                yield None
-            return
     # diagnostics name the predicate or the type, never the goal's text:
-    # writing out a deep goal would recurse
+    # a deep goal would make a long log line
     try:
         matched = node.db.clauses(g)
     except ClauseError:
@@ -163,14 +185,13 @@ def _prove(node: Node, goal: Term, trail: list, timeout: Optional[float]):
     if not matched and not node.db.defines(key := ClauseDB.key_of(g)):
         log.warning("event=unknown_predicate pred=%s/%d", *key)
         return
+    mark = len(trail)
     for head, body in matched:
-        if not could_unify(g, head):
-            continue
-        mark = len(trail)
-        clause = fresh_copy(Compound(":-", (head, body)))
-        if unify_into(g, clause.args[0], trail):
-            yield from _prove(node, clause.args[1], trail, timeout)
-        undo_to(trail, mark)
+        if could_unify(g, head):
+            clause = fresh_copy(Compound(":-", (head, body)))
+            if unify_into(g, clause.args[0], trail):
+                yield clause.args[1]
+            undo_to(trail, mark)
 
 
 def find_all(node: Node, goal: Term, timeout: Optional[float] = None) -> list:

@@ -42,6 +42,7 @@ from typing import Optional
 from .codec import (
     CodecError,
     Envelope,
+    RECV_SIZE,
     TruncatedFrameError,
     cut_frames,
     decode_envelope,
@@ -55,7 +56,6 @@ from .counters import Counters
 log = logging.getLogger("termbus.router")
 
 WRITE_BOUND = 256 * 1024  # queued bytes at which a connection pauses producers
-RECV_SIZE = 64 * 1024
 DIAL_TIMEOUT = 0.25
 REDIAL_INTERVAL = 0.1  # also the period of dial and idle checks
 PEER_IDLE = 30.0

@@ -41,6 +41,7 @@ from typing import Any, Callable, Iterator, Optional, Union
 
 from .address import Address, AddressContext, AddressError, parse_address, resolve
 from .codec import (
+    CodecError,
     Envelope,
     Flags,
     encode_envelope,
@@ -48,7 +49,8 @@ from .codec import (
     hard_close,
     is_register_ack,
     make_register,
-    read_frame,
+    RECV_SIZE,
+    cut_frames,
 )
 from .counters import Counters
 from .keyindex import KeyIndex, index_key
@@ -69,6 +71,9 @@ from .terms import (
 log = logging.getLogger("termbus.node")
 
 TRUE = Atom("true")
+CONNECT_TIMEOUT = 5.0  # how long start() waits for the first registration
+RECONNECT_MIN = 0.05  # the router link's reconnect backoff doubles between these
+RECONNECT_MAX = 1.0
 
 
 class TermbusError(Exception):
@@ -108,9 +113,6 @@ class NodeConfig:
     process: str
     host: str = "local"
     router: Optional[str] = None  # "ip:port" of this host's router
-    connect_timeout: float = 5.0
-    reconnect_min: float = 0.05
-    reconnect_max: float = 1.0
 
 
 class ThreadHandle:
@@ -306,7 +308,7 @@ class Node:
     def start(self, wait: bool = True) -> "Node":
         if self._link:
             self._link.start()
-            if wait and not self._link.ready.wait(self.config.connect_timeout):
+            if wait and not self._link.ready.wait(CONNECT_TIMEOUT):
                 raise RouterUnavailableError(
                     f"no registration with router at {self.config.router}"
                 )
@@ -711,29 +713,30 @@ class _RouterLink:
             self._outbox.append(frame)
 
     def _run(self) -> None:
-        backoff = self.node.config.reconnect_min
+        backoff = RECONNECT_MIN
         while not self.node.closing:
             try:
                 sock = socket.create_connection(self.addr, timeout=2.0)
             except OSError:
                 time.sleep(backoff)
-                backoff = min(backoff * 2, self.node.config.reconnect_max)
+                backoff = min(backoff * 2, RECONNECT_MAX)
                 continue
             sock.settimeout(None)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            frames = _frames(sock)
             try:
                 sock.sendall(
                     encode_envelope(make_register(self.node.process, self.node.host))
                 )
-                frame = read_frame(sock)
-                if frame is None or not is_register_ack(decode_envelope(frame)):
+                ack = next(frames, None)
+                if ack is None or not is_register_ack(decode_envelope(ack)):
                     raise OSError("registration not acknowledged")
             except Exception:
                 hard_close(sock)
                 time.sleep(backoff)
-                backoff = min(backoff * 2, self.node.config.reconnect_max)
+                backoff = min(backoff * 2, RECONNECT_MAX)
                 continue
-            backoff = self.node.config.reconnect_min
+            backoff = RECONNECT_MIN
             with self._wlock:
                 # frames buffered while the link was down go out before the
                 # socket is published, so no direct send can overtake them
@@ -748,19 +751,15 @@ class _RouterLink:
                 "event=registered process=%s router=%s:%d",
                 self.node.process, self.addr[0], self.addr[1],
             )
-            self._read_loop(sock)
+            self._read_loop(frames)
             with self._wlock:
                 if self._sock is sock:
                     self._sock = None
             hard_close(sock)
 
-    def _read_loop(self, sock: socket.socket) -> None:
-        while not self.node.closing:
-            try:
-                frame = read_frame(sock)
-            except Exception:
-                return
-            if frame is None:
+    def _read_loop(self, frames: Iterator[bytes]) -> None:
+        for frame in frames:
+            if self.node.closing:
                 return
             try:
                 env = decode_envelope(frame)
@@ -768,6 +767,22 @@ class _RouterLink:
                 log.warning("event=drop_malformed_frame err=%s", e)
                 self.node._counters.add("bad_frames")
                 continue
-            if env.flags.control:
-                continue
-            self.node._deliver_inbound(env)
+            if not env.flags.control:
+                self.node._deliver_inbound(env)
+
+
+def _frames(sock: socket.socket) -> Iterator[bytes]:
+    """The frames sock receives, cut from its byte stream by cut_frames,
+    until it closes, fails or sends a length prefix no frame can have.
+    Bytes past a frame wait for the next one."""
+    buf = bytearray()
+    while True:
+        try:
+            data = sock.recv(RECV_SIZE)
+            if not data:
+                return
+            buf += data
+            frames = cut_frames(buf)
+        except (OSError, CodecError):
+            return
+        yield from frames

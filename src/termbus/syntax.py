@@ -14,12 +14,16 @@ recognised so clause files and goals stay readable:
 ``parse_term`` accepts a single term (operators included), ``parse_clause``
 additionally requires the terminating full stop, ``parse_goal`` accepts a
 conjunction.  Parse errors carry the character offset they occurred at.
+
+The operators' priorities live in one table, ``_INFIX``, that the reader and
+the writer share.  The reader is one operator-precedence loop over explicit
+stacks and the writer one loop over a stack of pending pieces, so neither
+uses the Python stack: any depth or length that fits in memory is safe.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .terms import (
     NIL,
@@ -95,207 +99,178 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.vars: dict[str, Var] = {}
+# Infix operators: name -> (priority, left max, right max), where a max is
+# the loosest priority an operand may have without parentheses.  The reader
+# and the writer both read this table.  The arguments of ':' are primaries;
+# '@' is not in it, because it is read only as the host part of an address,
+# right after the part that follows ':'.
+_INFIX = {
+    ":-": (1200, 1199, 1199),
+    ",": (1000, 999, 1000),
+    "=": (700, 699, 699),
+    "<": (700, 699, 699),
+    ">": (700, 699, 699),
+    ">=": (700, 699, 699),
+    "=<": (700, 699, 699),
+    "?": (500, 499, 499),
+    "??": (500, 499, 499),
+    ":": (200, 0, 0),
+}
+_TERM = _INFIX[":-"][0]  # the loosest priority: a whole term, or one in parentheses
+_GOAL = _INFIX[","][0]  # a conjunction of goals
+_ARG = _INFIX[","][1]  # an argument or list element, which a comma ends
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _parse(text: str, max_prio: int, require_stop: bool = False) -> tuple[Term, dict[str, Var]]:
+    """One term of priority at most max_prio, and its named variables.
 
-    def expect_op(self, op: str) -> None:
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos, self.text)
+    One operator-precedence loop with explicit stacks: operands as
+    (term, priority), operators as (name, priority, right max), and one
+    frame per open '(', 'f(' or '[' recording where its operands and
+    operators start.  So no nesting depth or length uses the Python stack.
+    """
+    tokens = _tokenize(text)
+    names: dict[str, Var] = {}
+    vals: list = []
+    ops: list = []
+    # [opener, max priority, ops base, vals base, functor]; the opener is
+    # "text" for the whole input, "(", "f(", "[", or "|" once a list's
+    # tail bar is read
+    frames: list = [["text", max_prio, 0, 0, None]]
+    i = 0
 
-    def at_op(self, *ops: str) -> Optional[str]:
-        kind, val, _ = self.peek()
-        if kind == "op" and val in ops:
-            return val
-        return None
+    def reduce() -> None:
+        name, prio, _ = ops.pop()
+        right, _ = vals.pop()
+        vals[-1] = (Compound(name, (vals[-1][0], right)), prio)
 
-    # precedence levels, loosest first
-    def expr(self, prio: int) -> Term:
-        if prio >= 1200:
-            left = self.expr(1000)
-            if self.at_op(":-"):
-                self.next()
-                right = self.expr(1000)
-                return Compound(":-", (left, right))
-            return left
-        if prio >= 1000:
-            left = self.expr(700)
-            if self.at_op(","):
-                self.next()
-                right = self.expr(1000)
-                return Compound(",", (left, right))
-            return left
-        if prio >= 700:
-            left = self.expr(500)
-            op = self.at_op("=", "<", ">", ">=", "=<")
-            if op:
-                self.next()
-                right = self.expr(500)
-                return Compound(op, (left, right))
-            return left
-        if prio >= 500:
-            left = self.expr(200)
-            op = self.at_op("?", "??")
-            if op:
-                self.next()
-                right = self.expr(200)
-                return Compound(op, (left, right))
-            return left
-        # address level: primary [: primary [@ primary]]
-        left = self.primary()
-        if self.at_op(":"):
-            self.next()
-            mid = self.primary()
-            if self.at_op("@"):
-                self.next()
-                host = self.primary()
-                return Compound(":", (left, Compound("@", (mid, host))))
-            return Compound(":", (left, mid))
-        return left
-
-    def primary(self) -> Term:
-        kind, val, pos = self.next()
+    while True:
+        # an operand: a primary, or the opening of a frame that ends in one
+        kind, val, pos = tokens[i]
+        i += 1
         if kind == "int":
             n = int(val)
             if not (INT_MIN <= n <= INT_MAX):
-                raise ParseError("integer out of 64-bit range", pos, self.text)
-            return Int(n)
-        if kind == "str":
-            return Str(_unescape(val[1:-1], pos + 1, self.text))
-        if kind == "atom" or kind == "qatom":
-            name = val if kind == "atom" else _unescape(val[1:-1], pos + 1, self.text)
-            if self.at_op("("):
-                return Compound(name, self.arglist())
-            return Atom(name)
-        if kind == "var":
+                raise ParseError("integer out of 64-bit range", pos, text)
+            vals.append((Int(n), 0))
+        elif kind == "str":
+            vals.append((Str(_unescape(val[1:-1], pos + 1, text)), 0))
+        elif kind == "atom" or kind == "qatom":
+            name = val if kind == "atom" else _unescape(val[1:-1], pos + 1, text)
+            if tokens[i][:2] == ("op", "("):
+                i += 1
+                frames.append(["f(", _ARG, len(ops), len(vals), name])
+                continue
+            vals.append((Atom(name), 0))
+        elif kind == "var":
             if val == "_":
-                return Var()
-            v = self.vars.get(val)
-            if v is None:
-                v = Var(val)
-                self.vars[val] = v
-            return v
-        if kind == "op" and val == "[":
-            return self.list_tail()
-        if kind == "op" and val == "(":
-            inner = self.expr(1200)
-            self.expect_op(")")
-            return inner
-        raise ParseError("expected a term", pos, self.text)
+                v = Var()
+            elif (v := names.get(val)) is None:
+                v = names[val] = Var(val)
+            vals.append((v, 0))
+        elif kind == "op" and val == "[":
+            if tokens[i][:2] == ("op", "]"):
+                i += 1
+                vals.append((NIL, 0))
+            else:
+                frames.append(["[", _ARG, len(ops), len(vals), None])
+                continue
+        elif kind == "op" and val == "(":
+            frames.append(["(", _TERM, len(ops), len(vals), None])
+            continue
+        else:
+            raise ParseError("expected a term", pos, text)
 
-    def arglist(self) -> tuple:
-        self.expect_op("(")
-        args = [self.expr(700)]
-        while self.at_op(","):
-            self.next()
-            args.append(self.expr(700))
-        self.expect_op(")")
-        return tuple(args)
-
-    def list_tail(self) -> Term:
-        if self.at_op("]"):
-            self.next()
-            return NIL
-        items = [self.expr(700)]
-        while self.at_op(","):
-            self.next()
-            items.append(self.expr(700))
-        tail: Term = NIL
-        if self.at_op("|"):
-            self.next()
-            tail = self.expr(700)
-        self.expect_op("]")
-        for x in reversed(items):
-            tail = Compound(".", (x, tail))
-        return tail
-
-    def finish(self, t: Term, require_stop: bool = False) -> Term:
-        if require_stop:
-            kind, val, pos = self.next()
-            if kind != "op" or val != ".":
-                raise ParseError("expected '.' at end of clause", pos, self.text)
-        kind, _, pos = self.peek()
-        if kind != "eof":
-            raise ParseError("unexpected trailing input", pos, self.text)
-        return t
+        # after an operand: an infix operator extends the expression; any
+        # other token ends it and goes to the innermost frame
+        while True:
+            kind, val, pos = tokens[i]
+            frame = frames[-1]
+            opener, limit, base, vbase, functor = frame
+            sep = val if kind == "op" else None
+            if sep == "@" and len(ops) > base and ops[-1][0] == ":":
+                ops.append(("@", 100, 0))
+                i += 1
+                break
+            spec = _INFIX.get(sep)
+            if spec is not None:
+                prio, left_max, right_max = spec
+                while len(ops) > base and ops[-1][2] < prio:
+                    reduce()
+                if len(ops) > base:
+                    limit = ops[-1][2]
+                if prio <= limit and vals[-1][1] <= left_max:
+                    ops.append((sep, prio, right_max))
+                    i += 1
+                    break
+            while len(ops) > base:
+                reduce()
+            if opener == "text":
+                if require_stop:
+                    if sep != ".":
+                        raise ParseError("expected '.' at end of clause", pos, text)
+                    i += 1
+                if tokens[i][0] != "eof":
+                    raise ParseError("unexpected trailing input", tokens[i][2], text)
+                return vals[0][0], names
+            i += 1
+            if sep == "," and opener in ("f(", "[") or sep == "|" and opener == "[":
+                if sep == "|":
+                    frame[0] = "|"
+                break
+            closer = ")" if opener in ("(", "f(") else "]"
+            if sep != closer:
+                raise ParseError(f"expected {closer!r}", pos, text)
+            frames.pop()
+            if opener == "(":
+                vals[-1] = (vals[-1][0], 0)
+                continue
+            items = [t for t, _ in vals[vbase:]]
+            del vals[vbase:]
+            if opener == "f(":
+                vals.append((Compound(functor, tuple(items)), 0))
+                continue
+            tail = items.pop() if opener == "|" else NIL
+            for x in reversed(items):
+                tail = Compound(".", (x, tail))
+            vals.append((tail, 0))
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    return p.finish(p.expr(1200))
+    return _parse(text, _TERM)[0]
 
 
 def parse_term_with_vars(text: str) -> tuple[Term, dict[str, Var]]:
-    p = _Parser(text)
-    t = p.finish(p.expr(1200))
-    return t, p.vars
+    return _parse(text, _TERM)
 
 
 def parse_goal(text: str) -> Term:
-    p = _Parser(text)
-    return p.finish(p.expr(1000))
+    return _parse(text, _GOAL)[0]
 
 
 def parse_goal_with_vars(text: str) -> tuple[Term, dict[str, Var]]:
-    p = _Parser(text)
-    t = p.finish(p.expr(1000))
-    return t, p.vars
+    return _parse(text, _GOAL)
 
 
 def parse_clause(text: str) -> Term:
     """Parse ``Head :- Body.`` or ``Fact.`` (terminating full stop required)."""
-    p = _Parser(text)
-    return p.finish(p.expr(1200), require_stop=True)
+    return _parse(text, _TERM, require_stop=True)[0]
 
 
 # ---------------------------------------------------------------------------
 # writing
 
-_INFIX_PRIO = {
-    ":-": 1200,
-    ",": 1000,
-    "=": 700,
-    "<": 700,
-    ">": 700,
-    ">=": 700,
-    "=<": 700,
-    "?": 500,
-    "??": 500,
-}
-
-
 def quote_atom(name: str) -> str:
     if name == "[]" or _BARE_ATOM_RE.match(name):
         return name
-    body = []
-    for c in name:
-        if c == "'":
-            body.append("\\'")
-        else:
-            body.append(_UNESCAPES.get(c, c))
-    return "'" + "".join(body) + "'"
+    return _quoted(name, "'")
 
 
-def _quote_str(value: str) -> str:
-    body = []
-    for c in value:
-        if c == '"':
-            body.append('\\"')
-        else:
-            body.append(_UNESCAPES.get(c, c))
-    return '"' + "".join(body) + '"'
+def _quoted(text: str, quote: str) -> str:
+    """text between two quote characters, with quote and the characters in
+    _UNESCAPES escaped."""
+    body = "".join("\\" + c if c == quote else _UNESCAPES.get(c, c) for c in text)
+    return quote + body + quote
 
 
 def format_term(t: Term) -> str:
@@ -318,7 +293,7 @@ def format_term(t: Term) -> str:
             display[v] = f"_G{n}"
 
     out: list[str] = []
-    stack: list = [(t, 1200)]
+    stack: list = [(t, _TERM)]
     while stack:
         item = stack.pop()
         if type(item) is str:
@@ -333,7 +308,7 @@ def format_term(t: Term) -> str:
         elif type(x) is Int:
             out.append(str(x.value))
         elif type(x) is Str:
-            out.append(_quote_str(x.value))
+            out.append(_quoted(x.value, '"'))
         else:
             stack.extend(reversed(_pieces(x, max_prio)))
     return "".join(out)
@@ -345,13 +320,13 @@ def _pieces(x: Compound, max_prio: int) -> list:
         parts: list = ["["]
         node: Term = x
         while type(node) is Compound and node.functor == "." and node.arity == 2:
-            parts += [(node.args[0], 700), ","]
+            parts += [(node.args[0], _ARG), ","]
             node = deref(node.args[1])
         if node == NIL:
             parts[-1] = "]"
         else:
             parts[-1] = "|"
-            parts += [(node, 700), "]"]
+            parts += [(node, _ARG), "]"]
         return parts
     if x.functor == ":" and x.arity == 2:
         # thread:process@host; ':' directly followed by a negative number
@@ -362,22 +337,19 @@ def _pieces(x: Compound, max_prio: int) -> list:
         else:
             mid, host = rhs, []
         colon = ": " if type(mid) is Int and mid.value < 0 else ":"
-        parts = [(x.args[0], 0), colon, (mid, 0), *host]
-        return parts if max_prio >= 200 else ["(", *parts, ")"]
-    prio = _INFIX_PRIO.get(x.functor) if x.arity == 2 else None
-    if prio is not None:
-        left, right = x.args
-        if x.functor == ",":
-            parts = [(left, 999), ",", (right, 1000)]
-        elif x.functor == ":-":
-            parts = [(left, 1199), " :- ", (right, 1199)]
-        else:
-            parts = [(left, prio - 1), x.functor, (right, prio - 1)]
+        prio, left_max, right_max = _INFIX[":"]
+        parts = [(x.args[0], left_max), colon, (mid, right_max), *host]
+        return parts if prio <= max_prio else ["(", *parts, ")"]
+    spec = _INFIX.get(x.functor) if x.arity == 2 else None
+    if spec is not None:
+        prio, left_max, right_max = spec
+        op = " :- " if x.functor == ":-" else x.functor  # the neck is spaced
+        parts = [(x.args[0], left_max), op, (x.args[1], right_max)]
         return parts if prio <= max_prio else ["(", *parts, ")"]
     # "[]" is only bare as the empty-list atom, never as a functor
     functor = "'[]'" if x.functor == "[]" else quote_atom(x.functor)
     parts = [functor + "("]
     for a in x.args:
-        parts += [(a, 700), ","]
+        parts += [(a, _ARG), ","]
     parts[-1] = ")"
     return parts

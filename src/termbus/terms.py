@@ -10,13 +10,14 @@ leaving every cell exactly as it was.  That undo discipline is what the
 mailbox matching operations and the clause store lean on.
 
 No walker recurses, so a term of any length or depth can be matched,
-copied, compared, named and written.  unify_into and could_unify are
+copied, compared, hashed, named and written.  unify_into and could_unify are
 specialised loops of their own, because every receive runs them; every other
 walker is one of three loops over an explicit stack: a post-order rebuild
 (_rebuild: fresh_copy, intern_named, resolve), a pre-order walk over
 dereferenced subterms (_subterms: variables, name_unnamed, the occurs check
 and the writer's name pass) and a pairwise walk (_pairwise: term_equal,
-variant).
+variant).  Compound's ``==``, ``hash`` and ``repr`` keep the dataclass
+meaning, which follows no binding, so they are loops of their own.
 """
 
 from __future__ import annotations
@@ -55,10 +56,7 @@ class Var:
         self.ref: Optional[Term] = None
 
     def __repr__(self) -> str:
-        tag = self.name if self.name is not None else f"_G{self.id}"
-        if self.ref is None:
-            return f"Var({tag})"
-        return f"Var({tag}={self.ref!r})"
+        return _term_repr(self)
 
 
 @dataclass(frozen=True)
@@ -80,8 +78,15 @@ class Str:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Compound:
+    """A functor applied to one or more arguments.
+
+    ``==``, ``hash`` and ``repr`` mean what the dataclass would generate:
+    no dereferencing, and a variable equals only itself.  They are loops,
+    so any depth is safe.
+    """
+
     functor: str
     args: tuple
 
@@ -92,6 +97,78 @@ class Compound:
     @property
     def arity(self) -> int:
         return len(self.args)
+
+    def __eq__(self, other):
+        if type(other) is not Compound:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                return False
+            for x, y in zip(a.args, b.args):
+                if x is y:
+                    continue
+                if type(x) is Compound and type(y) is Compound:
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self):
+        # the pre-order sequence of functor/arity pairs and leaves fixes the term
+        nodes = []
+        stack = [self]
+        while stack:
+            x = stack.pop()
+            if type(x) is Compound:
+                nodes.append((x.functor, len(x.args)))
+                stack.extend(reversed(x.args))
+            else:
+                nodes.append(x)
+        return hash(tuple(nodes))
+
+    def __repr__(self) -> str:
+        return _term_repr(self)
+
+
+def _term_repr(t: Term) -> str:
+    """The text the dataclass and Var reprs would build by recursion, built
+    in a loop.  As there, a compound met again inside its own text is
+    written '...', so a cyclic binding ends.  A variable is cut the third
+    time it is met inside its own text, which only a cycle of variables
+    alone reaches."""
+    out: list[str] = []
+    open_texts: dict[int, int] = {}  # id -> how many of its texts are open
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+        elif type(x) is int:  # the id of a term whose text is complete
+            open_texts[x] -= 1
+        elif type(x) is Var:
+            tag = x.name if x.name is not None else f"_G{x.id}"
+            if x.ref is None:
+                out.append(f"Var({tag})")
+            elif open_texts.get(id(x), 0) == 2:
+                out.append("...")
+            else:
+                open_texts[id(x)] = open_texts.get(id(x), 0) + 1
+                out.append(f"Var({tag}=")
+                stack += [id(x), ")", x.ref]
+        elif type(x) is not Compound:
+            out.append(repr(x))
+        elif open_texts.get(id(x)):
+            out.append("...")
+        else:
+            open_texts[id(x)] = 1
+            out.append(f"Compound(functor={x.functor!r}, args=(")
+            stack += [id(x), ",))" if len(x.args) == 1 else "))"]
+            for i in range(len(x.args) - 1, 0, -1):
+                stack += [x.args[i], ", "]
+            stack.append(x.args[0])
+    return "".join(out)
 
 
 Term = Union[Atom, Int, Str, Var, Compound]

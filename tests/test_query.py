@@ -34,6 +34,11 @@ EDGE_DB = [
 ]
 
 
+# n0 -> n1 -> ... -> n10000, one clause per edge
+CHAIN_DB = [f"edge(n{i}, n{i + 1})." for i in range(10_000)] + EDGE_DB[2:]
+CHAIN_ANSWERS = [Atom(f"n{i}") for i in range(1, 10_001)]
+
+
 def fill(node, texts):
     for t in texts:
         node.assert_clause(parse_clause(t))
@@ -116,6 +121,17 @@ class TestSolve:
         assert next(it, None) is None  # exhausted: bindings rolled back
         assert isinstance(deref(vs["X"]), Var)
 
+    def test_failed_goals_and_clauses_leave_no_binding(self, local):
+        fill(local, ["q(a, b).", "q(Z, Z)."])
+        for text in ["X = 3, X < 2", "X = 3", "X = f(Y, 2), X = f(1, 3)"]:
+            g, vs = parse_goal_with_vars(text)
+            list(solve(local, g))
+            assert all(isinstance(deref(v), Var) for v in vs.values()), text
+        # q(a, b) binds X to a before it fails on b; q(Z, Z) must not see it
+        g, vs = parse_goal_with_vars("q(X, X)")
+        answers = [deref(vs["X"]) for _ in solve(local, g)]
+        assert len(answers) == 1 and isinstance(answers[0], Var)
+
     def test_abandonment_keeps_last_bindings(self, local):
         g, vs = parse_goal_with_vars("path(a, X)")
         it = solve(local, g)
@@ -153,6 +169,16 @@ class TestFindAll:
 
     def test_empty_for_no_solutions(self, local):
         assert find_all(local, parse_goal("nosuch(_)")) == []
+
+    def test_a_10000_edge_chain_answers_in_order(self):
+        n = Node(NodeConfig(process="qchain", host="hostq")).start()
+        try:
+            n.attach("tester")
+            fill(n, CHAIN_DB)
+            got = find_all(n, mk("path", Atom("n0"), Var()))
+            assert [deref(t.args[1]) for t in got] == CHAIN_ANSWERS
+        finally:
+            n.shutdown()
 
 
 class TestServing:
@@ -355,12 +381,17 @@ def network():
 
 class TestDistributed:
     def test_remote_all_annotation(self, network):
-        a = network("qs_a", ["far(X) :- thing(X) ? query_thread:qs_b@hostq."])
+        a = network("qs_a", ["far(X) :- thing(X) ? query_thread:qs_b@hostq.",
+                             "twice(X, Y) :- thing(X) ? query_thread:qs_b@hostq, Y = X."])
         network("qs_b", ["thing(1).", "thing(2)."])
         g, vs = parse_goal_with_vars("far(N)")
         got = [format_term(deref(vs["N"]))
                for _ in query_all(a, g, query.SERVER_SYMBOL, timeout=10.0)]
         assert got == ["1", "2"]
+        # backtracking into the remote answers undoes the binding made after them
+        g = parse_goal("twice(N, M)")
+        got = [format_term(resolve(g)) for _ in solve(a, g, timeout=10.0)]
+        assert got == ["twice(1,1)", "twice(2,2)"]
 
     def test_a_long_request_does_not_wedge_the_server(self, network):
         server = "query_thread:qs_long@hostq"
@@ -422,6 +453,15 @@ class TestDistributed:
         got = [format_term(deref(vs["X"]))
                for _ in query_all(client, g, server, timeout=5.0)]
         assert got == ["c"]
+
+    def test_all_of_over_a_10000_edge_chain(self, network):
+        server = "query_thread:qs_chain@hostq"
+        network("qs_chain", CHAIN_DB)
+        client = network("qc_chain", [], serve=False)
+        x = Var()
+        got = [deref(x) for _ in query_all(client, mk("path", Atom("n0"), x), server,
+                                           timeout=60.0)]
+        assert got == CHAIN_ANSWERS
 
     def test_split_db_matches_union_oracle(self, network):
         a = network("qs_a", [

@@ -20,14 +20,13 @@ from termbus.codec import (
     is_register_ack,
     make_register,
     make_register_ack,
-    read_frame,
 )
 from termbus.router import Router, RouterConfig
 from termbus.runtime import Node, NodeConfig
 from termbus.syntax import format_term, parse_term, parse_term_with_vars
-from termbus.terms import Int, Str, Var, deref, list_parts, mk, mklist
+from termbus.terms import Atom, Int, Str, Var, deref, list_parts, mk, mklist
 
-from netutil import data_frames_out, free_port, wait_until
+from netutil import data_frames_out, free_port, read_frame, wait_until
 
 
 @pytest.fixture
@@ -122,6 +121,21 @@ class TestSameHost:
         items, tail = list_parts(deref(got))
         assert len(items) == n and items[-1] == Int(n - 1)
         assert type(tail) is Var and tail.name == "_A1"
+
+    @pytest.mark.parametrize("depth", [200, 100_000])
+    def test_a_deep_nest_crosses_as_a_text_body(self, stack, depth):
+        router, node = stack
+        r = router("hostA")
+        a = node("proc_a", "hostA", r)
+        b = node("proc_b", "hostA", r)
+        nest = Atom("leaf")
+        for _ in range(depth):
+            nest = mk("s", nest)
+        a.send(mk("deep", nest), "main:proc_b@hostA", encoded=False)
+        got = Var()
+        assert b.recv_first(mk("deep", got), timeout=30.0)
+        assert deref(got) == nest
+        assert b.stats()["bad_frames"] == 0
 
     def test_default_send_of_a_long_list_crosses(self, stack):
         self._long_list_crosses(stack, 100_000, encoded=True)

@@ -304,3 +304,21 @@ def test_writer_is_stack_safe():
     for _ in range(n):
         left = mk("=", left, Int(-1))
     assert format_term(left) == "(" * (n - 1) + "a=-1" + ")=-1" * (n - 1)
+
+
+def test_reader_is_stack_safe():
+    n = 100_000
+    assert parse_term("s(" * n + "x" + ")" * n) == _deep("s", n, Atom("x"))
+    assert parse_term("(" * n + "x" + ")" * n) == Atom("x")
+    assert parse_term("[" * n + "]" * n) == _deep(".", n - 1, Atom("[]"), Atom("[]"))
+    t, vs = parse_term_with_vars("[" + ",".join(str(i) for i in range(n)) + "|T]")
+    assert t == mklist([Int(i) for i in range(n)], tail=vs["T"])
+    assert parse_goal(",".join(["a"] * n)) == _deep(",", n - 1, Atom("a"), Atom("a"), right=True)
+
+
+def _deep(functor, n, leaf, *rest, right=False):
+    """leaf under n nested functor(_, *rest); with right=True, rest comes first."""
+    t = leaf
+    for _ in range(n):
+        t = mk(functor, *rest, t) if right else mk(functor, t, *rest)
+    return t

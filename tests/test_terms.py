@@ -243,6 +243,41 @@ def test_failed_unify_is_stateless(a, b):
             assert c.ref is ref
 
 
+def test_repr_is_the_dataclass_text():
+    x = Var("X")
+    assert repr(mk("f", Atom("a"))) == "Compound(functor='f', args=(Atom(name='a'),))"
+    assert repr(mk("g", Int(1), Str("s"), x)) == (
+        "Compound(functor='g', args=(Int(value=1), Str(value='s'), Var(X)))")
+    assert unify(x, mk("f", x)) is not None  # no occurs check: a cyclic term
+    assert repr(x) == "Var(X=Compound(functor='f', args=(Var(X=...),)))"
+    assert repr(mk("h", x.ref, x.ref)) == (
+        "Compound(functor='h', args=(Compound(functor='f', args=(Var(X=...),)), "
+        "Compound(functor='f', args=(Var(X=...),))))")
+    y = Var("Y")
+    x.ref, y.ref = y, x  # a cycle of variables alone, which unification never makes
+    assert repr(x) == "Var(X=Var(Y=Var(X=Var(Y=...))))"
+
+
+def _rebuilt(t):
+    """t with every compound a new object and every leaf the same one."""
+    if type(t) is not Compound:
+        return t
+    return Compound(t.functor, tuple(_rebuilt(a) for a in t.args))
+
+
+@given(terms(), terms(), st.data())
+def test_compound_equality_is_term_equal_and_hashes_agree(a, b, data):
+    # terms() binds no variable, so dereferencing changes nothing here
+    pairs = [(a, b), (a, _rebuilt(a)), (b, data.draw(st.sampled_from([a, b])))]
+    if type(a) is Compound:
+        pairs.append((a, Compound(a.functor + "_", a.args)))
+    for x, y in pairs:
+        assert (x == y) == term_equal(x, y)
+        assert (x != y) == (not term_equal(x, y))
+        if x == y:
+            assert hash(x) == hash(y)
+
+
 @given(terms(), terms())
 def test_unify_symmetric_up_to_renaming(a, b):
     a2, b2 = fresh_copy(a), fresh_copy(b)
@@ -343,6 +378,14 @@ def test_walkers_are_stack_safe(shape):
     n = 100_000
     u = Var()
     t = _nested(n, u, shape)
+    same = _nested(n, u, shape)
+    assert t == same and hash(t) == hash(same)
+    assert t != _nested(n, Var(), shape) and t != _nested(n, Atom("end"), shape)
+    if shape == "long":
+        opened = "".join(f"Compound(functor='.', args=(Int(value={i}), " for i in range(n))
+        assert repr(t) == opened + repr(u) + "))" * n
+    else:
+        assert repr(t) == "Compound(functor='s', args=(" * n + repr(u) + ",))" * n
     assert variables(t) == [u]
     assert term_equal(t, _nested(n, u, shape))
     assert not term_equal(t, _nested(n, Var(), shape))
