@@ -36,7 +36,6 @@ the receiving node, whose full decode rejects it.
 
 from __future__ import annotations
 
-import socket
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -392,26 +391,7 @@ def split_frames(data: bytes) -> Iterator[bytes]:
 
 
 # ---------------------------------------------------------------------------
-# socket helpers and control frames
-
-def hard_close(sock) -> None:
-    """shutdown() before close().
-
-    A bare close() while another thread is blocked in recv on the same
-    socket leaves the connection open on the wire (the blocked call pins
-    it), so the peer never sees EOF; shutdown() tears it down immediately.
-    """
-    if sock is None:
-        return
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:
-        pass
-
+# control frames
 
 ROUTER_PROCESS = "router"
 _CTL_THREAD = "ctl"

@@ -189,7 +189,8 @@ def _alternatives(node: Node, g: Term, f: Optional[str], trail: list,
     for head, body in matched:
         if could_unify(g, head):
             clause = fresh_copy(Compound(":-", (head, body)))
-            if unify_into(g, clause.args[0], trail):
+            # head into goal: a goal variable never ends behind a chain of head variables
+            if unify_into(clause.args[0], g, trail):
                 yield clause.args[1]
             undo_to(trail, mark)
 

@@ -1,4 +1,4 @@
-"""Store-and-forward routing daemon for one host.
+"""Store-and-forward routing daemon for one host, and its connection loop.
 
 Every process on a host keeps one duplex connection to the host's router,
 which it names in a REGISTER control frame.  The router acknowledges and
@@ -9,14 +9,11 @@ Frames for another host go over a lazily dialled link to that host's
 router.  When it cannot be reached they go to the host's proxy router (a
 router that is itself the proxy holds them and redials) or are dropped.
 
-One thread runs a selectors loop over every socket, and no socket blocks.
-The frames queued for one socket go out in one send.  A frame that finds a
-write queue at WRITE_BOUND bytes is still queued, but its producer is not
-read again until that queue drains: a slow consumer pauses its producers,
-loses nothing and delays no other connection.  A data frame counts in
-``frames_out`` once queued; if its connection dies first, the count is taken
-back and the frame is routed again, so at quiescence frames_in ==
-frames_out + queued + dropped.
+One ConnLoop (below) serves every connection of the router from one
+thread; each node's link to its router (runtime._RouterLink) runs one too.
+A data frame counts in ``frames_out`` once queued; if its connection dies
+first, the count is taken back and the frame is routed again, so at
+quiescence frames_in == frames_out + queued + dropped.
 
 Frames are relayed as received, never re-encoded, so a hop keeps the wire
 bytes.  The router reads only a data frame's header (length, version, flags
@@ -31,7 +28,7 @@ from __future__ import annotations
 
 import errno
 import logging
-import selectors
+import select
 import socket
 import threading
 import time
@@ -48,7 +45,6 @@ from .codec import (
     decode_envelope,
     encode_envelope,
     make_register_ack,
-    hard_close,
     register_payload_name,
 )
 from .counters import Counters
@@ -59,7 +55,7 @@ WRITE_BOUND = 256 * 1024  # queued bytes at which a connection pauses producers
 DIAL_TIMEOUT = 0.25
 REDIAL_INTERVAL = 0.1  # also the period of dial and idle checks
 PEER_IDLE = 30.0
-READ, WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+READ, WRITE = select.POLLIN, select.POLLOUT
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,7 @@ class _Conn:
     """One socket on the loop: a process, a peer router, or a link we dialled."""
 
     sock: socket.socket
-    peer: Optional[str] = None  # host label, on a link this router dialled
+    peer: Optional[str] = None  # host label, on a link a router dialled
     dial_deadline: Optional[float] = None  # set until the dial answers
     rbuf: bytearray = field(default_factory=bytearray)  # a frame still arriving
     wbuf: deque[bytes] = field(default_factory=deque)
@@ -84,8 +80,183 @@ class _Conn:
     sent: int = 0  # bytes of wbuf[0] already written
     paused: bool = False  # not read until a full write queue drains
     waiters: list[_Conn] = field(default_factory=list)  # producers paused on wbuf
-    events: int = 0  # selector interest; 0 while unregistered
+    events: int = 0  # poll interest; 0 while unregistered
     last_used: float = field(default_factory=time.monotonic)
+
+
+class ConnLoop:
+    """One thread's poll loop over non-blocking sockets.
+
+    Each connection has a receive buffer cut by codec.cut_frames and a write
+    queue whose frames go out in one send.  A frame that finds a queue at
+    WRITE_BOUND bytes is still queued, but its producer is not read again
+    until that queue drains: a slow consumer pauses its producers, loses
+    nothing and delays no other connection.  Dials do not block.  The owner
+    says what a connection's frames mean (_inbound), what a closed one
+    leaves behind (_closed), what the tick every TICK seconds does (_tick)
+    and, if it listens, how it accepts (_accept).
+    """
+
+    TICK = 0.1
+
+    def __init__(self, counters: Counters):
+        self._counters = counters  # holds bad_frames
+        self._conns: set[_Conn] = set()  # the live connections
+        self._dirty: set[_Conn] = set()  # frames queued since their last send
+        self._thread: Optional[threading.Thread] = None
+        self.closing = False
+
+    def _start(self, name: str, *listeners: socket.socket) -> None:
+        self._poll = select.poll()
+        self._fds: dict[int, object] = {}  # a _Conn, the wake-up socket or a listener
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
+        for s in (self._wake_r, *listeners):
+            self._poll.register(s, READ)
+            self._fds[s.fileno()] = s
+        self._thread = threading.Thread(target=self._run, daemon=True, name=name)
+        self._thread.start()
+
+    def stop(self) -> None:
+        """End the loop; every socket is closed when this returns."""
+        self.closing = True
+        if self._thread is not None:
+            self._wake()
+            self._thread.join()
+
+    def _wake(self) -> None:
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # a wake-up is pending, or the loop has ended
+            pass
+
+    def _run(self) -> None:
+        tick = time.monotonic()
+        try:
+            while not self.closing:
+                for fd, mask in self._poll.poll(max(0.0, tick - time.monotonic()) * 1e3):
+                    c = self._fds.get(fd)  # None once closed by an earlier event
+                    if type(c) is _Conn:
+                        self._serve(c, mask)
+                    elif c is self._wake_r:
+                        self._wake_r.recv(RECV_SIZE)
+                    elif c is not None:
+                        self._accept()
+                if time.monotonic() >= tick:
+                    self._tick()
+                    tick = time.monotonic() + self.TICK
+                while self._dirty:
+                    self._serve(self._dirty.pop(), WRITE)
+        finally:
+            for c in list(self._conns):
+                self._close(c)
+            for s in self._fds.values():  # the wake-up socket and the listeners
+                s.close()
+            self._wake_w.close()
+
+    def _serve(self, c: _Conn, mask: int) -> None:
+        """Write and read c; a failure closes c alone and counts in bad_frames."""
+        try:
+            if mask & WRITE:
+                self._flush(c)
+            if mask & ~WRITE and c in self._conns:  # readable, hung up or failed
+                self._read(c)
+        except Exception as e:
+            log.warning("event=conn_failed err=%r", e, exc_info=not isinstance(e, CodecError))
+            self._counters.add("bad_frames")
+            self._close(c)
+
+    def _update(self, c: _Conn) -> None:
+        """Match c's poll interest to its state."""
+        want = (0 if c.paused else READ) | (WRITE if c.wbuf else 0)
+        if want != c.events:
+            fd = c.sock.fileno()
+            if want:
+                self._poll.register(fd, want)
+                self._fds[fd] = c
+            else:
+                self._poll.unregister(fd)
+                del self._fds[fd]
+            c.events = want
+
+    def _read(self, c: _Conn) -> None:
+        """Hand every complete frame one recv brings in to _inbound."""
+        try:
+            data = c.sock.recv(RECV_SIZE)
+        except BlockingIOError:
+            return
+        except OSError:  # reset: the same as a close
+            data = b""
+        if not data:
+            if c.rbuf:
+                raise TruncatedFrameError("connection closed mid-frame")
+            self._close(c)
+            return
+        c.rbuf += data
+        self._inbound(c, cut_frames(c.rbuf))
+
+    def _send(self, c: _Conn) -> int:
+        """Write as much of c's queue as the socket takes, in one send; the
+        number of frames now written whole, or -1 if the connection failed."""
+        data = c.wbuf[0] if len(c.wbuf) == 1 else b"".join(c.wbuf)
+        try:
+            n = c.sent + c.sock.send(memoryview(data)[c.sent:] if c.sent else data)
+        except BlockingIOError:  # the socket is full, or a dial is under way
+            return 0
+        except OSError:
+            return -1
+        done = 0
+        while c.wbuf and n >= len(c.wbuf[0]):
+            n -= len(c.wbuf[0])
+            c.wbytes -= len(c.wbuf.popleft())
+            done += 1
+        c.sent = n
+        return done
+
+    def _flush(self, c: _Conn) -> None:
+        """_send, then wait for the socket to take the rest; resume c's
+        producers once its queue is under WRITE_BOUND."""
+        if c not in self._conns:
+            return
+        if c.wbuf and self._send(c) < 0:
+            self._close(c)
+            return
+        self._update(c)
+        if c.waiters and c.wbytes < WRITE_BOUND:
+            self._unpause(c)
+
+    def _unpause(self, c: _Conn) -> None:
+        for p in c.waiters:
+            p.paused = False
+            if p in self._conns:
+                self._update(p)
+        c.waiters.clear()
+
+    def _dial(self, addr: tuple[str, int], peer: Optional[str] = None) -> Optional[_Conn]:
+        """A connection to addr that is still being made; None if it failed at once."""
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if sock.connect_ex(addr) not in (0, errno.EINPROGRESS):
+            sock.close()
+            return None
+        c = _Conn(sock, peer=peer, dial_deadline=time.monotonic() + DIAL_TIMEOUT)
+        self._conns.add(c)
+        self._update(c)
+        return c
+
+    def _close(self, c: _Conn) -> None:
+        """Forget c; _closed says what becomes of its unsent frames, before
+        its socket closes."""
+        if c not in self._conns:
+            return
+        self._conns.remove(c)
+        if c.events:
+            self._poll.unregister(c.sock)
+            del self._fds[c.sock.fileno()]
+        self._unpause(c)
+        self._closed(c)
+        c.sock.close()
 
 
 @dataclass(eq=False)
@@ -100,8 +271,13 @@ class _Registration:
         return self.conn.sock if self.conn else None
 
 
-class Router:
+class Router(ConnLoop):
+    TICK = REDIAL_INTERVAL
+
     def __init__(self, config: RouterConfig):
+        super().__init__(Counters(
+            "frames_in", "frames_out", "ctl_in", "ctl_out", "dropped", "bad_frames", "queued"
+        ))
         self.config = config
         self.host = config.host
         self._lsock: Optional[socket.socket] = None
@@ -109,15 +285,6 @@ class Router:
         self._regs: dict[str, _Registration] = {}
         self._peers: dict[str, _Conn] = {}  # links this router dialled
         self._held: dict[str, deque[bytes]] = {}
-        self._conns: set[_Conn] = set()  # the live connections
-        self._dirty: set[_Conn] = set()  # frames queued since their last send
-        self._sel = selectors.DefaultSelector()
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._thread: Optional[threading.Thread] = None
-        self._counters = Counters(
-            "frames_in", "frames_out", "ctl_in", "ctl_out", "dropped", "bad_frames", "queued"
-        )
-        self.closing = False
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -126,24 +293,9 @@ class Router:
         self._lsock = socket.create_server((ip or "127.0.0.1", int(port)), backlog=64)
         self._lsock.setblocking(False)
         self.port = self._lsock.getsockname()[1]
-        self._sel.register(self._lsock, READ)
-        self._sel.register(self._wake_r, READ)
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name=f"router-{self.host}"
-        )
-        self._thread.start()
+        self._start(f"router-{self.host}", self._lsock)
         log.info("event=router_up host=%s port=%d", self.host, self.port)
         return self
-
-    def stop(self) -> None:
-        """End the loop; every socket is closed when this returns."""
-        self.closing = True
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:  # the loop saw closing first and closed the socket
-            pass
-        if self._thread is not None:
-            self._thread.join()
 
     def endpoint(self) -> str:
         return f"127.0.0.1:{self.port}"
@@ -154,42 +306,7 @@ class Router:
     def stats(self) -> dict:
         return self._counters.snapshot()
 
-    # -- the loop ---------------------------------------------------------------
-
-    def _run(self) -> None:
-        tick = time.monotonic() + REDIAL_INTERVAL
-        try:
-            while not self.closing:
-                for key, mask in self._sel.select(max(0.0, tick - time.monotonic())):
-                    if key.data is not None:
-                        self._serve(key.data, mask)
-                    elif key.fileobj is self._lsock:
-                        self._accept()
-                    # else the wake-up socket: the loop condition reads closing
-                while self._dirty:
-                    self._serve(self._dirty.pop(), WRITE)
-                if time.monotonic() >= tick:
-                    self._tick()
-                    tick = time.monotonic() + REDIAL_INTERVAL
-        finally:
-            for c in self._conns:
-                hard_close(c.sock)
-            hard_close(self._lsock)
-            self._sel.close()
-            self._wake_r.close()
-            self._wake_w.close()
-
-    def _serve(self, c: _Conn, mask: int) -> None:
-        """Write and read c; a failure closes c alone and counts in bad_frames."""
-        try:
-            if mask & WRITE:
-                self._flush(c)
-            if mask & READ and c in self._conns:  # an earlier event may have closed c
-                self._read(c)
-        except Exception as e:
-            log.warning("event=conn_failed err=%r", e, exc_info=not isinstance(e, CodecError))
-            self._counters.add("bad_frames")
-            self._close(c)
+    # -- connections ------------------------------------------------------------
 
     def _accept(self) -> None:
         try:
@@ -202,32 +319,10 @@ class Router:
         self._conns.add(c)
         self._update(c)
 
-    def _update(self, c: _Conn) -> None:
-        """Match c's selector interest to its state."""
-        want = (0 if c.paused else READ) | (WRITE if c.wbuf else 0)
-        if want != c.events:
-            if c.events:
-                self._sel.unregister(c.sock)
-            if want:
-                self._sel.register(c.sock, want, c)
-            c.events = want
-
-    def _read(self, c: _Conn) -> None:
-        """Route every complete frame one recv brings in, from a process or a
-        peer router alike; a frame with a bad header is dropped."""
-        try:
-            data = c.sock.recv(RECV_SIZE)
-        except BlockingIOError:
-            return
-        except OSError:  # reset: the same as a close
-            data = b""
-        if not data:
-            if c.rbuf:
-                raise TruncatedFrameError("connection closed mid-frame")
-            self._close(c)
-            return
-        c.rbuf += data
-        for frame in cut_frames(c.rbuf):
+    def _inbound(self, c: _Conn, frames: list[bytes]) -> None:
+        """Route the frames of a process or a peer router alike; a frame with
+        a bad header is dropped."""
+        for frame in frames:
             try:
                 env = decode_envelope(frame, body=False)
             except Exception as e:
@@ -256,47 +351,15 @@ class Router:
         c.last_used = time.monotonic()
         self._dirty.add(c)
 
-    def _flush(self, c: _Conn) -> None:
-        """Write as much of c's queue as the socket takes, in one send."""
-        if c not in self._conns or not c.wbuf:
-            return
-        data = c.wbuf[0] if len(c.wbuf) == 1 else b"".join(c.wbuf)
-        try:
-            n = c.sent + c.sock.send(memoryview(data)[c.sent:] if c.sent else data)
-        except BlockingIOError:  # the socket is full, or a dial is under way
-            n = c.sent
-        except OSError:
-            self._close(c)
-            return
-        while c.wbuf and n >= len(c.wbuf[0]):
-            n -= len(c.wbuf[0])
-            c.wbytes -= len(c.wbuf.popleft())
-        c.sent = n
-        self._update(c)
-        if c.waiters and c.wbytes < WRITE_BOUND:
-            self._unpause(c)
-
-    def _unpause(self, c: _Conn) -> None:
-        for p in c.waiters:
-            p.paused = False
-            if p in self._conns:
-                self._update(p)
-        c.waiters.clear()
-
-    def _close(self, c: _Conn) -> None:
-        """Forget c: its producers resume and its unsent frames are routed again."""
-        if c not in self._conns:
-            return
-        self._conns.remove(c)
-        if c.events:
-            self._sel.unregister(c.sock)
-        hard_close(c.sock)
+    def _closed(self, c: _Conn) -> None:
+        """Its unsent frames are routed again, unless the router is stopping."""
         for name, reg in self._regs.items():
             if reg.conn is c:
                 reg.conn = None
                 log.info("event=process_down name=%s", name)
         self._peers.pop(c.peer, None)
-        self._unpause(c)
+        if self.closing:
+            return
         for frame in c.wbuf:
             env = decode_envelope(frame, body=False)
             self._counters.add("ctl_out" if env.flags.control else "frames_out", -1)
@@ -376,16 +439,9 @@ class Router:
         if link is not None or label not in self.config.peers:
             return link
         ip, _, port = self.config.peers[label].rpartition(":")
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setblocking(False)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if sock.connect_ex((ip or "127.0.0.1", int(port))) not in (0, errno.EINPROGRESS):
-            sock.close()
-            return None
-        link = _Conn(sock, peer=label, dial_deadline=time.monotonic() + DIAL_TIMEOUT)
-        self._peers[label] = link
-        self._conns.add(link)
-        self._update(link)
+        link = self._dial((ip or "127.0.0.1", int(port)), peer=label)
+        if link is not None:
+            self._peers[label] = link
         return link
 
     def _tick(self) -> None:

@@ -12,7 +12,11 @@ owned so that its receive need not copy it again; anything else is encoded
 into a wire frame and pushed to the configured router, which owns all
 further delivery concerns.  Local sends to unknown threads fail loudly;
 remote delivery problems are asynchronous by design and never surface at
-the send call.
+the send call.  The link to the router runs on the router's own connection
+loop (router.ConnLoop): a sending thread writes its frame in one
+non-blocking send and returns, and waits only while the registered link's
+write queue holds WRITE_BOUND bytes, the rule the router applies to its
+producers.
 
 The clause store is the node-wide shared state: assertion-ordered clauses
 per functor/arity with a monotonically increasing change counter.
@@ -35,7 +39,7 @@ import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional, Union
 
@@ -46,12 +50,10 @@ from .codec import (
     Flags,
     encode_envelope,
     decode_envelope,
-    hard_close,
     is_register_ack,
     make_register,
-    RECV_SIZE,
-    cut_frames,
 )
+from .router import WRITE_BOUND, ConnLoop, _Conn
 from .counters import Counters
 from .keyindex import KeyIndex, index_key
 from .mailbox import BLOCK, Guard, Mailbox, MessageRef, RecvOptions, Timeout
@@ -299,9 +301,7 @@ class Node:
         self._tl = threading.local()
         self._counters = Counters("frames_out", "frames_in", "bad_frames", "dropped")
         self.closing = False
-        self._link: Optional[_RouterLink] = None
-        if config.router:
-            self._link = _RouterLink(self, config.router)
+        self._link = _RouterLink(self, config.router) if config.router else None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -317,7 +317,7 @@ class Node:
     def shutdown(self) -> None:
         self.closing = True
         if self._link:
-            self._link.close()
+            self._link.stop()
         with self._tables:
             handles = list(self._threads.values())
         for h in handles:
@@ -663,126 +663,121 @@ class Node:
         target.mailbox.post(env)
 
 
-class _RouterLink:
-    """One duplex connection to this host's router, with reconnection.
+class _RouterLink(ConnLoop):
+    """The node's connection to its host's router, on a ConnLoop of its own.
 
-    Outbound frames sent while the link is down are buffered and written
-    after the next successful registration, before any new frame, so the
-    order of one sender's frames survives a router restart; frame counters
-    count actual socket writes and reads.
+    The loop dials, sends REGISTER and reads the acknowledgement from the
+    same receive buffer as every later frame.  A dial that fails, or is not
+    acknowledged within DIAL_TIMEOUT, is retried at the next tick, whose
+    period doubles from RECONNECT_MIN to RECONNECT_MAX while dials fail.
+    Frames sent while the link is down wait in the outbox and are queued
+    ahead of any newer frame before the link is published, so one sender's
+    order survives a router restart.  ``frames_out`` counts the frames the
+    socket has taken whole; a failed link's unsent frames go back to the
+    outbox.
     """
 
+    TICK = RECONNECT_MIN  # the backoff: doubled by each failed dial
+
     def __init__(self, node: Node, endpoint: str):
+        super().__init__(node._counters)
         self.node = node
         host, _, port = endpoint.rpartition(":")
         self.addr = (host or "127.0.0.1", int(port))
         self.ready = threading.Event()
-        self._sock: Optional[socket.socket] = None
-        self._wlock = threading.Lock()
+        self._cond = threading.Condition()  # guards _conn, _outbox and _conn's queue
+        self._conn: Optional[_Conn] = None  # set while registered
         self._outbox: deque[bytes] = deque()
-        self._thread: Optional[threading.Thread] = None
+
+    @property
+    def _sock(self) -> Optional[socket.socket]:
+        return getattr(self._conn, "sock", None)
 
     def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name=f"{self.node.process}-pump"
-        )
-        self._thread.start()
-
-    def close(self) -> None:
-        # Not under _wlock: a writer blocked in sendall holds it while the
-        # router, pausing a producer whose consumer is slow, reads nothing.
-        # The shutdown fails that write and its frame goes back to the outbox.
-        hard_close(self._sock)
-
-    def _write(self, sock: socket.socket, frame: bytes) -> bool:
-        """One counted socket write, _wlock held; False when the socket failed."""
-        # counted before the write so the count is never behind a delivery
-        self.node._counters.add("frames_out")
-        try:
-            sock.sendall(frame)
-            return True
-        except OSError:
-            self.node._counters.add("frames_out", -1)
-            return False
+        self._start(f"{self.node.process}-pump")
 
     def send_frame(self, frame: bytes) -> None:
-        with self._wlock:
-            if self._sock is not None and self._write(self._sock, frame):
+        """Write frame in one non-blocking send if the queue is empty and
+        leave what the socket does not take to the loop.  While the link is
+        registered and its queue holds WRITE_BOUND bytes, wait first: the
+        rule the router applies to its producers."""
+        with self._cond:
+            while (c := self._conn) is not None and c.wbytes >= WRITE_BOUND:
+                self._cond.wait()
+            if c is None:
+                self._outbox.append(frame)
                 return
-            self._sock = None
-            self._outbox.append(frame)
+            c.wbuf.append(frame)
+            c.wbytes += len(frame)
+            if len(c.wbuf) > 1:  # the loop is writing the queue
+                return
+            self._send(c)
+            if c.wbuf:  # the socket took part of it, or failed
+                self._dirty.add(c)
+                self._wake()
 
-    def _run(self) -> None:
-        backoff = RECONNECT_MIN
-        while not self.node.closing:
-            try:
-                sock = socket.create_connection(self.addr, timeout=2.0)
-            except OSError:
-                time.sleep(backoff)
-                backoff = min(backoff * 2, RECONNECT_MAX)
-                continue
-            sock.settimeout(None)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            frames = _frames(sock)
-            try:
-                sock.sendall(
-                    encode_envelope(make_register(self.node.process, self.node.host))
-                )
-                ack = next(frames, None)
-                if ack is None or not is_register_ack(decode_envelope(ack)):
-                    raise OSError("registration not acknowledged")
-            except Exception:
-                hard_close(sock)
-                time.sleep(backoff)
-                backoff = min(backoff * 2, RECONNECT_MAX)
-                continue
-            backoff = RECONNECT_MIN
-            with self._wlock:
-                # frames buffered while the link was down go out before the
-                # socket is published, so no direct send can overtake them
-                while self._outbox and self._write(sock, self._outbox[0]):
-                    self._outbox.popleft()
-                if self._outbox:
-                    hard_close(sock)
-                    continue
-                self._sock = sock
-            self.ready.set()
-            log.info(
-                "event=registered process=%s router=%s:%d",
-                self.node.process, self.addr[0], self.addr[1],
-            )
-            self._read_loop(frames)
-            with self._wlock:
-                if self._sock is sock:
-                    self._sock = None
-            hard_close(sock)
+    def _send(self, c: _Conn) -> int:
+        # counted before the write, so the count is never behind a delivery;
+        # the frames the socket did not take whole are taken back
+        whole = len(c.wbuf) if c is self._conn else 0  # not the REGISTER of a dial
+        self._counters.add("frames_out", whole)
+        done = super()._send(c)
+        if done < whole:
+            self._counters.add("frames_out", max(done, 0) - whole)
+        return done
 
-    def _read_loop(self, frames: Iterator[bytes]) -> None:
+    def _flush(self, c: _Conn) -> None:
+        with self._cond:
+            super()._flush(c)
+            self._cond.notify_all()
+
+    def _tick(self) -> None:
+        for c in list(self._conns):
+            if c.dial_deadline is not None and time.monotonic() > c.dial_deadline:
+                self._close(c)
+        if self._conns:
+            return
+        c = self._dial(self.addr)
+        if c is None:
+            self.TICK = min(self.TICK * 2, RECONNECT_MAX)
+            return
+        c.wbuf.append(encode_envelope(make_register(self.node.process, self.node.host)))
+        c.wbytes = len(c.wbuf[0])
+        self._dirty.add(c)
+
+    def _inbound(self, c: _Conn, frames: list[bytes]) -> None:
         for frame in frames:
-            if self.node.closing:
-                return
+            if c is not self._conn:  # the acknowledgement of REGISTER
+                if not is_register_ack(decode_envelope(frame)):
+                    raise CodecError("registration not acknowledged")
+                self._registered(c)
+                continue
             try:
                 env = decode_envelope(frame)
             except Exception as e:
                 log.warning("event=drop_malformed_frame err=%s", e)
-                self.node._counters.add("bad_frames")
+                self._counters.add("bad_frames")
                 continue
             if not env.flags.control:
                 self.node._deliver_inbound(env)
 
+    def _registered(self, c: _Conn) -> None:
+        c.dial_deadline = None
+        with self._cond:  # the frames buffered while the link was down go first
+            c.wbuf.extend(self._outbox)
+            c.wbytes += sum(map(len, self._outbox))
+            self._outbox.clear()
+            self._conn = c
+        self._dirty.add(c)
+        self.TICK = RECONNECT_MIN
+        self.ready.set()
+        log.info("event=registered process=%s router=%s:%d", self.node.process, *self.addr)
 
-def _frames(sock: socket.socket) -> Iterator[bytes]:
-    """The frames sock receives, cut from its byte stream by cut_frames,
-    until it closes, fails or sends a length prefix no frame can have.
-    Bytes past a frame wait for the next one."""
-    buf = bytearray()
-    while True:
-        try:
-            data = sock.recv(RECV_SIZE)
-            if not data:
-                return
-            buf += data
-            frames = cut_frames(buf)
-        except (OSError, CodecError):
+    def _closed(self, c: _Conn) -> None:
+        if c is not self._conn:  # a dial that failed
+            self.TICK = min(self.TICK * 2, RECONNECT_MAX)
             return
-        yield from frames
+        with self._cond:  # a sender waiting on the queue goes to the outbox
+            self._conn = None
+            self._outbox.extendleft(reversed(c.wbuf))
+            self._cond.notify_all()

@@ -180,6 +180,27 @@ class TestFindAll:
         finally:
             n.shutdown()
 
+    def test_a_chain_answer_is_at_most_two_hops_from_its_value(self):
+        n = Node(NodeConfig(process="qhops", host="hostq")).start()
+        try:
+            n.attach("tester")
+            fill(n, CHAIN_DB[:1000] + EDGE_DB[2:])
+            x, count = Var(), 0
+            for _ in solve(n, mk("path", Atom("n0"), x)):
+                count += 1
+                t, hops = x, 0
+                while type(t) is Var and t.ref is not None:
+                    t, hops = t.ref, hops + 1
+                assert t == Atom(f"n{count}") and hops <= 2
+            assert count == 1000
+        finally:
+            n.shutdown()
+
+    def test_an_unbound_answer_shows_the_query_variable(self, local):
+        local.assert_clause(parse_clause("free(Q)."))
+        out = [format_term(t) for t in find_all(local, parse_goal("free(A)"))]
+        assert out == ["free(A)"]
+
 
 class TestServing:
     def test_query_all_round_trip(self, served):

@@ -14,6 +14,7 @@ from termbus.address import Address
 from termbus.codec import (
     Envelope,
     Flags,
+    cut_frames,
     decode_envelope,
     encode_envelope,
     encode_varint,
@@ -21,7 +22,7 @@ from termbus.codec import (
     make_register,
     make_register_ack,
 )
-from termbus.router import Router, RouterConfig
+from termbus.router import WRITE_BOUND, Router, RouterConfig
 from termbus.runtime import Node, NodeConfig
 from termbus.syntax import format_term, parse_term, parse_term_with_vars
 from termbus.terms import Atom, Int, Str, Var, deref, list_parts, mk, mklist
@@ -688,3 +689,100 @@ class TestFramingFaults:
             s.close()
 
         self._fault_closes_only_its_connection(router("hostA"), half_then_close)
+
+
+class TestNodeLink:
+    """A node's link to its router runs on the router's connection loop."""
+
+    def test_shutdown_ends_the_link_thread(self, stack):
+        router, node = stack
+        a = node("proc_a", "hostA", router("hostA"))
+        a.shutdown()
+        assert not a._link._thread.is_alive()
+
+    def test_shutdown_ends_the_link_thread_while_it_redials(self):
+        a = Node(NodeConfig(process="proc_a", host="hostA",
+                            router=f"127.0.0.1:{free_port()}")).start(wait=False)
+        time.sleep(0.2)  # a few refused dials
+        a.shutdown()
+        assert not a._link._thread.is_alive()
+
+    def test_concurrent_senders_keep_their_order_through_a_full_queue(self, stack):
+        # more sending threads than cores stream large frames through one
+        # link, so frames go out both from the senders and from the loop
+        router, node = stack
+        r = router("hostA")
+        a = node("proc_a", "hostA", r)
+        b = node("proc_b", "hostA", r)
+        threads, frames, pad = 4, 150, "x" * 20_000
+        got = {t: [] for t in range(threads)}
+
+        def stream(t):
+            for i in range(frames):
+                a.send(mk("m", Int(t), Int(i), Str(pad)), "main:proc_b@hostA",
+                       remember_names=False)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for t in range(threads):
+                a.fork(lambda t=t: stream(t))
+            for _ in range(threads * frames):
+                t, i = Var(), Var()
+                assert b.recv_first(mk("m", t, i, Var()), timeout=10.0, remember_names=False)
+                got[deref(t).value].append(deref(i).value)
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(got[t] == list(range(frames)) for t in range(threads))
+        assert a.stats()["frames_out"] == threads * frames and not a._link._outbox
+
+    def test_a_send_returns_once_its_frame_is_queued(self):
+        # a router that acknowledges the registration and then never reads
+        ls = socket.create_server(("127.0.0.1", 0))
+        conns = []
+
+        def fake_router():
+            c, _ = ls.accept()
+            conns.append(c)
+            read_frame(c)
+            c.sendall(encode_envelope(make_register_ack("proc_a", "hostA")))
+
+        threading.Thread(target=fake_router, daemon=True).start()
+        a = Node(NodeConfig(process="proc_a", host="hostA",
+                            router=f"127.0.0.1:{ls.getsockname()[1]}")).start()
+        link, returned = a._link, [0]
+
+        def stream():
+            a.attach()
+            for i in range(100):
+                a.send(mk("m", Int(i), Str("x" * 150_000)), "main:proc_b@hostA")
+                returned[0] = i + 1
+
+        streamer = threading.Thread(target=stream, daemon=True)
+        streamer.start()
+        try:
+            quiet(lambda: returned[0])
+            assert returned[0] < 100, "the sends never waited"
+            # the frames of the sends that returned are in the socket or in
+            # the write queue, and the next send waits on a full queue
+            assert a.stats()["frames_out"] < returned[0]
+            queue = link._conn.wbuf
+            assert a.stats()["frames_out"] + len(queue) == returned[0]
+            assert WRITE_BOUND <= link._conn.wbytes < WRITE_BOUND + len(queue[-1])
+            closer = threading.Thread(target=a.shutdown, daemon=True)
+            closer.start()
+            closer.join(1.0)
+            assert not closer.is_alive()
+            streamer.join(5.0)
+            assert not streamer.is_alive()
+            assert a.stats()["frames_out"] + len(link._outbox) == 100
+            # frames_out counts the frames the socket took whole
+            conns[0].settimeout(10.0)
+            received = bytearray()
+            while data := conns[0].recv(1 << 20):
+                received += data
+            assert len(cut_frames(received)) == a.stats()["frames_out"]
+        finally:
+            for c in conns + [ls]:
+                c.close()
+            a.shutdown()
