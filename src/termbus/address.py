@@ -40,8 +40,12 @@ CREATOR = _Reserved("creator")
 ThreadPart = Union[str, int, Var, _Reserved]
 NamePart = Union[str, Var]
 
-_COMPONENT_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*\Z")
-_DIGITS_RE = re.compile(r"[0-9]+\Z")
+# thread[:process[@host]]; a component is a letter, digit or underscore,
+# then letters, digits, underscores, dots and hyphens
+_ADDRESS_RE = re.compile(
+    r"([A-Za-z0-9_][A-Za-z0-9_.\-]*)"
+    r"(?::([A-Za-z0-9_][A-Za-z0-9_.\-]*)(?:@([A-Za-z0-9_][A-Za-z0-9_.\-]*))?)?"
+)
 
 
 @dataclass(frozen=True)
@@ -62,33 +66,15 @@ class Address:
         return format_address(self)
 
 
-def _check_component(text: str, what: str) -> str:
-    if not _COMPONENT_RE.match(text):
-        raise AddressError(f"bad {what} component: {text!r}")
-    return text
-
-
 def parse_address(text: str) -> Address:
     """Parse thread[:process[@host]]; digit-only thread slots become ids."""
     if text in ("self", "creator"):
         return Address(thread=SELF if text == "self" else CREATOR)
-    rest = text
-    host: Optional[str] = None
-    process: Optional[str] = None
-    if "@" in rest:
-        rest, _, h = rest.partition("@")
-        host = _check_component(h, "host")
-    if ":" in rest:
-        rest, _, p = rest.partition(":")
-        # the host separator must come after the process separator
-        if ":" in p or "@" in rest:
-            raise AddressError(f"malformed address: {text!r}")
-        process = _check_component(p, "process")
-    if host is not None and process is None:
-        raise AddressError(f"address has host but no process: {text!r}")
-    t = _check_component(rest, "thread")
-    thread: ThreadPart = int(t) if _DIGITS_RE.match(t) else t
-    return Address(thread=thread, process=process, host=host)
+    m = _ADDRESS_RE.fullmatch(text)
+    if m is None:
+        raise AddressError(f"malformed address: {text!r}")
+    t, process, host = m.groups()
+    return Address(int(t) if t.isdigit() else t, process, host)
 
 
 def _part_str(part) -> str:

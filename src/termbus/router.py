@@ -11,6 +11,8 @@ router that is itself the proxy holds them and redials) or are dropped.
 
 One ConnLoop (below) serves every connection of the router from one
 thread; each node's link to its router (runtime._RouterLink) runs one too.
+The loop owns the write queues: ConnLoop._queue appends every frame that
+either owner sends.
 A data frame counts in ``frames_out`` once queued; if its connection dies
 first, the count is taken back and the frame is routed again, so at
 quiescence frames_in == frames_out + queued + dropped.
@@ -58,6 +60,12 @@ PEER_IDLE = 30.0
 READ, WRITE = select.POLLIN, select.POLLOUT
 
 
+def endpoint_addr(endpoint: str) -> tuple[str, int]:
+    """The socket address of "ip:port"; an empty ip means 127.0.0.1."""
+    ip, _, port = endpoint.rpartition(":")
+    return ip or "127.0.0.1", int(port)
+
+
 @dataclass(frozen=True)
 class RouterConfig:
     host: str
@@ -88,11 +96,12 @@ class ConnLoop:
     """One thread's poll loop over non-blocking sockets.
 
     Each connection has a receive buffer cut by codec.cut_frames and a write
-    queue whose frames go out in one send.  A frame that finds a queue at
-    WRITE_BOUND bytes is still queued, but its producer is not read again
-    until that queue drains: a slow consumer pauses its producers, loses
-    nothing and delays no other connection.  Dials do not block.  The owner
-    says what a connection's frames mean (_inbound), what a closed one
+    queue whose frames go out in one send; _queue alone appends to a queue,
+    and marks the connection for the loop's next send.  A frame that finds a
+    queue at WRITE_BOUND bytes is still queued, but its producer is not read
+    again until that queue drains: a slow consumer pauses its producers,
+    loses nothing and delays no other connection.  Dials do not block.  The
+    owner says what a connection's frames mean (_inbound), what a closed one
     leaves behind (_closed), what the tick every TICK seconds does (_tick)
     and, if it listens, how it accepts (_accept).
     """
@@ -195,6 +204,12 @@ class ConnLoop:
         c.rbuf += data
         self._inbound(c, cut_frames(c.rbuf))
 
+    def _queue(self, c: _Conn, *frames: bytes) -> None:
+        """Append frames to c's write queue, for the loop to send."""
+        c.wbuf.extend(frames)
+        c.wbytes += sum(map(len, frames))
+        self._dirty.add(c)
+
     def _send(self, c: _Conn) -> int:
         """Write as much of c's queue as the socket takes, in one send; the
         number of frames now written whole, or -1 if the connection failed."""
@@ -259,18 +274,6 @@ class ConnLoop:
         c.sock.close()
 
 
-@dataclass(eq=False)
-class _Registration:
-    """One local process: its live connection, or its waiting frames."""
-
-    conn: Optional[_Conn] = None
-    pending: deque[bytes] = field(default_factory=deque)
-
-    @property
-    def sock(self) -> Optional[socket.socket]:
-        return self.conn.sock if self.conn else None
-
-
 class Router(ConnLoop):
     TICK = REDIAL_INTERVAL
 
@@ -282,15 +285,15 @@ class Router(ConnLoop):
         self.host = config.host
         self._lsock: Optional[socket.socket] = None
         self.port: Optional[int] = None
-        self._regs: dict[str, _Registration] = {}
+        self._live: dict[str, _Conn] = {}  # process -> its registered connection
+        self._pending: dict[str, deque[bytes]] = {}  # process -> frames waiting for it
         self._peers: dict[str, _Conn] = {}  # links this router dialled
         self._held: dict[str, deque[bytes]] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "Router":
-        ip, _, port = self.config.bind.rpartition(":")
-        self._lsock = socket.create_server((ip or "127.0.0.1", int(port)), backlog=64)
+        self._lsock = socket.create_server(endpoint_addr(self.config.bind), backlog=64)
         self._lsock.setblocking(False)
         self.port = self._lsock.getsockname()[1]
         self._start(f"router-{self.host}", self._lsock)
@@ -346,17 +349,14 @@ class Router(ConnLoop):
             c.waiters.append(src)
             self._update(src)
         self._counters.add(counter)
-        c.wbuf.append(frame)
-        c.wbytes += len(frame)
         c.last_used = time.monotonic()
-        self._dirty.add(c)
+        self._queue(c, frame)
 
     def _closed(self, c: _Conn) -> None:
         """Its unsent frames are routed again, unless the router is stopping."""
-        for name, reg in self._regs.items():
-            if reg.conn is c:
-                reg.conn = None
-                log.info("event=process_down name=%s", name)
+        for name in [n for n, live in self._live.items() if live is c]:
+            del self._live[name]
+            log.info("event=process_down name=%s", name)
         self._peers.pop(c.peer, None)
         if self.closing:
             return
@@ -374,32 +374,28 @@ class Router(ConnLoop):
 
     # -- routing ------------------------------------------------------------------
 
-    def _reg_for(self, name: str) -> _Registration:
-        reg = self._regs.get(name)
-        if reg is None:
-            reg = self._regs[name] = _Registration()
-        return reg
-
     def _register(self, name: str, c: _Conn) -> None:
-        reg = self._reg_for(name)
-        if reg.conn is not None and reg.conn is not c:
-            self._close(reg.conn)  # its unsent frames go back to reg.pending
-        reg.conn = c
+        old = self._live.get(name)
+        if old is not None and old is not c:
+            self._close(old)  # its unsent frames go back to name's pending queue
+        self._live[name] = c
+        pending = self._pending.pop(name, ())
         self._push(c, encode_envelope(make_register_ack(name, self.host)), counter="ctl_out")
-        log.info("event=registered name=%s pending=%d", name, len(reg.pending))
-        self._counters.add("queued", -len(reg.pending))
-        while reg.pending:
-            self._push(c, reg.pending.popleft())
+        log.info("event=registered name=%s pending=%d", name, len(pending))
+        self._counters.add("queued", -len(pending))
+        for frame in pending:
+            self._push(c, frame)
 
     def _route(self, frame: bytes, env: Envelope, src: Optional[_Conn] = None) -> None:
         if env.to.host != self.host:
             self._to_host(env.to.host, frame, src)
             return
-        reg = self._reg_for(env.to.process)
-        if reg.conn is not None:
-            self._push(reg.conn, frame, src)
+        conn = self._live.get(env.to.process)
+        if conn is not None:
+            self._push(conn, frame, src)
         else:
-            self._enqueue(reg.pending, frame, "queue_overflow name=%s", env.to.process)
+            pending = self._pending.setdefault(env.to.process, deque())
+            self._enqueue(pending, frame, "queue_overflow name=%s", env.to.process)
 
     def _to_host(self, label: str, frame: bytes, src: Optional[_Conn] = None,
                  direct: bool = True) -> None:
@@ -438,8 +434,7 @@ class Router(ConnLoop):
         link = self._peers.get(label)
         if link is not None or label not in self.config.peers:
             return link
-        ip, _, port = self.config.peers[label].rpartition(":")
-        link = self._dial((ip or "127.0.0.1", int(port)), peer=label)
+        link = self._dial(endpoint_addr(self.config.peers[label]), peer=label)
         if link is not None:
             self._peers[label] = link
         return link

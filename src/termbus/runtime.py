@@ -35,7 +35,6 @@ first passes a copy-free pre-test; only one that passes is copied.
 from __future__ import annotations
 
 import logging
-import socket
 import threading
 import time
 from collections import deque
@@ -53,10 +52,10 @@ from .codec import (
     is_register_ack,
     make_register,
 )
-from .router import WRITE_BOUND, ConnLoop, _Conn
+from .router import WRITE_BOUND, ConnLoop, _Conn, endpoint_addr
 from .counters import Counters
 from .keyindex import KeyIndex, index_key
-from .mailbox import BLOCK, Guard, Mailbox, MessageRef, RecvOptions, Timeout
+from .mailbox import BLOCK, Guard, Mailbox, MessageRef, RecvOptions, Timeout, _Budget
 from .terms import (
     Atom,
     Compound,
@@ -132,12 +131,12 @@ class ThreadHandle:
     RUNNING = "running"
     EXITED = "exited"
 
-    def __init__(self, tid: int, creator_placeholder=None):
+    def __init__(self, tid: int):
         self.id = tid
         self.symbol: Optional[str] = None
         self.label: Optional[str] = None
         self.mailbox = Mailbox()
-        self.creator: Optional[Address] = creator_placeholder
+        self.creator: Optional[Address] = None
         self.status = ThreadHandle.RUNNING
         self.hooks: list[Callable[[], None]] = []
         self.pythread: Optional[threading.Thread] = None
@@ -309,6 +308,7 @@ class Node:
         if self._link:
             self._link.start()
             if wait and not self._link.ready.wait(CONNECT_TIMEOUT):
+                self._link.stop()
                 raise RouterUnavailableError(
                     f"no registration with router at {self.config.router}"
                 )
@@ -535,9 +535,6 @@ class Node:
 
     # -- receive (current thread's mailbox, name remembering on) -------------
 
-    def _opts(self, timeout: Timeout, remember_names: bool) -> RecvOptions:
-        return RecvOptions(timeout=timeout, remember_names=remember_names)
-
     def _pat(self, p):
         if isinstance(p, str):
             return parse_address(p)
@@ -549,7 +546,7 @@ class Node:
     ):
         return self.current().mailbox.recv_first(
             msg_pat, self._pat(from_), self._pat(reply),
-            self._opts(timeout, remember_names),
+            RecvOptions(timeout, remember_names),
         )
 
     def recv_search(
@@ -558,7 +555,7 @@ class Node:
     ):
         return self.current().mailbox.recv_search(
             msg_pat, self._pat(from_), self._pat(reply),
-            self._opts(timeout, remember_names),
+            RecvOptions(timeout, remember_names),
         )
 
     def peek(
@@ -567,7 +564,7 @@ class Node:
     ):
         return self.current().mailbox.peek(
             msg_pat, self._pat(from_), self._pat(reply),
-            self._opts(timeout, remember_names),
+            RecvOptions(timeout, remember_names),
         )
 
     def commit(self, ref: MessageRef) -> None:
@@ -596,9 +593,10 @@ class Node:
 
         The query runs under the node lock, so a retract inside it is atomic
         with the success decision: of several waiters racing for one fact,
-        exactly one sees it.
+        exactly one sees it.  timeout bounds the total time suspended, as it
+        does for a mailbox receive (mailbox._Budget).
         """
-        deadline = time.monotonic() + timeout if timeout is not None else None
+        budget = _Budget(BLOCK if timeout is None else timeout)
         with self.db._cond:
             while True:
                 if self.closing:
@@ -610,13 +608,8 @@ class Node:
                 while self.db.change_count == seen:
                     if self.closing:
                         raise NodeShutdown()
-                    if deadline is None:
-                        self.db._cond.wait()
-                    else:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise TimeoutError("thread_wait timed out")
-                        self.db._cond.wait(remaining)
+                    if not budget.wait(self.db._cond):
+                        raise TimeoutError("thread_wait timed out")
 
     def critical(self, body: Optional[Callable[[], Any]] = None):
         """Node-wide mutual exclusion (re-entrant).
@@ -682,16 +675,11 @@ class _RouterLink(ConnLoop):
     def __init__(self, node: Node, endpoint: str):
         super().__init__(node._counters)
         self.node = node
-        host, _, port = endpoint.rpartition(":")
-        self.addr = (host or "127.0.0.1", int(port))
+        self.addr = endpoint_addr(endpoint)
         self.ready = threading.Event()
         self._cond = threading.Condition()  # guards _conn, _outbox and _conn's queue
         self._conn: Optional[_Conn] = None  # set while registered
         self._outbox: deque[bytes] = deque()
-
-    @property
-    def _sock(self) -> Optional[socket.socket]:
-        return getattr(self._conn, "sock", None)
 
     def start(self) -> None:
         self._start(f"{self.node.process}-pump")
@@ -707,14 +695,14 @@ class _RouterLink(ConnLoop):
             if c is None:
                 self._outbox.append(frame)
                 return
-            c.wbuf.append(frame)
-            c.wbytes += len(frame)
+            self._queue(c, frame)
             if len(c.wbuf) > 1:  # the loop is writing the queue
                 return
             self._send(c)
             if c.wbuf:  # the socket took part of it, or failed
-                self._dirty.add(c)
                 self._wake()
+            else:  # sent whole: the loop has nothing to send
+                self._dirty.discard(c)
 
     def _send(self, c: _Conn) -> int:
         # counted before the write, so the count is never behind a delivery;
@@ -741,9 +729,7 @@ class _RouterLink(ConnLoop):
         if c is None:
             self.TICK = min(self.TICK * 2, RECONNECT_MAX)
             return
-        c.wbuf.append(encode_envelope(make_register(self.node.process, self.node.host)))
-        c.wbytes = len(c.wbuf[0])
-        self._dirty.add(c)
+        self._queue(c, encode_envelope(make_register(self.node.process, self.node.host)))
 
     def _inbound(self, c: _Conn, frames: list[bytes]) -> None:
         for frame in frames:
@@ -764,11 +750,9 @@ class _RouterLink(ConnLoop):
     def _registered(self, c: _Conn) -> None:
         c.dial_deadline = None
         with self._cond:  # the frames buffered while the link was down go first
-            c.wbuf.extend(self._outbox)
-            c.wbytes += sum(map(len, self._outbox))
+            self._queue(c, *self._outbox)
             self._outbox.clear()
             self._conn = c
-        self._dirty.add(c)
         self.TICK = RECONNECT_MIN
         self.ready.set()
         log.info("event=registered process=%s router=%s:%d", self.node.process, *self.addr)

@@ -393,7 +393,7 @@ class TestStoreAndForward:
             a.send(parse_term("warm"), "main:svc@host_s")
             assert svc.recv_search(parse_term("warm"), timeout=5.0)
             svc.shutdown()
-            wait_until(lambda: r._reg_for("svc").sock is None,
+            wait_until(lambda: "svc" not in r._live,
                        msg="router noticed the drop")
             for i in range(10):
                 a.send(parse_term(f"item({i})"), "main:svc@host_s")

@@ -31,6 +31,8 @@ def test_parse_full_and_short_forms():
     assert parse_address("t:p") == Address("t", "p", None)
     assert parse_address("t") == Address("t", None, None)
     assert parse_address("17:p@h") == Address(17, "p", "h")
+    assert parse_address("007:p@h") == Address(7, "p", "h")
+    assert parse_address("T_1:P-2@H.3") == Address("T_1", "P-2", "H.3")
 
 
 def test_parse_reserved_tokens():
@@ -39,7 +41,8 @@ def test_parse_reserved_tokens():
 
 
 def test_parse_rejects_malformed():
-    for bad in ["a:", ":b", "a@h", "a:b@", "a:b:c", "", "a b"]:
+    for bad in ["a:", ":b", "a@h", "a:b@", "a:b:c", "", "a b", "a:b@c@d", "a@b:c",
+                "a:b:c@d", "-a:p@h", "t:p@-h", "t:p@h x", "é:p@h"]:
         with pytest.raises(AddressError):
             parse_address(bad)
 

@@ -10,6 +10,7 @@ import time
 import pytest
 
 import termbus.router
+import termbus.runtime
 from termbus.address import Address
 from termbus.codec import (
     Envelope,
@@ -23,7 +24,7 @@ from termbus.codec import (
     make_register_ack,
 )
 from termbus.router import WRITE_BOUND, Router, RouterConfig
-from termbus.runtime import Node, NodeConfig
+from termbus.runtime import Node, NodeConfig, RouterUnavailableError
 from termbus.syntax import format_term, parse_term, parse_term_with_vars
 from termbus.terms import Atom, Int, Str, Var, deref, list_parts, mk, mklist
 
@@ -171,7 +172,7 @@ class TestStoreAndForward:
         assert svc.recv_search(parse_term("item(0)"), timeout=5.0)
         svc.shutdown()
         wait_until(
-            lambda: r._reg_for("svc").sock is None, msg="router noticed the drop"
+            lambda: "svc" not in r._live, msg="router noticed the drop"
         )
         for i in range(1, 11):
             a.send(parse_term(f"item({i})"), "main:svc@hostA")
@@ -487,7 +488,7 @@ class TestConnections:
     def test_node_link_disables_nagle(self, stack):
         router, node = stack
         a = node("proc_a", "hostA", router("hostA"))
-        assert a._link._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        assert a._link._conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
     def test_node_shutdown_ends_a_write_blocked_by_its_router(self):
         # a router that acknowledges the registration and then never reads
@@ -706,6 +707,15 @@ class TestNodeLink:
         time.sleep(0.2)  # a few refused dials
         a.shutdown()
         assert not a._link._thread.is_alive()
+
+    def test_a_failed_start_ends_the_link_thread(self, monkeypatch):
+        monkeypatch.setattr(termbus.runtime, "CONNECT_TIMEOUT", 0.2)
+        a = Node(NodeConfig(process="proc_dead", host="hostA",
+                            router=f"127.0.0.1:{free_port()}"))
+        with pytest.raises(RouterUnavailableError):
+            a.start()
+        assert not any(t.name == "proc_dead-pump" and t.is_alive()
+                       for t in threading.enumerate())
 
     def test_concurrent_senders_keep_their_order_through_a_full_queue(self, stack):
         # more sending threads than cores stream large frames through one
