@@ -66,15 +66,30 @@ class Address:
         return format_address(self)
 
 
+# text -> its parsed Address, which is frozen and so safe to share; every
+# frame header brings three texts, which may be any bytes, so the memo is
+# emptied when it reaches its bound
+_PARSED: dict[str, Address] = {}
+_PARSED_MAX = 4096
+
+
 def parse_address(text: str) -> Address:
     """Parse thread[:process[@host]]; digit-only thread slots become ids."""
+    a = _PARSED.get(text)
+    if a is not None:
+        return a
     if text in ("self", "creator"):
-        return Address(thread=SELF if text == "self" else CREATOR)
-    m = _ADDRESS_RE.fullmatch(text)
-    if m is None:
-        raise AddressError(f"malformed address: {text!r}")
-    t, process, host = m.groups()
-    return Address(int(t) if t.isdigit() else t, process, host)
+        a = Address(thread=SELF if text == "self" else CREATOR)
+    else:
+        m = _ADDRESS_RE.fullmatch(text)
+        if m is None:
+            raise AddressError(f"malformed address: {text!r}")
+        t, process, host = m.groups()
+        a = Address(int(t) if t.isdigit() else t, process, host)
+    if len(_PARSED) >= _PARSED_MAX:
+        _PARSED.clear()
+    _PARSED[text] = a
+    return a
 
 
 def _part_str(part) -> str:

@@ -42,7 +42,7 @@ from typing import Iterator, Optional
 
 from . import syntax
 from .address import Address, format_address, parse_address
-from .terms import Atom, Compound, Int, Str, Term, Var, deref, INT_MIN, INT_MAX
+from .terms import Atom, Compound, Int, Str, Term, Var, deref
 
 VERSION = 0x01
 MAX_FRAME = 64 * 1024 * 1024
@@ -91,7 +91,10 @@ class Flags:
     @staticmethod
     def from_byte(b: int) -> "Flags":
         # unknown high bits are ignored for forward compatibility
-        return Flags(bool(b & 0x01), bool(b & 0x02), bool(b & 0x04))
+        return _FLAGS[b & 0x07]
+
+
+_FLAGS = tuple(Flags(bool(b & 0x01), bool(b & 0x02), bool(b & 0x04)) for b in range(8))
 
 
 @dataclass(frozen=True)
@@ -156,93 +159,170 @@ def _get_varint(data, pos: int, end: int) -> tuple[int, int]:
             raise BodyParseError("varint too long")
 
 
+def _utf8(raw) -> str:
+    try:
+        return str(raw, "utf-8")
+    except UnicodeDecodeError as e:
+        raise BodyParseError(f"bad UTF-8: {e}") from None
+
+
 def _get_text(data, pos: int, end: int) -> tuple[str, int]:
     """The length-prefixed UTF-8 text at data[pos:end] and the position after it."""
     n, pos = _get_varint(data, pos, end)
     stop = pos + n
     if stop > end:
         raise TruncatedFrameError("unexpected end of frame")
-    try:
-        return str(data[pos:stop], "utf-8"), stop
-    except UnicodeDecodeError as e:
-        raise BodyParseError(f"bad UTF-8: {e}") from None
+    return _utf8(data[pos:stop]), stop
+
+
+def _put_text(out: bytearray, text: str) -> None:
+    raw = text.encode("utf-8")
+    _put_varint(out, len(raw))
+    out += raw
 
 
 # ---------------------------------------------------------------------------
 # binary term codec
 
-def encode_term_binary(t: Term) -> bytes:
-    """The binary encoding of t, written in one pre-order pass."""
-    out = bytearray()
+# atom and functor text -> its varint length and UTF-8 bytes; the texts come
+# from terms of any origin, so the cache is emptied when it reaches its bound
+_HEADS: dict[str, bytes] = {}
+_HEADS_MAX = 4096
+
+
+def _head(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    head = encode_varint(len(raw)) + raw
+    if len(_HEADS) >= _HEADS_MAX:
+        _HEADS.clear()
+    _HEADS[text] = head
+    return head
+
+
+def _encode_term(out: bytearray, t: Term) -> None:
+    """Append the binary encoding of t to out, in one pre-order pass."""
     put = out.append
+    head = _HEADS.get
     serials: dict[int, int] = {}
     stack = [t]
     pop, push = stack.pop, stack.extend
     while stack:
         x = pop()
-        while type(x) is Var and x.ref is not None:
-            x = x.ref
         kind = type(x)
         if kind is Compound:
-            tag, text = TAG_COMPOUND, x.functor
-        elif kind is Atom:
-            tag, text = TAG_ATOM, x.name
+            put(TAG_COMPOUND)
+            out += head(x.functor) or _head(x.functor)
+            n = len(x.args)
+            if n < 0x80:
+                put(n)
+            else:
+                _put_varint(out, n)
+            push(reversed(x.args))
         elif kind is Int:
+            z = (x.value << 1) ^ (x.value >> 63)
             put(TAG_INT)
-            _put_varint(out, zigzag(x.value))
-            continue
-        elif kind is Str:
-            tag, text = TAG_STR, x.value
+            while z > 0x7F:
+                put((z & 0x7F) | 0x80)
+                z >>= 7
+            put(z)
+        elif kind is Atom:
+            put(TAG_ATOM)
+            out += head(x.name) or _head(x.name)
         elif kind is Var:
-            if x.name is None:
+            if x.ref is not None:  # a bound variable is written as its value
+                stack.append(x.ref)
+            elif x.name is None:
                 put(TAG_VAR)
                 put(0)
                 _put_varint(out, serials.setdefault(x.id, len(serials)))
-                continue
-            tag, text = TAG_VAR, x.name
+            else:
+                put(TAG_VAR)
+                _put_text(out, x.name)
+        elif kind is Str:
+            put(TAG_STR)
+            _put_text(out, x.value)
         else:
             raise CodecError(f"not a term: {x!r}")
-        raw = text.encode("utf-8")
-        put(tag)
-        _put_varint(out, len(raw))
-        out += raw
-        if kind is Compound:
-            _put_varint(out, len(x.args))
-            push(reversed(x.args))
+
+
+def encode_term_binary(t: Term) -> bytes:
+    """The binary encoding of t."""
+    out = bytearray()
+    _encode_term(out, t)
     return bytes(out)
 
 
 def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
     """The binary term at data[pos:end] and the position after it.
 
-    A compound is opened when its header is read and closed when its last
-    argument is; ``open_`` holds the compounds still collecting arguments.
+    One loop reads one node a turn.  Every tag is followed by a varint (an
+    Int's value, else a text length), read in line: a byte below 0x80 at
+    once, a longer one byte by byte.  A compound is opened when its header
+    is read and closed when its last argument is: ``functor``, ``need`` and
+    ``args`` are the innermost compound still collecting arguments, and
+    ``open_`` holds those around it.  Each distinct atom or functor text is
+    decoded from UTF-8 once.  Every read is checked against end.
     """
     named: dict[str, Var] = {}
     by_serial: dict[int, Var] = {}
-    open_: list[tuple[str, int, list]] = []
+    texts: dict[bytes, str] = {}
+    open_: list[tuple] = []
+    functor, need, args = None, 0, None
     while True:
         if pos >= end:
             raise TruncatedFrameError("unexpected end of frame")
         tag = data[pos]
         pos += 1
-        if tag == TAG_INT:
-            z, pos = _get_varint(data, pos, end)
-            value = unzigzag(z)
-            if not (INT_MIN <= value <= INT_MAX):
-                raise BodyParseError(f"integer out of 64-bit range: {value}")
-            term = Int(value)
+        if pos < end and data[pos] < 0x80:
+            n = data[pos]
+            pos += 1
         elif TAG_ATOM <= tag <= TAG_COMPOUND:
-            text, pos = _get_text(data, pos, end)
-            if tag == TAG_COMPOUND:
-                arity, pos = _get_varint(data, pos, end)
-                if arity == 0:
-                    raise BodyParseError("compound with zero arity")
-                open_.append((text, arity, []))
-                continue
+            n = shift = 0
+            while True:
+                if pos >= end:
+                    raise TruncatedFrameError("unexpected end of frame")
+                b = data[pos]
+                pos += 1
+                n |= (b & 0x7F) << shift
+                if b < 0x80:
+                    break
+                shift += 7
+                if shift > 70:
+                    raise BodyParseError("varint too long")
+        if tag == TAG_INT:
+            try:
+                term = Int((n >> 1) ^ -(n & 1))
+            except ValueError as e:  # out of the 64-bit range
+                raise BodyParseError(str(e)) from None
+        elif tag == TAG_COMPOUND or tag == TAG_ATOM:
+            stop = pos + n
+            if stop > end:
+                raise TruncatedFrameError("unexpected end of frame")
+            raw = data[pos:stop]
+            pos = stop
+            text = texts.get(raw)
+            if text is None:
+                text = texts[raw] = _utf8(raw)
             if tag == TAG_ATOM:
                 term = Atom(text)
-            elif tag == TAG_STR:
+            else:
+                if pos < end and data[pos] < 0x80:
+                    arity = data[pos]
+                    pos += 1
+                else:
+                    arity, pos = _get_varint(data, pos, end)
+                if arity == 0:
+                    raise BodyParseError("compound with zero arity")
+                open_.append((functor, need, args))
+                functor, need, args = text, arity, []
+                continue
+        elif tag == TAG_STR or tag == TAG_VAR:
+            stop = pos + n
+            if stop > end:
+                raise TruncatedFrameError("unexpected end of frame")
+            text = _utf8(data[pos:stop])
+            pos = stop
+            if tag == TAG_STR:
                 term = Str(text)
             elif text:
                 term = named.get(text)
@@ -255,13 +335,12 @@ def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
                     term = by_serial[serial] = Var()
         else:
             raise BodyParseError(f"unknown term tag 0x{tag:02x}")
-        while open_:
-            functor, arity, args = open_[-1]
+        while args is not None:
             args.append(term)
-            if len(args) < arity:
+            if len(args) < need:
                 break
-            open_.pop()
             term = Compound(functor, tuple(args))
+            functor, need, args = open_.pop()
         else:
             return term, pos
 
@@ -276,27 +355,20 @@ def decode_term_binary(data: bytes) -> Term:
 # ---------------------------------------------------------------------------
 # envelopes and frames
 
-def _emit_address(out: bytearray, a: Address) -> None:
-    raw = format_address(a).encode("utf-8")
-    _put_varint(out, len(raw))
-    out += raw
-
-
 def encode_envelope(env: Envelope) -> bytes:
+    out = bytearray(4)  # the length prefix, written last
+    out.append(VERSION)
+    out.append(env.flags.to_byte())
     for slot, a in (("to", env.to), ("sender", env.sender), ("reply_to", env.reply_to)):
         if not a.qualified():
             raise UnqualifiedAddressError(f"{slot} address not fully qualified: {a}")
-    inner = bytearray()
-    inner.append(VERSION)
-    inner.append(env.flags.to_byte())
-    _emit_address(inner, env.to)
-    _emit_address(inner, env.sender)
-    _emit_address(inner, env.reply_to)
+        _put_text(out, format_address(a))
     if env.flags.encoded:
-        inner += encode_term_binary(env.payload)
+        _encode_term(out, env.payload)
     else:
-        inner += syntax.format_term(env.payload).encode("utf-8")
-    return struct.pack(">I", len(inner)) + bytes(inner)
+        out += syntax.format_term(env.payload).encode("utf-8")
+    struct.pack_into(">I", out, 0, len(out) - 4)
+    return bytes(out)
 
 
 def _get_address(data, pos: int, end: int, what: str) -> tuple[Address, int]:

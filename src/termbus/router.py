@@ -54,6 +54,7 @@ from .counters import Counters
 log = logging.getLogger("termbus.router")
 
 WRITE_BOUND = 256 * 1024  # queued bytes at which a connection pauses producers
+SEND_CHUNK = 8 * 1024  # bytes of queued frames joined for one send
 DIAL_TIMEOUT = 0.25
 REDIAL_INTERVAL = 0.1  # also the period of dial and idle checks
 PEER_IDLE = 30.0
@@ -96,14 +97,15 @@ class ConnLoop:
     """One thread's poll loop over non-blocking sockets.
 
     Each connection has a receive buffer cut by codec.cut_frames and a write
-    queue whose frames go out in one send; _queue alone appends to a queue,
-    and marks the connection for the loop's next send.  A frame that finds a
-    queue at WRITE_BOUND bytes is still queued, but its producer is not read
-    again until that queue drains: a slow consumer pauses its producers,
-    loses nothing and delays no other connection.  Dials do not block.  The
-    owner says what a connection's frames mean (_inbound), what a closed one
-    leaves behind (_closed), what the tick every TICK seconds does (_tick)
-    and, if it listens, how it accepts (_accept).
+    queue whose frames go out joined, up to SEND_CHUNK bytes a send; _queue
+    alone appends to a queue, and marks the connection for the loop's next
+    send.  A frame that finds a queue at WRITE_BOUND bytes is still queued,
+    but its producer is not read again until that queue drains: a slow
+    consumer pauses its producers, loses nothing and delays no other
+    connection.  Dials do not block.  The owner says what a connection's
+    frames mean (_inbound), what a closed one leaves behind (_closed), what
+    the tick every TICK seconds does (_tick) and, if it listens, how it
+    accepts (_accept).
     """
 
     TICK = 0.1
@@ -211,21 +213,36 @@ class ConnLoop:
         self._dirty.add(c)
 
     def _send(self, c: _Conn) -> int:
-        """Write as much of c's queue as the socket takes, in one send; the
-        number of frames now written whole, or -1 if the connection failed."""
-        data = c.wbuf[0] if len(c.wbuf) == 1 else b"".join(c.wbuf)
-        try:
-            n = c.sent + c.sock.send(memoryview(data)[c.sent:] if c.sent else data)
-        except BlockingIOError:  # the socket is full, or a dial is under way
-            return 0
-        except OSError:
-            return -1
+        """Write c's queue until it is empty or the socket takes less than it
+        is handed; the number of frames now written whole, or -1 if the
+        connection failed before any was.  Each send is handed the frames
+        that fit in SEND_CHUNK bytes, joined, or the first frame alone, so
+        a long queue is copied once, not once per send."""
         done = 0
-        while c.wbuf and n >= len(c.wbuf[0]):
-            n -= len(c.wbuf[0])
-            c.wbytes -= len(c.wbuf.popleft())
-            done += 1
-        c.sent = n
+        while c.wbuf:
+            data = c.wbuf[0]
+            if len(c.wbuf) > 1 and len(data) - c.sent < SEND_CHUNK:
+                chunk, size = [], -c.sent
+                for frame in c.wbuf:
+                    size += len(frame)
+                    if size > SEND_CHUNK:
+                        break
+                    chunk.append(frame)
+                data = b"".join(chunk)
+            try:
+                n = c.sent + c.sock.send(memoryview(data)[c.sent:] if c.sent else data)
+            except BlockingIOError:  # the socket is full, or a dial is under way
+                return done
+            except OSError:
+                return done or -1
+            taken_all = n == len(data)
+            while c.wbuf and n >= len(c.wbuf[0]):
+                n -= len(c.wbuf[0])
+                c.wbytes -= len(c.wbuf.popleft())
+                done += 1
+            c.sent = n
+            if not taken_all:
+                return done
         return done
 
     def _flush(self, c: _Conn) -> None:

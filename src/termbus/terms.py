@@ -4,6 +4,13 @@ A term is one of Atom, Int, Str, Var or Compound.  Lists are ordinary
 compounds built from the functor ``'.'`` and the atom ``[]``; helpers at the
 bottom of this module build and take them apart.
 
+Atom, Int, Str and Compound are immutable values in ``__slots__`` classes,
+so building one, as the codec does for every node it decodes, is one
+allocation and one plain call.  Their ``==``, ``hash`` and ``repr`` are
+those a frozen dataclass of the same fields would have: equal when of the
+same class with equal fields, the hash of the tuple of fields, and
+``Atom(name='a')``.
+
 Variables are mutable binding cells.  Unification binds cells in place and
 records every binding on a trail so that a failed attempt can be unwound,
 leaving every cell exactly as it was.  That undo discipline is what the
@@ -16,15 +23,14 @@ walker is one of three loops over an explicit stack: a post-order rebuild
 (_rebuild: fresh_copy, intern_named, resolve), a pre-order walk over
 dereferenced subterms (_subterms: variables, name_unnamed, the occurs check
 and the writer's name pass) and a pairwise walk (_pairwise: term_equal,
-variant).  Compound's ``==``, ``hash`` and ``repr`` keep the dataclass
-meaning, which follows no binding, so they are loops of their own.
+variant).  Compound's ``==``, ``hash`` and ``repr`` follow no binding, so
+they are loops of their own.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 from operator import is_
 from typing import Callable, Iterator, Optional, Union
 
@@ -59,40 +65,97 @@ class Var:
         return _term_repr(self)
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class _Value:
+    """The shared frame of the four term value classes: immutable slots.
 
-
-@dataclass(frozen=True)
-class Int:
-    value: int
-
-    def __post_init__(self):
-        if not (INT_MIN <= self.value <= INT_MAX):
-            raise ValueError(f"integer out of 64-bit range: {self.value}")
-
-
-@dataclass(frozen=True)
-class Str:
-    value: str
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Compound:
-    """A functor applied to one or more arguments.
-
-    ``==``, ``hash`` and ``repr`` mean what the dataclass would generate:
-    no dereferencing, and a variable equals only itself.  They are loops,
-    so any depth is safe.
+    Assigning or deleting a field raises AttributeError.  Each class's
+    __init__ writes its slots through the slot descriptors' own setters,
+    so a term costs one allocation and a plain call to build.
     """
 
-    functor: str
-    args: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.args) == 0:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class Atom(_Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_name(self, name)
+
+    def __eq__(self, other):
+        if type(other) is not Atom:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
+
+    def __repr__(self) -> str:
+        return f"Atom(name={self.name!r})"
+
+
+class Int(_Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        if not INT_MIN <= value <= INT_MAX:
+            raise ValueError(f"integer out of 64-bit range: {value}")
+        _set_int(self, value)
+
+    def __eq__(self, other):
+        if type(other) is not Int:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __repr__(self) -> str:
+        return f"Int(value={self.value!r})"
+
+
+class Str(_Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        _set_str(self, value)
+
+    def __eq__(self, other):
+        if type(other) is not Str:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __repr__(self) -> str:
+        return f"Str(value={self.value!r})"
+
+
+class Compound(_Value):
+    """A functor applied to one or more arguments.
+
+    ``==``, ``hash`` and ``repr`` mean what a dataclass of the two fields
+    would generate: no dereferencing, and a variable equals only itself.
+    They are loops, so any depth is safe.
+    """
+
+    __slots__ = ("functor", "args")
+
+    def __init__(self, functor: str, args: tuple):
+        if not args:
             raise ValueError("zero-arity compound; use Atom instead")
+        _set_functor(self, functor)
+        _set_args(self, args)
 
     @property
     def arity(self) -> int:
@@ -132,8 +195,15 @@ class Compound:
         return _term_repr(self)
 
 
+_set_name = Atom.name.__set__
+_set_int = Int.value.__set__
+_set_str = Str.value.__set__
+_set_functor = Compound.functor.__set__
+_set_args = Compound.args.__set__
+
+
 def _term_repr(t: Term) -> str:
-    """The text the dataclass and Var reprs would build by recursion, built
+    """The text the value and Var reprs would build by recursion, built
     in a loop.  As there, a compound met again inside its own text is
     written '...', so a cyclic binding ends.  A variable is cut the third
     time it is met inside its own text, which only a cycle of variables

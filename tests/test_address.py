@@ -1,5 +1,6 @@
 import pytest
 
+import termbus.address
 from termbus.address import (
     CREATOR,
     SELF,
@@ -45,6 +46,17 @@ def test_parse_rejects_malformed():
                 "a:b:c@d", "-a:p@h", "t:p@-h", "t:p@h x", "é:p@h"]:
         with pytest.raises(AddressError):
             parse_address(bad)
+
+
+def test_parse_memo_shares_results_and_stays_bounded():
+    assert parse_address("t:p@h") is parse_address("t:p@h")
+    for bad in ["a:", "a b"]:  # a refused text is refused every time
+        for _ in range(2):
+            with pytest.raises(AddressError):
+                parse_address(bad)
+    for i in range(termbus.address._PARSED_MAX + 10):
+        assert parse_address(f"t{i}:p@h") == Address(f"t{i}", "p", "h")
+    assert len(termbus.address._PARSED) <= termbus.address._PARSED_MAX
 
 
 def test_format_roundtrip():

@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import given
 
+import termbus.codec
 from termbus.address import Address
 from termbus.codec import (
     BodyParseError,
+    CodecError,
     Envelope,
     Flags,
     TruncatedFrameError,
@@ -80,6 +82,13 @@ def test_envelope_layout_is_pinned():
     assert encode_envelope(env) == bytes.fromhex(
         "0000001a 01 01 05 743a7040 68 05 753a7140 68 05 753a7140 68 05 01 66 01 02 02"
     )
+
+
+def test_atom_and_functor_byte_cache_stays_bounded():
+    for i in range(termbus.codec._HEADS_MAX + 10):
+        t = mk(f"f{i}", Atom(f"a{i}"))
+        assert decode_term_binary(encode_term_binary(t)) == t
+    assert len(termbus.codec._HEADS) <= termbus.codec._HEADS_MAX
 
 
 def test_varint_edges():
@@ -290,3 +299,48 @@ def test_deep_nest_round_trips_without_recursion():
     assert depth == DEEP and back == Atom("leaf")
     frame = encode_envelope(Envelope(t, A, B, flags=Flags(encoded=True)))
     assert encode_envelope(decode_envelope(frame)) == frame
+
+
+# Malformed input is refused with codec errors alone.  The decoder reads
+# single-byte varints, lengths and arities in line; these pin that every read
+# is still checked against the end of the data.
+
+def _bodies(seed, count):
+    rng = random.Random(seed)
+    return [encode_term_binary(gen_term(rng)) for _ in range(count)]
+
+
+def test_every_strict_prefix_of_a_body_is_truncated():
+    for body in _bodies(7, 200):
+        for k in range(len(body)):
+            with pytest.raises(TruncatedFrameError):
+                decode_term_binary(body[:k])
+
+
+def _corruptions(data, rng):
+    """data with one byte replaced, for every position and a spread of values."""
+    for i, b in enumerate(data):
+        for v in {0x00, 0x01, 0x05, 0x06, 0x7F, 0x80, 0xFF, b ^ 0x01, b ^ 0x80, rng.randrange(256)}:
+            if v != b:
+                yield data[:i] + bytes([v]) + data[i + 1:]
+
+
+def test_a_corrupt_byte_decodes_or_raises_a_codec_error():
+    rng = random.Random(11)
+    tried = 0
+    for body in _bodies(8, 40):
+        for bad in _corruptions(body, rng):
+            tried += 1
+            try:
+                decode_term_binary(bad)
+            except CodecError:
+                pass
+        for encoded in (True, False):
+            frame = encode_envelope(Envelope(decode_term_binary(body), A, B, flags=Flags(encoded=encoded)))
+            for bad in _corruptions(frame, rng):
+                tried += 1
+                try:
+                    decode_envelope(bad)
+                except CodecError:
+                    pass
+    assert tried > 10_000

@@ -23,7 +23,8 @@ from termbus.codec import (
     make_register,
     make_register_ack,
 )
-from termbus.router import WRITE_BOUND, Router, RouterConfig
+from termbus.counters import Counters
+from termbus.router import WRITE_BOUND, ConnLoop, Router, RouterConfig, _Conn
 from termbus.runtime import Node, NodeConfig, RouterUnavailableError
 from termbus.syntax import format_term, parse_term, parse_term_with_vars
 from termbus.terms import Atom, Int, Str, Var, deref, list_parts, mk, mklist
@@ -656,6 +657,36 @@ class TestSlowConsumer:
             fast.close()
             other.close()
         assert r.stats()["dropped"] == 0
+
+
+class _StingySocket:
+    """A socket that takes at most `take` bytes of each send and records
+    how many bytes each send was handed."""
+
+    def __init__(self, take):
+        self.take, self.handed, self.got = take, [], bytearray()
+
+    def send(self, data):
+        self.handed.append(len(data))
+        n = min(len(data), self.take)
+        self.got += bytes(data[:n])
+        return n
+
+
+def test_a_long_write_queue_drains_in_linear_work():
+    """Each send is handed a bounded prefix of the queue, not all of it."""
+    frames = [bytes([i % 251]) * 1024 for i in range(2048)]  # 2 MB of 1 KB frames
+    sock = _StingySocket(take=4500)
+    loop = ConnLoop(Counters("bad_frames"))
+    c = _Conn(sock)
+    loop._queue(c, *frames)
+    done = 0
+    while c.wbuf:
+        done += loop._send(c)
+    moved = len(sock.got)
+    assert done == len(frames) and c.wbytes == 0 and c.sent == 0
+    assert sock.got == b"".join(frames)  # every byte, in frame order
+    assert sum(sock.handed) <= 2 * moved
 
 
 class TestFramingFaults:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -23,6 +25,7 @@ from termbus.terms import (
     unify,
     variables,
     variant,
+    INT_MAX,
 )
 
 from termgen import all_cells, gen_term, terms
@@ -119,6 +122,73 @@ def test_int_range_enforced():
 
 
 def test_compound_requires_args():
+    with pytest.raises(ValueError):
+        Compound("f", ())
+
+
+# The value classes keep the meaning of the frozen dataclasses they replaced:
+# the golden texts and hashes below are those the dataclasses gave.
+VALUE_REPRS = [
+    (Atom("a"), "Atom(name='a')"),
+    (Atom("it's"), "Atom(name=\"it's\")"),
+    (Int(-3), "Int(value=-3)"),
+    (Int(INT_MAX), "Int(value=9223372036854775807)"),
+    (Str('say "hi"'), "Str(value='say \"hi\"')"),
+    (Str("h\u00e9"), "Str(value='h\u00e9')"),
+    (Compound("f", (Atom("a"), Int(1))), "Compound(functor='f', args=(Atom(name='a'), Int(value=1)))"),
+]
+
+
+@pytest.mark.parametrize("t,text", VALUE_REPRS)
+def test_value_repr_is_the_dataclass_text(t, text):
+    assert repr(t) == text
+
+
+@pytest.mark.parametrize("cls,field,v,w", [
+    (Atom, "name", "a", "b"), (Int, "value", 1, 2), (Str, "value", "a", "b"),
+])
+def test_value_eq_and_hash_are_the_dataclass_ones(cls, field, v, w):
+    assert cls(v) == cls(v) == cls(**{field: v}) and not cls(v) != cls(v)
+    assert cls(v) != cls(w)
+    assert hash(cls(v)) == hash((v,))
+    assert getattr(cls(v), field) == v
+    assert cls(v).__eq__(v) is NotImplemented and cls(v) != v
+    assert len({cls(v), cls(v), cls(w)}) == 2
+
+
+def test_values_of_different_classes_differ():
+    assert Atom("a") != Str("a") and Atom("1") != Int(1) and Str("1") != Int(1)
+    assert Atom("a").__eq__(Str("a")) is NotImplemented
+    c = Compound("f", (Int(1), Atom("a")))
+    assert c == Compound(functor="f", args=(Int(1), Atom("a"))) and c.arity == 2
+    assert c != Compound("f", (Int(1), Str("a"))) and c != Atom("f")
+    assert hash(c) == hash((("f", 2), Int(1), Atom("a")))
+
+
+@pytest.mark.parametrize("t,field", [
+    (Atom("a"), "name"), (Int(1), "value"), (Str("s"), "value"),
+    (Compound("f", (Int(1),)), "functor"), (Compound("f", (Int(1),)), "args"),
+])
+def test_value_fields_are_immutable(t, field):
+    before = getattr(t, field)
+    with pytest.raises(AttributeError):
+        setattr(t, field, before)
+    with pytest.raises(AttributeError):
+        delattr(t, field)
+    with pytest.raises(AttributeError):
+        t.other = 1
+    assert getattr(t, field) is before
+
+
+def test_values_copy_and_pickle():
+    t = mk("f", Atom("a"), Int(-7), Str("s"), mklist([Int(1)]))
+    for back in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert back == t and type(back.args[1]) is Int
+
+
+def test_value_checks_stay():
+    with pytest.raises(ValueError):
+        Int(2**63)
     with pytest.raises(ValueError):
         Compound("f", ())
 
