@@ -21,8 +21,8 @@ Wire protocol, all handler replies addressed to the requesting client:
 
 T' is T instantiated by the match.  Blocking operations suspend the handler
 on the store's change signal; the client simply sees a delayed reply.  An
-operation that raises is logged as ``event=request_failed`` and gets no
-reply; the handler and the accept loop go on serving.
+unknown or raising request is logged as ``event=request_failed`` and gets
+no reply; the handler and the accept loop go on serving.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Optional, Union
 from .address import Address, term_to_address
 from .mailbox import BLOCK, Guard, MailboxClosed, Timeout
 from .runtime import Node, NodeShutdown, ThreadExit
-from .terms import Atom, Substitution, Term, Var, deref, mk
+from .terms import Atom, Compound, Substitution, Term, Var, deref, mk
 
 log = logging.getLogger("termbus.linda")
 
@@ -58,7 +58,7 @@ def serve(node: Node) -> None:
         try:
             node.recv_search(Atom("connect"), from_=who)
             client = term_to_address(deref(who))
-            node.fork(_handler(node, client), label="linda_handler")
+            node.fork(lambda c=client: _handle(node, c), label="linda_handler")
         except (MailboxClosed, NodeShutdown, ThreadExit):
             raise
         except Exception as e:
@@ -66,62 +66,46 @@ def serve(node: Node) -> None:
             log.warning("event=request_failed err=%s", e, exc_info=True)
 
 
-def _handler(node: Node, client: Address):
-    def run():
-        node.send(Atom("connected"), client, remember_names=False)
-        while True:
-            t_out, t_in, t_rd, t_inp, t_rdp = (Var() for _ in range(5))
-
-            def do_out(t=t_out):
-                node.assert_clause(mk(_WRAP, deref(t)))
-                node.send(Atom("inserted"), client, remember_names=False)
-
-            def do_in(t=t_in):
-                node.thread_wait(lambda: node.retract_clause(mk(_WRAP, deref(t))))
-                node.send(mk("ok", deref(t)), client, remember_names=False)
-
-            def do_rd(t=t_rd):
-                node.thread_wait(
-                    lambda: next(node.clause_lookup(mk(_WRAP, deref(t))), None)
-                )
-                node.send(mk("ok", deref(t)), client, remember_names=False)
-
-            def do_inp(t=t_inp):
-                if node.retract_clause(mk(_WRAP, deref(t))):
-                    node.send(mk("ok", deref(t)), client, remember_names=False)
-                else:
-                    node.send(Atom("fail"), client, remember_names=False)
-
-            def do_rdp(t=t_rdp):
-                if next(node.clause_lookup(mk(_WRAP, deref(t))), None):
-                    node.send(mk("ok", deref(t)), client, remember_names=False)
-                else:
-                    node.send(Atom("fail"), client, remember_names=False)
-
-            try:
-                stop = node.message_choice(
-                    [
-                        Guard(mk("out", t_out), from_=client, body=do_out),
-                        Guard(mk("in", t_in), from_=client, body=do_in),
-                        Guard(mk("rd", t_rd), from_=client, body=do_rd),
-                        Guard(mk("inp", t_inp), from_=client, body=do_inp),
-                        Guard(mk("rdp", t_rdp), from_=client, body=do_rdp),
-                        Guard(Atom("disconnect"), from_=client, body=lambda: "stop"),
-                    ]
-                )
-            except (MailboxClosed, NodeShutdown, ThreadExit):
-                raise
-            except Exception as e:
-                # a fault in one operation must not end the client's session;
-                # that operation gets no reply
-                log.warning("event=request_failed client=%s err=%s", client, e,
-                            exc_info=True)
-                continue
-            if stop == "stop":
+def _handle(node: Node, client: Address) -> None:
+    node.send(Atom("connected"), client, remember_names=False)
+    while True:
+        request = Var()
+        try:
+            node.recv_search(request, from_=client)
+            reply = _operate(node, deref(request))
+            if reply is None:
                 log.info("event=client_left client=%s", client)
                 return
+            node.send(reply, client, remember_names=False)
+        except (MailboxClosed, NodeShutdown, ThreadExit):
+            raise
+        except Exception as e:
+            # a fault in one operation must not end the client's session;
+            # that operation gets no reply
+            log.warning("event=request_failed client=%s err=%s", client, e,
+                        exc_info=True)
 
-    return run
+
+def _operate(node: Node, r: Term) -> Optional[Term]:
+    """Carry out request r; its reply, or None for disconnect."""
+    if r == Atom("disconnect"):
+        return None
+    op = r.functor if type(r) is Compound and r.arity == 1 else None
+    if op not in ("out", "in", "rd", "inp", "rdp"):
+        raise LindaError(f"unknown request {r!r}")
+    pat = mk(_WRAP, r.args[0])
+    if op == "out":
+        node.assert_clause(pat)
+        return Atom("inserted")
+    if op in ("in", "inp"):
+        found = lambda: node.retract_clause(pat)
+    else:
+        found = lambda: next(node.clause_lookup(pat), None)
+    if op in ("in", "rd"):
+        node.thread_wait(found)
+    elif not found():
+        return Atom("fail")
+    return mk("ok", r.args[0])
 
 
 # --------------------------------------------------------------------------

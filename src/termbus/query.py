@@ -105,8 +105,8 @@ def solve(node: Node, goal: Term, timeout: Optional[float] = None) -> Iterator[S
     A goal's candidate clauses come from the store's index and each head is
     pre-tested before its clause is copied.  A predicate with no clauses
     logs a diagnostic and produces no solutions, so a serving loop survives
-    bad queries; a defined one with no matching clause simply fails.
-    timeout bounds each remote exchange.
+    bad queries; a defined one with no matching clause simply fails.  ``=``
+    and heads unify with the occurs check.  timeout bounds each remote exchange.
 
     The search is one loop over the goals left, as nested ``(goal, rest)``
     pairs, and a stack of choicepoints: a goal's untried alternatives, the
@@ -127,7 +127,7 @@ def solve(node: Node, goal: Term, timeout: Optional[float] = None) -> Iterator[S
                 goals = (g.args[0], (g.args[1], rest))
                 continue
             if f == "=":
-                proved = unify_into(g.args[0], g.args[1], trail)
+                proved = unify_into(g.args[0], g.args[1], trail, occurs_check=True)
             elif f in _COMPARE:
                 proved = _compare(f, g.args[0], g.args[1])
             else:
@@ -190,7 +190,7 @@ def _alternatives(node: Node, g: Term, f: Optional[str], trail: list,
         if could_unify(g, head):
             clause = fresh_copy(Compound(":-", (head, body)))
             # head into goal: a goal variable never ends behind a chain of head variables
-            if unify_into(clause.args[0], g, trail):
+            if unify_into(clause.args[0], g, trail, occurs_check=True):
                 yield clause.args[1]
             undo_to(trail, mark)
 

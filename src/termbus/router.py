@@ -3,11 +3,11 @@
 Every process on a host keeps one duplex connection to the host's router,
 which it names in a REGISTER control frame.  The router acknowledges and
 from then on forwards every data frame addressed to that process down that
-connection.  Frames for a process that is not connected wait in a bounded
-per-process queue, oldest dropped on overflow, until it (re)registers.
-Frames for another host go over a lazily dialled link to that host's
-router.  When it cannot be reached they go to the host's proxy router (a
-router that is itself the proxy holds them and redials) or are dropped.
+connection.  Frames for a process that is not connected wait until it
+(re)registers.  Frames for another host go over a lazily dialled link to
+that host's router.  When it cannot be reached they go to the host's proxy
+router (a router that is itself the proxy holds them and redials) or are
+dropped.  Held frames wait in a Holds (below), as a node's do.
 
 One ConnLoop (below) serves every connection of the router from one
 thread; each node's link to its router (runtime._RouterLink) runs one too.
@@ -34,7 +34,7 @@ import select
 import socket
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,6 +58,7 @@ SEND_CHUNK = 8 * 1024  # bytes of queued frames joined for one send
 DIAL_TIMEOUT = 0.25
 REDIAL_INTERVAL = 0.1  # also the period of dial and idle checks
 PEER_IDLE = 30.0
+HOLD_TOTAL = 1 << 16  # frames one Holds keeps over all its keys
 READ, WRITE = select.POLLIN, select.POLLOUT
 
 
@@ -291,21 +292,58 @@ class ConnLoop:
         c.sock.close()
 
 
+class Holds:
+    """Held frames in FIFO queues by key, oldest dropped first: past bound
+    in one queue, or past HOLD_TOTAL in all from the key held longest.  An
+    emptied key is forgotten.  Each drop counts in ``dropped`` and logs
+    event with its key.  The owner serialises every call."""
+
+    def __init__(self, counters: Counters, event: str, bound: int = HOLD_TOTAL):
+        self.queues: OrderedDict[object, deque] = OrderedDict()  # longest held first
+        self._frames = 0
+        self._counters = counters
+        self._event = event
+        self._bound = bound
+
+    def __len__(self) -> int:
+        return self._frames
+
+    def put(self, key, frame) -> None:
+        q = self.queues.setdefault(key, deque())
+        q.append(frame)
+        if len(q) <= self._bound:
+            if self._frames < HOLD_TOTAL:
+                self._frames += 1
+                return
+            key = next(iter(self.queues))  # O(1) in an OrderedDict, not in a dict
+            q = self.queues[key]
+        q.popleft()  # one frame in, one out: the total stands
+        if not q:
+            del self.queues[key]
+        self._counters.add("dropped")
+        log.warning("event=" + self._event, key)
+
+    def take(self, key) -> deque:
+        q = self.queues.pop(key, ())
+        self._frames -= len(q)
+        return q
+
+
 class Router(ConnLoop):
     TICK = REDIAL_INTERVAL
 
     def __init__(self, config: RouterConfig):
         super().__init__(Counters(
-            "frames_in", "frames_out", "ctl_in", "ctl_out", "dropped", "bad_frames", "queued"
+            "frames_in", "frames_out", "ctl_in", "ctl_out", "dropped", "bad_frames"
         ))
         self.config = config
         self.host = config.host
         self._lsock: Optional[socket.socket] = None
         self.port: Optional[int] = None
         self._live: dict[str, _Conn] = {}  # process -> its registered connection
-        self._pending: dict[str, deque[bytes]] = {}  # process -> frames waiting for it
+        self._pending = Holds(self._counters, "queue_overflow name=%s", config.queue_bound)
+        self._held = Holds(self._counters, "hold_overflow host=%s", config.queue_bound)
         self._peers: dict[str, _Conn] = {}  # links this router dialled
-        self._held: dict[str, deque[bytes]] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -321,10 +359,10 @@ class Router(ConnLoop):
         return f"127.0.0.1:{self.port}"
 
     def queued(self) -> int:
-        return self._counters.snapshot()["queued"]
+        return len(self._pending) + len(self._held)
 
     def stats(self) -> dict:
-        return self._counters.snapshot()
+        return {**self._counters.snapshot(), "queued": self.queued()}
 
     # -- connections ------------------------------------------------------------
 
@@ -396,10 +434,9 @@ class Router(ConnLoop):
         if old is not None and old is not c:
             self._close(old)  # its unsent frames go back to name's pending queue
         self._live[name] = c
-        pending = self._pending.pop(name, ())
+        pending = self._pending.take(name)
         self._push(c, encode_envelope(make_register_ack(name, self.host)), counter="ctl_out")
         log.info("event=registered name=%s pending=%d", name, len(pending))
-        self._counters.add("queued", -len(pending))
         for frame in pending:
             self._push(c, frame)
 
@@ -411,8 +448,7 @@ class Router(ConnLoop):
         if conn is not None:
             self._push(conn, frame, src)
         else:
-            pending = self._pending.setdefault(env.to.process, deque())
-            self._enqueue(pending, frame, "queue_overflow name=%s", env.to.process)
+            self._pending.put(env.to.process, frame)
 
     def _to_host(self, label: str, frame: bytes, src: Optional[_Conn] = None,
                  direct: bool = True) -> None:
@@ -420,7 +456,7 @@ class Router(ConnLoop):
         direct: its link failed), to label's proxy; the proxy itself holds
         the frame.  With no way on, the frame is dropped."""
         proxy = self.config.proxies.get(label)
-        if proxy == self.host and self._held.get(label):
+        if proxy == self.host and label in self._held.queues:
             direct = False  # frames already held for label must not be overtaken
         link = self._link(label) if direct else None
         if link is None and proxy not in (None, label, self.host):
@@ -428,19 +464,9 @@ class Router(ConnLoop):
         if link is not None:
             self._push(link, frame, src)
         elif proxy == self.host:
-            held = self._held.setdefault(label, deque())
-            self._enqueue(held, frame, "hold_overflow host=%s", label)
+            self._held.put(label, frame)
         else:
             self._drop("drop_unreachable host=%s", label)
-
-    def _enqueue(self, q: deque[bytes], frame: bytes, event: str, who: str) -> None:
-        """Store frame; past queue_bound the oldest stored frame is dropped."""
-        q.append(frame)
-        if len(q) > self.config.queue_bound:
-            q.popleft()
-            self._drop(event, who)
-        else:
-            self._counters.add("queued")
 
     def _drop(self, event: str, *args) -> None:
         self._counters.add("dropped")
@@ -469,9 +495,8 @@ class Router(ConnLoop):
                         self._close(link)
             elif not link.wbuf and now - link.last_used > PEER_IDLE:
                 self._close(link)
-        for label, held in self._held.items():
-            link = self._link(label) if held else None
+        for label in list(self._held.queues):
+            link = self._link(label)
             if link is not None and link.dial_deadline is None:
-                self._counters.add("queued", -len(held))
-                while held:
-                    self._push(link, held.popleft())
+                for frame in self._held.take(label):
+                    self._push(link, frame)

@@ -37,10 +37,9 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Callable, Iterator, Optional
 
 from .address import Address, AddressContext, AddressError, parse_address, resolve
 from .codec import (
@@ -52,7 +51,7 @@ from .codec import (
     is_register_ack,
     make_register,
 )
-from .router import WRITE_BOUND, ConnLoop, _Conn, endpoint_addr
+from .router import WRITE_BOUND, ConnLoop, Holds, _Conn, endpoint_addr
 from .counters import Counters
 from .keyindex import KeyIndex, index_key
 from .mailbox import BLOCK, Guard, Mailbox, MessageRef, RecvOptions, Timeout, _Budget
@@ -174,8 +173,8 @@ class ClauseDB:
     that passes the copy-free could_unify pre-test is copied and unified.
 
     Mutations run under the node lock and bump a change counter that
-    thread_wait listens on.  retract matches heads only, which is all the
-    protocols above ever need.
+    thread_wait listens on.  retract and lookup match heads only, with the
+    occurs check, so no pattern binds a cycle.
     """
 
     def __init__(self, lock: threading.RLock):
@@ -241,7 +240,7 @@ class ClauseDB:
         with self._cond:
             for seq, head in self._scan(pat):
                 trail: list = []
-                if unify_into(pat, fresh_copy(head), trail):
+                if unify_into(pat, fresh_copy(head), trail, occurs_check=True):
                     pred_key = self.key_of(pat)
                     pred = self._preds[pred_key]
                     del pred.clauses[seq]
@@ -259,7 +258,7 @@ class ClauseDB:
         pat = deref(head_pat)
         for _, head in self._scan(pat):
             trail: list = []
-            if unify_into(pat, fresh_copy(head), trail):
+            if unify_into(pat, fresh_copy(head), trail, occurs_check=True):
                 yield Substitution(trail)
             undo_to(trail, 0)
 
@@ -295,10 +294,10 @@ class Node:
         self._tables = threading.Lock()
         self._threads: dict[int, ThreadHandle] = {}
         self._symbols: dict[str, int] = {}
-        self._undelivered: dict[Union[int, str], list[Envelope]] = {}
         self._next_tid = 0
         self._tl = threading.local()
         self._counters = Counters("frames_out", "frames_in", "bad_frames", "dropped")
+        self._undelivered = Holds(self._counters, "drop_unknown_target to=%s", 128)
         self.closing = False
         self._link = _RouterLink(self, config.router) if config.router else None
 
@@ -347,7 +346,7 @@ class Node:
             self._next_tid += 1
             h = ThreadHandle(self._next_tid)
             self._threads[h.id] = h
-            for env in self._undelivered.pop(h.id, []):
+            for env in self._undelivered.take(h.id):
                 h.mailbox.post(env)
             return h
 
@@ -427,7 +426,7 @@ class Node:
             h.symbol = name
             # flushing inside the lock keeps held frames ahead of any frame
             # delivered directly once the name is visible
-            for env in self._undelivered.pop(name, []):
+            for env in self._undelivered.take(name):
                 h.mailbox.post(env)
 
     def on_exit(self, hook: Callable[[], None]) -> None:
@@ -642,16 +641,8 @@ class Node:
                         "event=drop_exited_target to=%s from=%s", env.to, env.sender
                     )
                     return
-                # the addressed thread may not exist yet (backlog flushed by
-                # the router can outrun thread startup); hold a bounded few
-                held = self._undelivered.setdefault(to, [])
-                held.append(env)
-                if len(held) > 128:
-                    held.pop(0)
-                    self._counters.add("dropped")
-                    log.warning(
-                        "event=drop_unknown_target to=%s from=%s", env.to, env.sender
-                    )
+                # its thread may not exist yet: a flushed backlog can outrun its start
+                self._undelivered.put(to, env)
                 return
         target.mailbox.post(env)
 
@@ -663,11 +654,11 @@ class _RouterLink(ConnLoop):
     same receive buffer as every later frame.  A dial that fails, or is not
     acknowledged within DIAL_TIMEOUT, is retried at the next tick, whose
     period doubles from RECONNECT_MIN to RECONNECT_MAX while dials fail.
-    Frames sent while the link is down wait in the outbox and are queued
-    ahead of any newer frame before the link is published, so one sender's
-    order survives a router restart.  ``frames_out`` counts the frames the
-    socket has taken whole; a failed link's unsent frames go back to the
-    outbox.
+    Frames sent while the link is down wait in the outbox, a Holds of one
+    key, and are queued ahead of any newer frame before the link is
+    published, so one sender's order survives a router restart.
+    ``frames_out`` counts the frames the socket has taken whole; a failed
+    link's unsent frames go back to the outbox.
     """
 
     TICK = RECONNECT_MIN  # the backoff: doubled by each failed dial
@@ -679,7 +670,7 @@ class _RouterLink(ConnLoop):
         self.ready = threading.Event()
         self._cond = threading.Condition()  # guards _conn, _outbox and _conn's queue
         self._conn: Optional[_Conn] = None  # set while registered
-        self._outbox: deque[bytes] = deque()
+        self._outbox = Holds(node._counters, "outbox_overflow process=%s")
 
     def start(self) -> None:
         self._start(f"{self.node.process}-pump")
@@ -693,7 +684,7 @@ class _RouterLink(ConnLoop):
             while (c := self._conn) is not None and c.wbytes >= WRITE_BOUND:
                 self._cond.wait()
             if c is None:
-                self._outbox.append(frame)
+                self._outbox.put(self.node.process, frame)
                 return
             self._queue(c, frame)
             if len(c.wbuf) > 1:  # the loop is writing the queue
@@ -750,8 +741,7 @@ class _RouterLink(ConnLoop):
     def _registered(self, c: _Conn) -> None:
         c.dial_deadline = None
         with self._cond:  # the frames buffered while the link was down go first
-            self._queue(c, *self._outbox)
-            self._outbox.clear()
+            self._queue(c, *self._outbox.take(self.node.process))
             self._conn = c
         self.TICK = RECONNECT_MIN
         self.ready.set()
@@ -763,5 +753,6 @@ class _RouterLink(ConnLoop):
             return
         with self._cond:  # a sender waiting on the queue goes to the outbox
             self._conn = None
-            self._outbox.extendleft(reversed(c.wbuf))
+            for frame in c.wbuf:  # the outbox is empty while the link is up
+                self._outbox.put(self.node.process, frame)
             self._cond.notify_all()

@@ -380,7 +380,7 @@ def undo_to(trail: Trail, mark: int) -> None:
 
 
 def _occurs(v: Var, t: Term) -> bool:
-    return any(x is v for x in _subterms(t))
+    return type(t) is Compound and any(x is v for x in _subterms(t))
 
 
 def _bind(v: Var, t: Term, trail: Trail) -> None:

@@ -69,6 +69,23 @@ class TestFaults:
         assert "event=request_failed" in caplog.text
         assert space.live_threads(label="linda_handler") == 1
 
+    def test_an_unknown_request_is_consumed_and_logged(self, space, caplog):
+        s = session(space)
+        with caplog.at_level(logging.WARNING, logger="termbus.linda"):
+            space.send(parse_term("frobnicate(1)"), s.handler, remember_names=False)
+            s.out(parse_term("job(1)"), timeout=5.0)
+        assert "event=request_failed" in caplog.text
+        handler = space._lookup_local(s.handler.thread)
+        assert len(handler.mailbox) == 0
+
+    def test_a_pattern_that_would_bind_a_cycle_does_not_match(self, space):
+        s = session(space)
+        s.out(parse_term("t(Y, Y)"), timeout=5.0)
+        assert s.inp(parse_term("t(X, f(X))"), timeout=5.0) is False
+        assert s.rdp(parse_term("t(X, f(X))"), timeout=5.0) is False
+        s.out(parse_term("done"), timeout=5.0)
+        assert s.inp(parse_term("t(a, a)"), timeout=5.0)
+
 
 class TestOperations:
     def test_out_then_rd_leaves_tuple(self, space):

@@ -227,6 +227,16 @@ class TestServing:
     def test_unbound_goal_gives_empty_replay(self, served):
         assert list(query_all(served, Var(), query.SERVER_SYMBOL)) == []
 
+    def test_a_goal_that_would_bind_a_cycle_fails_and_the_server_answers_on(self, served):
+        served.assert_clause(parse_clause("same(X, X)."))
+        for text in ("X = f(X)", "same(Y, f(Y))"):
+            assert list(query_all(served, parse_goal(text), query.SERVER_SYMBOL,
+                                  timeout=5.0)) == []
+        g, vs = parse_goal_with_vars("edge(a, Y)")
+        names = [format_term(deref(vs["Y"]))
+                 for _ in query_all(served, g, query.SERVER_SYMBOL, timeout=5.0)]
+        assert names == ["b"]
+
     def test_server_survives_a_request_that_raises(self, served, monkeypatch, caplog):
         failures = []
 

@@ -607,7 +607,7 @@ class TestBoundedState:
         for i in range(500):
             to = Address(gone[i % 5].id, node.process, node.host)
             node._deliver_inbound(Envelope(Atom("finish"), to, me, me, Flags()))
-        assert node._undelivered == {}
+        assert not node._undelivered.queues
         assert node.stats()["dropped"] == 500
         # an id not yet allocated still waits for its thread
         to = Address(node._next_tid + 1, node.process, node.host)
@@ -622,7 +622,7 @@ class TestBoundedState:
         to = Address("later", node.process, node.host)
         for i in range(130):
             node._deliver_inbound(Envelope(mk("m", Int(i)), to, me, me, Flags()))
-        assert len(node._undelivered["later"]) == 128
+        assert list(node._undelivered.queues) == ["later"] and len(node._undelivered) == 128
         assert node.stats()["dropped"] == 2
 
 

@@ -350,6 +350,12 @@ def test_compound_equality_is_term_equal_and_hashes_agree(a, b, data):
 
 @given(terms(), terms())
 def test_unify_symmetric_up_to_renaming(a, b):
+    # a unify without the occurs check may bind a cycle, which resolve never
+    # finishes walking, so only draws that unify acyclically go on
+    acyclic = unify(fresh_copy(a), fresh_copy(b), occurs_check=True) is not None
+    assert acyclic == (unify(fresh_copy(b), fresh_copy(a), occurs_check=True) is not None)
+    if not acyclic:
+        return
     a2, b2 = fresh_copy(a), fresh_copy(b)
     left = unify(a, b)
     right = unify(b2, a2)
