@@ -10,7 +10,8 @@ For each it encodes a binary-bodied envelope with encode_envelope, decodes
 the frame with decode_envelope and copies the decoded payload with
 fresh_copy, and prints the frame size and the CPU time of each step per
 call: the best of --rounds rounds of --calls calls.  It exits 1 if a decoded
-payload is not a variant of the one encoded.
+payload is not a variant of the one encoded, or if encoding the decoded
+envelope again does not give back the very same frame.
 
 Run it as ``PYTHONPATH=src python scripts/codec_probe.py [--sizes 16,256,4096]``.
 """
@@ -59,9 +60,14 @@ def main(argv=None) -> int:
     for name, term in payloads(sizes, random.Random(args.seed)):
         env = Envelope(term, TO, FROM, flags=Flags(encoded=True))
         frame = encode_envelope(env)
-        decoded = decode_envelope(frame).payload
+        back = decode_envelope(frame)
+        decoded = back.payload
         if not variant(decoded, term):
             print(f"{name}: the decoded payload is not a variant of the encoded one",
+                  file=sys.stderr)
+            return 1
+        if encode_envelope(back) != frame:
+            print(f"{name}: the decoded envelope does not encode to the same frame",
                   file=sys.stderr)
             return 1
         enc = cpu_us(encode_envelope, env, args.calls, args.rounds)

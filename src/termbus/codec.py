@@ -28,6 +28,15 @@ failures raise distinct error types.  Encoding and decoding a term are each
 one loop over an explicit stack, so the codec takes any length or nesting
 depth.
 
+A list has no tag of its own: each cell is the compound '.'/2, so a list of
+n elements is n cell headers ``05 01 2e 02``, each followed by that cell's
+head, and then the tail.  Both loops treat it as one run.  The encoder
+walks the spine once and stacks every head behind its cell header; the
+decoder opens one frame for the whole list, collects the heads while a
+canonical header follows each one, and builds the cells back to front once
+the tail is read.  A cell header spelled with a longer varint is read as
+any compound is and gives the same term.
+
 A router relays frames unchanged and validates only the header (length,
 version, flags and the three addresses): decode_envelope(frame, body=False)
 skips a data frame's body.  A bad body therefore travels on and surfaces at
@@ -42,7 +51,7 @@ from typing import Iterator, Optional
 
 from . import syntax
 from .address import Address, format_address, parse_address
-from .terms import Atom, Compound, Int, Str, Term, Var, deref
+from .terms import CONS, Atom, Compound, Int, Str, Term, Var, deref
 
 VERSION = 0x01
 MAX_FRAME = 64 * 1024 * 1024
@@ -53,6 +62,9 @@ TAG_INT = 0x02
 TAG_STR = 0x03
 TAG_VAR = 0x04
 TAG_COMPOUND = 0x05
+
+# the header of a list cell, '.'/2, in its canonical spelling
+_CELL = bytes([TAG_COMPOUND, 1, ord(CONS), 2])
 
 
 class CodecError(Exception):
@@ -200,7 +212,13 @@ def _head(text: str) -> bytes:
 
 
 def _encode_term(out: bytearray, t: Term) -> None:
-    """Append the binary encoding of t to out, in one pre-order pass."""
+    """Append the binary encoding of t to out, in one pre-order pass.
+
+    A list's spine is walked once, following bound tails: its tail and then
+    each head with its cell's header (the _CELL object itself, which no
+    term is) go on the stack, back to front, so cells and heads are written
+    in the same pre-order as any compound's.
+    """
     put = out.append
     head = _HEADS.get
     serials: dict[int, int] = {}
@@ -210,6 +228,18 @@ def _encode_term(out: bytearray, t: Term) -> None:
         x = pop()
         kind = type(x)
         if kind is Compound:
+            if len(x.args) == 2 and x.functor == CONS:
+                items = []
+                while type(x) is Compound and len(x.args) == 2 and x.functor == CONS:
+                    items.append(x.args[0])
+                    x = x.args[1]
+                    while type(x) is Var and x.ref is not None:
+                        x = x.ref
+                stack.append(x)
+                run = [_CELL] * (2 * len(items))
+                run[::2] = items[::-1]  # the last head, its header, ... the first header
+                push(run)
+                continue
             put(TAG_COMPOUND)
             out += head(x.functor) or _head(x.functor)
             n = len(x.args)
@@ -218,6 +248,8 @@ def _encode_term(out: bytearray, t: Term) -> None:
             else:
                 _put_varint(out, n)
             push(reversed(x.args))
+        elif x is _CELL:
+            out += _CELL
         elif kind is Int:
             z = (x.value << 1) ^ (x.value >> 63)
             put(TAG_INT)
@@ -260,14 +292,19 @@ def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
     once, a longer one byte by byte.  A compound is opened when its header
     is read and closed when its last argument is: ``functor``, ``need`` and
     ``args`` are the innermost compound still collecting arguments, and
-    ``open_`` holds those around it.  Each distinct atom or functor text is
-    decoded from UTF-8 once.  Every read is checked against end.
+    ``open_`` holds those around it.  A list is one open run (``need`` 0)
+    that collects the heads of its cells: after each head, a canonical cell
+    header continues the run, and anything else is the tail (``need`` -1),
+    from which the cells are built back to front.  Each distinct atom or
+    functor text is decoded from UTF-8 once.  Every read is checked against
+    end.
     """
     named: dict[str, Var] = {}
     by_serial: dict[int, Var] = {}
     texts: dict[bytes, str] = {}
     open_: list[tuple] = []
     functor, need, args = None, 0, None
+    cell = data.startswith
     while True:
         if pos >= end:
             raise TruncatedFrameError("unexpected end of frame")
@@ -315,6 +352,8 @@ def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
                     raise BodyParseError("compound with zero arity")
                 open_.append((functor, need, args))
                 functor, need, args = text, arity, []
+                if arity == 2 and text == CONS and cell(_CELL, pos - 4):
+                    need = 0  # a list run
                 continue
         elif tag == TAG_STR or tag == TAG_VAR:
             stop = pos + n
@@ -336,10 +375,21 @@ def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
         else:
             raise BodyParseError(f"unknown term tag 0x{tag:02x}")
         while args is not None:
-            args.append(term)
-            if len(args) < need:
+            if need > 0:
+                args.append(term)
+                if len(args) < need:
+                    break
+                term = Compound(functor, tuple(args))
+            elif need == 0:  # term is the head of a list cell
+                args.append(term)
+                if cell(_CELL, pos, end):
+                    pos += 4
+                else:
+                    need = -1
                 break
-            term = Compound(functor, tuple(args))
+            else:  # term is the list's tail
+                for h in reversed(args):
+                    term = Compound(CONS, (h, term))
             functor, need, args = open_.pop()
         else:
             return term, pos
@@ -355,14 +405,30 @@ def decode_term_binary(data: bytes) -> Term:
 # ---------------------------------------------------------------------------
 # envelopes and frames
 
+# qualified address -> its header field, the varint length and UTF-8 bytes
+# of its canonical text; emptied when it reaches its bound, as _HEADS is
+_FIELDS: dict[Address, bytes] = {}
+_FIELDS_MAX = 4096
+
+
+def _field(a: Address, slot: str) -> bytes:
+    if not a.qualified():
+        raise UnqualifiedAddressError(f"{slot} address not fully qualified: {a}")
+    raw = format_address(a).encode("utf-8")
+    field = encode_varint(len(raw)) + raw
+    if len(_FIELDS) >= _FIELDS_MAX:
+        _FIELDS.clear()
+    _FIELDS[a] = field
+    return field
+
+
 def encode_envelope(env: Envelope) -> bytes:
     out = bytearray(4)  # the length prefix, written last
     out.append(VERSION)
     out.append(env.flags.to_byte())
+    field = _FIELDS.get
     for slot, a in (("to", env.to), ("sender", env.sender), ("reply_to", env.reply_to)):
-        if not a.qualified():
-            raise UnqualifiedAddressError(f"{slot} address not fully qualified: {a}")
-        _put_text(out, format_address(a))
+        out += field(a) or _field(a, slot)
     if env.flags.encoded:
         _encode_term(out, env.payload)
     else:

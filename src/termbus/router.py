@@ -59,6 +59,7 @@ DIAL_TIMEOUT = 0.25
 REDIAL_INTERVAL = 0.1  # also the period of dial and idle checks
 PEER_IDLE = 30.0
 HOLD_TOTAL = 1 << 16  # frames one Holds keeps over all its keys
+DROP_LOG_INTERVAL = 1.0  # least seconds between two drop lines of one Holds
 READ, WRITE = select.POLLIN, select.POLLOUT
 
 
@@ -295,15 +296,19 @@ class ConnLoop:
 class Holds:
     """Held frames in FIFO queues by key, oldest dropped first: past bound
     in one queue, or past HOLD_TOTAL in all from the key held longest.  An
-    emptied key is forgotten.  Each drop counts in ``dropped`` and logs
-    event with its key.  The owner serialises every call."""
+    emptied key is forgotten.  Each drop counts in ``dropped`` at once; a
+    flood of them logs event, with the key dropped from and the drops since
+    the last line, at most once per DROP_LOG_INTERVAL.  The owner serialises
+    every call."""
 
     def __init__(self, counters: Counters, event: str, bound: int = HOLD_TOTAL):
         self.queues: OrderedDict[object, deque] = OrderedDict()  # longest held first
         self._frames = 0
         self._counters = counters
-        self._event = event
+        self._event = "event=" + event + " dropped=%d"
         self._bound = bound
+        self._unlogged = 0  # drops since the last line
+        self._log_after = float("-inf")
 
     def __len__(self) -> int:
         return self._frames
@@ -321,7 +326,12 @@ class Holds:
         if not q:
             del self.queues[key]
         self._counters.add("dropped")
-        log.warning("event=" + self._event, key)
+        self._unlogged += 1
+        now = time.monotonic()
+        if now >= self._log_after:
+            log.warning(self._event, key, self._unlogged)
+            self._unlogged = 0
+            self._log_after = now + DROP_LOG_INTERVAL
 
     def take(self, key) -> deque:
         q = self.queues.pop(key, ())

@@ -24,7 +24,10 @@ walker is one of three loops over an explicit stack: a post-order rebuild
 dereferenced subterms (_subterms: variables, name_unnamed, the occurs check
 and the writer's name pass) and a pairwise walk (_pairwise: term_equal,
 variant).  Compound's ``==``, ``hash`` and ``repr`` follow no binding, so
-they are loops of their own.
+they are loops of their own.  fresh_copy, which every consumed remote
+message runs, first scans the raw term for a variable cell (_holds_var),
+a flat loop that opens no frame per node; a term without one is its own
+copy and is not rebuilt.
 """
 
 from __future__ import annotations
@@ -509,14 +512,32 @@ def unify(a: Term, b: Term, occurs_check: bool = False) -> Optional[Substitution
 # ---------------------------------------------------------------------------
 # copying and naming
 
+def _holds_var(t: Term) -> bool:
+    """True when t holds a Var cell, bound or unbound.  The stack keeps the
+    argument tuples still to scan, and a head's are scanned before its
+    list's tail's, so a list of any length keeps a few of them."""
+    stack = [(t,)]
+    while stack:
+        for x in reversed(stack.pop()):
+            if type(x) is Compound:
+                stack.append(x.args)
+            elif type(x) is Var:
+                return True
+    return False
+
+
 def fresh_copy(t: Term) -> Term:
     """Structural copy with every unbound variable replaced by a fresh cell.
 
     Bound variables are followed, so the copy has no binding connection to
     the original; sharing among the original's unbound variables is preserved
     in the copy, and names ride along.  A subterm holding no variable cell
-    is shared with the original rather than copied.
+    is shared with the original rather than copied.  So a term that holds
+    no variable cell at all, bound or unbound, is its own copy: one flat
+    scan finds that, before any rebuilding starts.
     """
+    if not _holds_var(t):
+        return t
     mapping: dict[Var, Var] = {}
 
     def fresh(v: Var) -> Var:

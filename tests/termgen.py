@@ -59,6 +59,57 @@ def gen_term(rng: random.Random, depth: int = 4, var_pool=None):
     return Compound(functor, tuple(gen_term(rng, depth - 1, var_pool) for _ in range(arity)))
 
 
+def _list_head(rng: random.Random, depth: int, var_pool):
+    roll = rng.random()
+    if roll < 0.4:
+        # one-, two-, three- and ten-byte zigzag varints
+        size = rng.choice((1, 2, 3, 10))
+        if size == 10:
+            n = rng.choice((INT_MIN, INT_MAX, rng.randint(2**62, INT_MAX)))
+        else:
+            lo, hi = (0, 63) if size == 1 else (2 ** (7 * size - 8), 2 ** (7 * size - 1) - 1)
+            n = rng.randint(lo, hi)
+        return Int(n if rng.random() < 0.5 else -n - 1)
+    if roll < 0.55:
+        return Atom(rng.choice(_PLAIN_ATOMS + _UGLY_ATOMS))
+    if roll < 0.65:
+        return Str(rng.choice(_STRINGS))
+    if roll < 0.8:
+        return rng.choice(var_pool)
+    if depth <= 0:
+        return Atom("[]")
+    if roll < 0.9:
+        return gen_list_term(rng, depth - 1, var_pool, rng.randint(0, 4))
+    functor = rng.choice(_PLAIN_ATOMS + _OP_FUNCTORS)
+    return Compound(functor, tuple(_list_head(rng, depth - 1, var_pool) for _ in range(rng.randint(1, 3))))
+
+
+def gen_list_term(rng: random.Random, depth: int = 2, var_pool=None, length=None):
+    """A list whose heads are integers of every varint size, atoms, strings,
+    nested lists, compounds and variables shared across heads.  The tail is
+    [], a variable, or a list behind one or more bound variables, and bound
+    variables also sit between cells of the spine."""
+    if var_pool is None:
+        var_pool = [Var() for _ in range(rng.randint(1, 3))] + [Var("L")]
+    if length is None:
+        length = rng.choice((0, 1, 2, 3, rng.randint(4, 300)))
+    roll = rng.random()
+    if roll < 0.6 or depth <= 0:
+        t = Atom("[]")
+    elif roll < 0.8:
+        t = rng.choice(var_pool + [Var()])
+    else:
+        t = Var()
+        t.ref = gen_list_term(rng, depth - 1, var_pool, rng.randint(0, 4))
+    for _ in range(length):
+        if rng.random() < 0.02:
+            bound = Var()
+            bound.ref = t
+            t = bound
+        t = Compound(".", (_list_head(rng, depth, var_pool), t))
+    return t
+
+
 def all_cells(t):
     """Every Var object in the raw structure of t (no dereferencing)."""
     out = []

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from termbus.codec import (
     Envelope,
     Flags,
     TruncatedFrameError,
+    UnqualifiedAddressError,
     VersionMismatchError,
     decode_envelope,
     decode_term_binary,
@@ -41,7 +43,7 @@ from termbus.terms import (
     INT_MAX,
 )
 
-from termgen import gen_term
+from termgen import gen_list_term, gen_term
 
 A = Address("t", "p", "h")
 B = Address("u", "q", "h")
@@ -89,6 +91,24 @@ def test_atom_and_functor_byte_cache_stays_bounded():
         t = mk(f"f{i}", Atom(f"a{i}"))
         assert decode_term_binary(encode_term_binary(t)) == t
     assert len(termbus.codec._HEADS) <= termbus.codec._HEADS_MAX
+
+
+def test_address_field_memo_stays_bounded():
+    for i in range(termbus.codec._FIELDS_MAX + 10):
+        env = Envelope(Atom("x"), Address(f"t{i}", "p", "h"), B)
+        assert decode_envelope(encode_envelope(env)).to == env.to
+    assert len(termbus.codec._FIELDS) <= termbus.codec._FIELDS_MAX
+    for unqualified in (Address("t"), Address("t", "p")):
+        with pytest.raises(UnqualifiedAddressError):
+            encode_envelope(Envelope(Atom("x"), A, B, reply_to=unqualified))
+        assert unqualified not in termbus.codec._FIELDS
+
+
+def test_a_non_term_is_refused():
+    # the encoder's stack carries the cell header bytes beside terms
+    for bad in (b"x", bytes.fromhex("05012e02"), "x", 1, None, mklist([1])):
+        with pytest.raises(CodecError):
+            encode_term_binary(bad)
 
 
 def test_varint_edges():
@@ -227,6 +247,53 @@ def test_roundtrip_seeded_both_codecs():
         _roundtrip(t, encoded=bool(i % 2))
 
 
+# Lists are written from one walk of their spine and read as one run of
+# cells.  The digest pins the bytes of 1000 list-heavy terms; it was taken
+# from an encoder that wrote every cell as a compound of its own.
+LIST_TERMS_SHA256 = "84e26e3ae9482aa3ddd01a9987c6b9a4b3d11af41ed96eae217fb05fed6f4d07"
+
+
+def _list_terms():
+    rng = random.Random(2024)
+    return [gen_list_term(rng) for _ in range(1000)]
+
+
+def test_list_heavy_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for t in _list_terms():
+        digest.update(encode_term_binary(t))
+    assert digest.hexdigest() == LIST_TERMS_SHA256
+
+
+def test_list_heavy_terms_round_trip():
+    for t in _list_terms():
+        data = encode_term_binary(t)
+        back = decode_term_binary(data)
+        assert variant(back, t)
+        assert encode_term_binary(back) == data
+
+
+@pytest.mark.parametrize("spelled", [
+    "05 01 2e 82 00 02 02 05 01 2e 02 02 04 01 02 5b 5d",  # first arity in two bytes
+    "05 81 00 2e 02 02 02 05 01 2e 02 02 04 01 02 5b 5d",  # first length in two bytes
+    "05 01 2e 02 02 02 05 01 2e 82 00 02 04 01 02 5b 5d",  # second arity in two bytes
+])
+def test_a_cell_spelled_longer_decodes_to_the_same_list(spelled):
+    assert decode_term_binary(bytes.fromhex(spelled)) == mklist([Int(1), Int(2)])
+
+
+def test_a_functor_ending_in_cell_header_bytes_is_no_list():
+    t = mk("\x05\x01.", Int(1), Int(2))
+    assert encode_term_binary(t).endswith(bytes.fromhex("05 01 2e 02 02 02 02 04"))
+    assert decode_term_binary(encode_term_binary(t)) == t
+
+
+def test_an_int_past_64_bits_in_a_list_is_a_parse_error():
+    body = bytes.fromhex("05 01 2e 02 02 02 05 01 2e 02 02") + encode_varint(2**64) + bytes.fromhex("01 02 5b 5d")
+    with pytest.raises(BodyParseError, match=r"^integer out of 64-bit range: 9223372036854775808$"):
+        decode_term_binary(body)
+
+
 def test_binary_preserves_sharing_raw_renames_consistently():
     u = Var()
     t = mk("f", u, u)
@@ -310,8 +377,13 @@ def _bodies(seed, count):
     return [encode_term_binary(gen_term(rng)) for _ in range(count)]
 
 
+def _long_list_bodies(seed, count):
+    rng = random.Random(seed)
+    return [encode_term_binary(gen_list_term(rng, depth=1, length=300)) for _ in range(count)]
+
+
 def test_every_strict_prefix_of_a_body_is_truncated():
-    for body in _bodies(7, 200):
+    for body in _bodies(7, 200) + _long_list_bodies(7, 1):
         for k in range(len(body)):
             with pytest.raises(TruncatedFrameError):
                 decode_term_binary(body[:k])
@@ -344,3 +416,13 @@ def test_a_corrupt_byte_decodes_or_raises_a_codec_error():
                 except CodecError:
                     pass
     assert tried > 10_000
+
+
+def test_a_corrupt_byte_in_a_long_list_decodes_or_raises_a_codec_error():
+    rng = random.Random(12)
+    for body in _long_list_bodies(9, 2):
+        for bad in rng.sample(list(_corruptions(body, rng)), 800):
+            try:
+                decode_term_binary(bad)
+            except CodecError:
+                pass

@@ -194,6 +194,19 @@ class TestStoreAndForward:
         got = drain(late, "item(I)", 3)
         assert [g["I"] for g in got] == ["2", "3", "4"]
 
+    def test_a_flood_of_drops_is_counted_in_full_and_logged_in_summary(self, caplog):
+        counters = Counters("dropped")
+        holds = termbus.router.Holds(counters, "queue_overflow name=%s", bound=10)
+        caplog.set_level(logging.WARNING, logger="termbus.router")
+        t0 = time.monotonic()
+        for i in range(10_010):
+            holds.put("late", i)
+        elapsed = time.monotonic() - t0
+        assert counters.snapshot()["dropped"] == 10_000 and len(holds) == 10
+        lines = [m for m in caplog.messages if "event=queue_overflow" in m]
+        assert 1 <= len(lines) <= 1 + elapsed / termbus.router.DROP_LOG_INTERVAL
+        assert lines[0] == "event=queue_overflow name=late dropped=1"
+
     def test_node_outbox_rides_out_router_restart(self, stack):
         router, node = stack
         port = free_port()

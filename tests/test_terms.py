@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -437,6 +438,18 @@ def test_copies_are_stack_safe():
             assert t.functor == "s"
             t = t.args[0]
         assert type(t) is Var and t.name == "Y"
+
+
+def test_copying_a_ground_list_holds_no_frame_per_cell():
+    xs = mklist(Int(i) for i in range(100_000))
+    tracemalloc.start()
+    try:
+        copied = fresh_copy(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert copied is xs
+    assert peak < 16 * 1024
 
 
 def _nested(n, leaf, shape):
