@@ -21,7 +21,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 from . import linda as linda_protocol
 from . import query as query_protocol
@@ -189,11 +189,23 @@ def _setup_logging() -> None:
     )
 
 
-def _start_node(conf: LaunchConfig) -> Node:
-    node = Node(NodeConfig(process=conf.process, host=conf.host, router=conf.router))
-    node.start()
+def _run_node(conf: LaunchConfig, body: Callable[[Node], Optional[int]]) -> int:
+    """Start conf's node, run body(node) on the calling thread and shut the
+    node down on every path.  body's result is the exit status, None meaning
+    0; an interrupt ends the role with 0."""
+    try:
+        node = Node(NodeConfig(process=conf.process, host=conf.host, router=conf.router))
+        node.start()
+    except TermbusError as e:
+        print(f"cannot start node: {e}", file=sys.stderr)
+        return 1
     node.attach()
-    return node
+    try:
+        return body(node) or 0
+    except KeyboardInterrupt:
+        return 0
+    finally:
+        node.shutdown()
 
 
 # --------------------------------------------------------------------------
@@ -219,50 +231,35 @@ def router_main(argv=None) -> int:
 def linda_server_main(argv=None) -> int:
     conf = build_config("linda-server", argv)
     _setup_logging()
-    try:
-        node = _start_node(conf)
-    except TermbusError as e:
-        print(f"cannot start node: {e}", file=sys.stderr)
-        return 1
-    print(f"linda server {conf.process}@{conf.host} up", flush=True)
-    try:
+
+    def body(node: Node) -> None:
+        print(f"linda server {conf.process}@{conf.host} up", flush=True)
         linda_protocol.serve(node)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        node.shutdown()
-    return 0
+
+    return _run_node(conf, body)
 
 
 def query_server_main(argv=None) -> int:
     conf = build_config("query-server", argv)
     _setup_logging()
-    try:
-        node = _start_node(conf)
-    except TermbusError as e:
-        print(f"cannot start node: {e}", file=sys.stderr)
-        return 1
-    loaded = 0
-    if conf.db:
-        try:
-            loaded = load_clause_file(node, conf.db)
-        except OSError as e:
-            print(f"cannot read clause file: {e}", file=sys.stderr)
-            node.shutdown()
-            return 1
-        except ParseError as e:
-            print(f"clause file {conf.db}: {e}", file=sys.stderr)
-            node.shutdown()
-            return 1
-    print(f"query server {conf.process}@{conf.host} serving {loaded} clauses",
-          flush=True)
-    try:
+
+    def body(node: Node) -> Optional[int]:
+        loaded = 0
+        if conf.db:
+            try:
+                loaded = load_clause_file(node, conf.db)
+            except OSError as e:
+                print(f"cannot read clause file: {e}", file=sys.stderr)
+                return 1
+            except ParseError as e:
+                print(f"clause file {conf.db}: {e}", file=sys.stderr)
+                return 1
+        print(f"query server {conf.process}@{conf.host} serving {loaded} clauses",
+              flush=True)
         query_protocol.query_server_main(node)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        node.shutdown()
-    return 0
+        return None
+
+    return _run_node(conf, body)
 
 
 # --------------------------------------------------------------------------
@@ -276,11 +273,11 @@ def linda_main(argv=None) -> int:
     except ParseError as e:
         print(f"tuple: {e}", file=sys.stderr)
         return 1
-    try:
-        node = _start_node(conf)
-    except TermbusError as e:
-        print(f"cannot start node: {e}", file=sys.stderr)
-        return 1
+    return _run_node(conf, lambda node: _linda_op(node, conf, pattern))
+
+
+def _linda_op(node: Node, conf: LaunchConfig, pattern) -> int:
+    """Run conf's one tuple operation on pattern; the exit status."""
     wait = conf.timeout if conf.timeout is not None else 10.0
     try:
         s = linda_protocol.connect(node, conf.server, timeout=wait)
@@ -300,8 +297,6 @@ def linda_main(argv=None) -> int:
     except (linda_protocol.LindaError, TermbusError, AddressError) as e:
         print(f"linda: {e}", file=sys.stderr)
         return 1
-    finally:
-        node.shutdown()
     return 0
 
 
@@ -387,15 +382,4 @@ def repl_loop(node: Node, server, timeout: Optional[float] = None,
 def query_main(argv=None) -> int:
     conf = build_config("query", argv)
     _setup_logging()
-    try:
-        node = _start_node(conf)
-    except TermbusError as e:
-        print(f"cannot start node: {e}", file=sys.stderr)
-        return 1
-    try:
-        repl_loop(node, conf.server, timeout=conf.timeout)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        node.shutdown()
-    return 0
+    return _run_node(conf, lambda node: repl_loop(node, conf.server, timeout=conf.timeout))

@@ -413,7 +413,7 @@ _FIELDS_MAX = 4096
 
 def _field(a: Address, slot: str) -> bytes:
     if not a.qualified():
-        raise UnqualifiedAddressError(f"{slot} address not fully qualified: {a}")
+        raise UnqualifiedAddressError(f"{slot} address not fully qualified: {a!r}")
     raw = format_address(a).encode("utf-8")
     field = encode_varint(len(raw)) + raw
     if len(_FIELDS) >= _FIELDS_MAX:

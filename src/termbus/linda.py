@@ -20,9 +20,13 @@ Wire protocol, all handler replies addressed to the requesting client:
     disconnect             ->  (handler exits)
 
 T' is T instantiated by the match.  Blocking operations suspend the handler
-on the store's change signal; the client simply sees a delayed reply.  An
-unknown or raising request is logged as ``event=request_failed`` and gets
-no reply; the handler and the accept loop go on serving.
+on the store's change signal; the client simply sees a delayed reply.
+
+The accept loop and every handler run on ``Node.serve``: the accept loop
+takes every message and answers a connect's reply-to, a handler takes only
+its client's messages.  An unknown or raising request, and any message to
+the accept loop other than connect, is consumed and logged as
+``event=request_failed`` and gets no reply; the loop goes on serving.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .address import Address, term_to_address
-from .mailbox import BLOCK, Guard, MailboxClosed, Timeout
-from .runtime import Node, NodeShutdown, ThreadExit
+from .mailbox import BLOCK, Guard, Timeout
+from .runtime import Node
 from .terms import Atom, Compound, Substitution, Term, Var, deref, mk
 
 log = logging.getLogger("termbus.linda")
@@ -53,43 +57,28 @@ def serve(node: Node) -> None:
     """Run the accept loop; fork this as a thread goal on the server node."""
     node.set_symbol(SERVER_SYMBOL)
     log.info("event=linda_up process=%s", node.process)
-    while True:
-        who = Var()
-        try:
-            node.recv_search(Atom("connect"), from_=who)
-            client = term_to_address(deref(who))
-            node.fork(lambda c=client: _handle(node, c), label="linda_handler")
-        except (MailboxClosed, NodeShutdown, ThreadExit):
-            raise
-        except Exception as e:
-            # one bad connect must not stop the server accepting others
-            log.warning("event=request_failed err=%s", e, exc_info=True)
+    node.serve(lambda request, client: _accept(node, request, client))
+
+
+def _accept(node: Node, request: Term, client: Address) -> None:
+    """Fork a handler for client on connect; anything else raises, so that
+    it is logged and never answered."""
+    if request != Atom("connect"):
+        raise LindaError(f"not a connect request: {request!r}")
+    node.fork(lambda: _handle(node, client), label="linda_handler")
 
 
 def _handle(node: Node, client: Address) -> None:
     node.send(Atom("connected"), client, remember_names=False)
-    while True:
-        request = Var()
-        try:
-            node.recv_search(request, from_=client)
-            reply = _operate(node, deref(request))
-            if reply is None:
-                log.info("event=client_left client=%s", client)
-                return
-            node.send(reply, client, remember_names=False)
-        except (MailboxClosed, NodeShutdown, ThreadExit):
-            raise
-        except Exception as e:
-            # a fault in one operation must not end the client's session;
-            # that operation gets no reply
-            log.warning("event=request_failed client=%s err=%s", client, e,
-                        exc_info=True)
+    node.serve(lambda request, _: _operate(node, request, client), from_=client)
 
 
-def _operate(node: Node, r: Term) -> Optional[Term]:
-    """Carry out request r; its reply, or None for disconnect."""
+def _operate(node: Node, r: Term, client: Address) -> Term:
+    """Carry out client's request r and return its reply; disconnect ends
+    the handler thread."""
     if r == Atom("disconnect"):
-        return None
+        log.info("event=client_left client=%s", client)
+        node.exit_thread()
     op = r.functor if type(r) is Compound and r.arity == 1 else None
     if op not in ("out", "in", "rd", "inp", "rdp"):
         raise LindaError(f"unknown request {r!r}")

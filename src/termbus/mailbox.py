@@ -17,10 +17,10 @@ and the None ones, merged in arrival order: any other message clashes with
 every pattern, so skipping it unread changes no outcome.  Every other
 receive, and recv_first always, scans the whole buffer.
 
-Payload views.  Every candidate is first compared with the pattern by a
-copy-free structural test (``could_unify``) that rejects a functor, arity
-or constant clash; only a candidate that passes is matched in full, so a
-skipped message costs a comparison, not a copy, and the registry learns no
+Payload views.  Every candidate's payload is first compared with the
+pattern by a copy-free test (``could_unify``), then its sender and reply-to
+are matched; only one that passes all three is copied and unified, so a
+message skipped on any of them costs no copy, and the registry learns no
 name from it.  With ``remember_names`` set, and the sender's flag set too,
 the payload is rebuilt against the receiving thread's variable registry, so
 a name reused across messages resolves to one local cell and bindings carry
@@ -204,7 +204,11 @@ class Mailbox:
         trail: list,
         in_place: bool = False,
     ) -> bool:
-        if not could_unify(msg_pat, env.payload):
+        if not (
+            could_unify(msg_pat, env.payload)
+            and match_address(from_pat, env.sender, trail)
+            and match_address(reply_pat, env.reply_to, trail)
+        ):
             return False
         # name identity applies only when the sender asked for it too; a
         # sender that did not remember its names never means them as shared
@@ -214,11 +218,7 @@ class Mailbox:
             payload = env.payload
         else:
             payload = fresh_copy(env.payload)
-        return (
-            unify_into(msg_pat, payload, trail)
-            and match_address(from_pat, env.sender, trail)
-            and match_address(reply_pat, env.reply_to, trail)
-        )
+        return unify_into(msg_pat, payload, trail)
 
     def _scan(
         self,

@@ -17,7 +17,10 @@ stream_of or by the generator mid-stream, with
 the exception's class name as an atom and its text as a string.
 query_all and AnswerStream raise it as RemoteError, a QueryError; a client
 takes only the error whose echoed request could unify with its own, and a
-stream that gets one is closed.
+stream that gets one is closed.  The server runs on ``Node.serve``: a
+message that is neither all_of nor stream_of is consumed and logged as
+``event=request_failed``, and never answered, so a reply misaddressed to a
+server cannot start an exchange of query_errors between two servers.
 
 Replies go to the ``reply_to`` of the request, not its sender, so a query can
 be placed on behalf of a third thread.  Requests and answers are matched by
@@ -236,61 +239,50 @@ def _server_address(node: Node, server: Union[Address, Term, str]) -> Address:
 def query_server_main(node: Node) -> None:
     """Serving loop; run it as (or fork it on) a thread of the serving node.
 
+    It runs on Node.serve, so each reply goes to its request's reply-to.
     all_of is answered inline: collect every solution, reply with the list,
     then sweep this thread's own remote streams (solving may have opened
     some on other servers, and the answers are already safely collected).
     stream_of gets a fresh generator thread whose address goes back to the
     client; all further traffic for that query bypasses this loop.  A
     request that raises is answered with query_error and swept all the same.
+    Any other message is consumed and logged, never answered.
     """
     node.set_symbol(SERVER_SYMBOL)
     log.info("event=query_server_up process=%s", node.process)
-    while True:
-        call, reply = Var(), Var()
+    node.serve(lambda request, client: _serve_request(node, request, client))
 
-        def do_all(c=call, r=reply):
-            try:
-                _answer(node, term_to_address(deref(r)), mk("all_of", c),
-                        lambda: mk("answer_list", mklist(find_all(node, c))))
-            finally:
-                kill_orphans(node)
 
-        def do_stream(c=call, r=reply):
-            client = term_to_address(deref(r))
-
-            def start():
-                h = node.fork(ans_gen(node, c, client), label=GENERATOR_LABEL)
-                return mk("query_thread_is",
-                          address_to_term(Address(h.id, node.process, node.host)))
-
-            _answer(node, client, mk("stream_of", c), start)
-
+def _serve_request(node: Node, request: Term, client: Address) -> Term:
+    op = request.functor if type(request) is Compound and request.arity == 1 else None
+    if op == "all_of":
+        call = request.args[0]
         try:
-            node.message_choice(
-                [
-                    Guard(mk("all_of", call), reply=reply, body=do_all),
-                    Guard(mk("stream_of", call), reply=reply, body=do_stream),
-                ]
-            )
-        except (MailboxClosed, NodeShutdown, ThreadExit):
-            raise
-        except Exception as e:
-            # a malformed request or a vanished client must not kill the loop
-            log.warning("event=request_failed err=%s", e, exc_info=True)
+            return _answer(request, lambda: mk("answer_list", mklist(find_all(node, call))))
+        finally:
+            kill_orphans(node)
+    if op == "stream_of":
+        def start():
+            h = node.fork(ans_gen(node, request.args[0], client), label=GENERATOR_LABEL)
+            return mk("query_thread_is",
+                      address_to_term(Address(h.id, node.process, node.host)))
+
+        return _answer(request, start)
+    # raised, not answered with query_error: a reply that strayed here from
+    # another server would be answered by that server in turn, for ever
+    raise QueryError(f"not a query request: {request!r}")
 
 
-def _answer(node: Node, client: Address, request: Term, work) -> None:
-    """Send client the reply work() returns, if any, or query_error when
-    work raises: a fault while serving one request must reach its client."""
+def _answer(request: Term, work) -> Optional[Term]:
+    """What work() returns, or the query_error reply to request when work
+    raises: a fault while serving one request must reach its client."""
     try:
-        msg = work()
+        return work()
     except (MailboxClosed, NodeShutdown, ThreadExit):
         raise
     except Exception as e:
         log.warning("event=request_failed err=%s", e, exc_info=True)
-        msg = mk("query_error", request, Atom(type(e).__name__), Str(str(e)))
-    if msg is not None:
-        node.send(msg, client, remember_names=False)
+        return mk("query_error", request, Atom(type(e).__name__), Str(str(e)))
 
 
 def _error_guard(request: Term, source: Address) -> Guard:
@@ -332,7 +324,9 @@ def ans_gen(node: Node, call: Term, client: Address):
 
     def run():
         node.on_exit(lambda: kill_orphans(node))
-        _answer(node, client, mk("stream_of", call), search)
+        msg = _answer(mk("stream_of", call), search)
+        if msg is not None:
+            node.send(msg, client, remember_names=False)
 
     return run
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional
 
-from .address import Address, AddressContext, AddressError, parse_address, resolve
+from .address import Address, AddressContext, AddressError, parse_address, resolve, term_to_address
 from .codec import (
     CodecError,
     Envelope,
@@ -54,12 +54,13 @@ from .codec import (
 from .router import WRITE_BOUND, ConnLoop, Holds, _Conn, endpoint_addr
 from .counters import Counters
 from .keyindex import KeyIndex, index_key
-from .mailbox import BLOCK, Guard, Mailbox, MessageRef, RecvOptions, Timeout, _Budget
+from .mailbox import BLOCK, Guard, Mailbox, MailboxClosed, MessageRef, RecvOptions, Timeout, _Budget
 from .terms import (
     Atom,
     Compound,
     Substitution,
     Term,
+    Var,
     could_unify,
     deref,
     fresh_copy,
@@ -575,6 +576,35 @@ class Node:
             for g in guards
         ]
         return self.current().mailbox.message_choice(guards, timeout)
+
+    def serve(self, handle: Callable[[Term, Address], Optional[Term]], from_=None) -> None:
+        """The serving loop: answer the calling thread's messages in arrival order.
+
+        Each message is taken with one recv_search and passed to
+        handle(request, client), and what that returns, unless None, is sent
+        to client without name memory.  With from_ None every message is
+        taken and client is its reply-to; with from_ given only that
+        sender's messages are, and client is from_.  A message whose
+        handling raises is consumed, logged as one event=request_failed line
+        without a traceback, and not answered.  Only a closed mailbox, a
+        node shutdown or exit_thread() ends the loop.
+        """
+        while True:
+            request = Var()
+            reply = Var() if from_ is None else None
+            client = from_
+            try:
+                self.recv_search(request, from_=from_, reply=reply)
+                if reply is not None:
+                    client = term_to_address(deref(reply))
+                answer = handle(deref(request), client)
+                if answer is not None:
+                    self.send(answer, client, remember_names=False)
+            except (MailboxClosed, NodeShutdown, ThreadExit):
+                raise
+            except Exception as e:
+                log.warning("event=request_failed at=%s client=%s err=%s: %s",
+                            self.self_address(), client, type(e).__name__, e)
 
     # -- clause store ---------------------------------------------------------
 

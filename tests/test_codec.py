@@ -104,6 +104,14 @@ def test_address_field_memo_stays_bounded():
         assert unqualified not in termbus.codec._FIELDS
 
 
+def test_an_address_with_a_variable_slot_is_an_unqualified_address():
+    for slot in range(3):
+        parts = ["t", "p", "h"]
+        parts[slot] = Var()
+        with pytest.raises(UnqualifiedAddressError, match="reply_to address"):
+            encode_envelope(Envelope(Atom("x"), A, A, reply_to=Address(*parts)))
+
+
 def test_a_non_term_is_refused():
     # the encoder's stack carries the cell header bytes beside terms
     for bad in (b"x", bytes.fromhex("05012e02"), "x", 1, None, mklist([1])):

@@ -78,6 +78,34 @@ class TestFaults:
         handler = space._lookup_local(s.handler.thread)
         assert len(handler.mailbox) == 0
 
+    def test_a_flood_of_strays_at_the_accept_loop_is_consumed(self, space, caplog):
+        accept = space._lookup_local(linda.SERVER_SYMBOL)
+        with caplog.at_level(logging.WARNING):
+            for i in range(5000):
+                space.send(mk("frobnicate", Int(i)), linda.SERVER_SYMBOL,
+                           remember_names=False)
+            wait_until(lambda: len(accept.mailbox) == 0, timeout=60.0,
+                       msg="the strays consumed")
+            s = session(space)
+            s.out(parse_term("job(1)"), timeout=5.0)
+        failed = [r for r in caplog.records if "event=request_failed" in r.getMessage()]
+        assert len(failed) == 5000
+        assert all(r.exc_info is None for r in failed)  # no traceback per stray
+        assert space.live_threads(label="linda_handler") == 1
+        # no stray was answered: the one reply from the accept side is connected
+        assert space.recv_search(Var(), timeout="poll") is None
+
+    def test_a_handler_answers_its_client_and_ignores_other_senders(self, space):
+        s = session(space)
+        intruder = space.fork(lambda: space.send(mk("out", parse_term("stolen")),
+                                                 s.handler, remember_names=False))
+        intruder.pythread.join(5.0)
+        s.out(parse_term("job(1)"), timeout=5.0)
+        assert s.rdp(parse_term("job(1)"), timeout=5.0)
+        assert s.rdp(parse_term("stolen"), timeout=5.0) is False
+        handler = space._lookup_local(s.handler.thread)
+        assert len(handler.mailbox) == 1  # the other sender's out, never taken
+
     def test_a_pattern_that_would_bind_a_cycle_does_not_match(self, space):
         s = session(space)
         s.out(parse_term("t(Y, Y)"), timeout=5.0)

@@ -436,6 +436,27 @@ class TestCopyOnlyTheWinner:
         assert box.recv_search(parse_term("offer(P, Q)"), opts=remembering)
         assert box.registry.lookup("Price") is not None
 
+    def test_a_message_from_another_sender_is_rejected_before_a_copy(self, monkeypatch):
+        copies = self.count_calls(monkeypatch, "fresh_copy")
+        box = Mailbox()
+        for i in range(1000):
+            box.post(env(f"m({i}, X)", sender=BOB, remember=False))
+        assert box.recv_search(Var(), ALICE, None, POLLING) is None
+        assert len(copies) == 0
+        box.post(env("m(1000, X)", remember=False))
+        assert box.recv_search(Var(), ALICE, None, POLLING)
+        assert len(copies) == 1
+        assert len(box) == 1000
+
+    def test_a_message_to_another_reply_to_teaches_the_registry_nothing(self):
+        box = Mailbox()
+        box.post(env("offer(Price, Qty)", reply=BOB))
+        remembering = RecvOptions(timeout=POLL, remember_names=True)
+        assert box.recv_search(Var(), None, ALICE, remembering) is None
+        assert len(box.registry) == 0
+        assert box.recv_search(Var(), None, BOB, remembering)
+        assert box.registry.lookup("Price") is not None
+
 
 class TestLongPayloads:
     def test_a_long_list_is_received_and_consumed(self):

@@ -372,6 +372,24 @@ class TestServing:
         wait_until(lambda: served.live_threads(label=query.GENERATOR_LABEL) == 0,
                    msg="swept generator exits")
 
+    def test_a_flood_of_strays_is_consumed_and_the_next_request_answered(self, served, caplog):
+        server = served._lookup_local(query.SERVER_SYMBOL)
+        with caplog.at_level(logging.WARNING):
+            for i in range(5000):
+                served.send(mk("answer_list", Int(i)), query.SERVER_SYMBOL,
+                            remember_names=False)
+            wait_until(lambda: len(server.mailbox) == 0, timeout=60.0,
+                       msg="the strays consumed")
+            g, vs = parse_goal_with_vars("edge(a, X)")
+            names = [format_term(deref(vs["X"]))
+                     for _ in query_all(served, g, query.SERVER_SYMBOL, timeout=5.0)]
+        assert names == ["b"]
+        failed = [r for r in caplog.records if "event=request_failed" in r.getMessage()]
+        assert len(failed) == 5000
+        assert all(r.exc_info is None for r in failed)  # no traceback per stray
+        # none was answered
+        assert served.recv_search(Var(), from_=query.SERVER_SYMBOL, timeout="poll") is None
+
     def test_query_all_timeout_raises(self, served):
         mute = served.fork(lambda: time.sleep(5), label="mute")
         with pytest.raises(RemoteTimeout):
@@ -524,6 +542,26 @@ class TestDistributed:
             )
             wait_until(lambda n=n: orphan_count(n) == 0, timeout=5.0,
                        msg=f"facts on {n.process} retracted")
+
+    def test_a_stray_reply_between_two_servers_is_answered_by_neither(self, network, caplog):
+        a = network("qs_a", [])
+        b = network("qs_b", [])
+        client = network("shell", [], serve=False)
+        a_server = a._lookup_local(query.SERVER_SYMBOL)
+        b_server = b._lookup_local(query.SERVER_SYMBOL)
+        with caplog.at_level(logging.WARNING):
+            # an answer_list at A whose reply-to is B's server: answering it
+            # with query_error would start an exchange of errors
+            client.send(mk("answer_list", mklist([])), "query_thread:qs_a@hostq",
+                        reply_to="query_thread:qs_b@hostq", remember_names=False)
+            wait_until(lambda: a.stats()["frames_in"] == 1 and len(a_server.mailbox) == 0,
+                       msg="the stray consumed at A")
+            time.sleep(0.3)
+        failed = [r for r in caplog.records if "event=request_failed" in r.getMessage()]
+        assert len(failed) == 1
+        assert b.stats()["frames_in"] == 0
+        assert len(b_server.mailbox) == 0
+        assert a.stats()["frames_out"] == 0
 
     def test_two_servers_replies_do_not_cross(self, network):
         a = network("qs_a", ["item(left)."])

@@ -626,6 +626,74 @@ class TestBoundedState:
         assert node.stats()["dropped"] == 2
 
 
+def failed_requests(caplog):
+    return [r for r in caplog.records if "event=request_failed" in r.getMessage()]
+
+
+class TestServe:
+    """Node.serve: the one serving loop behind the tuple space and the query server."""
+
+    @staticmethod
+    def serving(node, handle, from_=None):
+        h = node.fork(lambda: node.serve(handle, from_=from_), label="server")
+        return h, Address(h.id, node.process, node.host)
+
+    def test_each_answer_goes_to_its_requests_reply_to(self, node):
+        _, server = self.serving(node, lambda r, _: mk("echo", r))
+        got = []
+        echo_b = parse_term("echo(b)")
+        other = node.fork(lambda: got.append(node.recv_search(echo_b, timeout=5.0)))
+        node.send(parse_term("a"), server, remember_names=False)
+        node.send(parse_term("b"), server, reply_to=other.id, remember_names=False)
+        assert node.recv_search(parse_term("echo(a)"), from_=server, timeout=5.0)
+        wait_until(lambda: got, msg="the reply-to thread answered")
+        assert got[0]
+
+    def test_a_request_that_raises_is_consumed_and_logged_once(self, node, caplog):
+        def handle(r, client):
+            if r == Atom("bad"):
+                raise ValueError("bad request")
+            return Atom("done")
+
+        h, server = self.serving(node, handle)
+        with caplog.at_level(logging.WARNING):
+            for _ in range(100):
+                node.send(Atom("bad"), server, remember_names=False)
+            node.send(Atom("good"), server, remember_names=False)
+            assert node.recv_search(Atom("done"), from_=server, timeout=5.0)
+        assert len(h.mailbox) == 0
+        assert node.recv_search(Var(), from_=server, timeout="poll") is None
+        failed = failed_requests(caplog)
+        assert len(failed) == 100
+        assert all(r.exc_info is None for r in failed)  # no traceback per message
+        assert "ValueError: bad request" in failed[0].getMessage()
+
+    def test_none_is_no_answer(self, node):
+        seen = []
+        _, server = self.serving(node, lambda r, _: seen.append(r))
+        node.send(Atom("note"), server, remember_names=False)
+        wait_until(lambda: seen, msg="request handled")
+        assert seen == [Atom("note")]
+        assert node.recv_search(Var(), timeout=0.1) is None
+
+    def test_from_takes_only_that_senders_messages(self, node):
+        me = node.self_address()
+        h, server = self.serving(node, lambda r, client: mk("for", r), from_=me)
+        intruder = node.fork(lambda: node.send(Atom("intruder"), server, remember_names=False))
+        intruder.pythread.join(5.0)
+        node.send(Atom("mine"), server, remember_names=False)
+        assert node.recv_search(mk("for", Var()), from_=server, timeout=5.0)
+        assert format_term(h.mailbox._items[0][1].payload) == "intruder"
+        assert len(h.mailbox) == 1
+
+    def test_exit_thread_in_handle_ends_the_loop(self, node):
+        h, server = self.serving(node, lambda r, _: node.exit_thread())
+        node.send(Atom("stop"), server, remember_names=False)
+        h.pythread.join(5.0)
+        assert not h.pythread.is_alive()
+        assert node.live_threads(label="server") == 0
+
+
 class TestShutdown:
     def test_shutdown_wakes_blocked_receivers(self):
         n = Node(NodeConfig(process="shy", host="hostA"))
