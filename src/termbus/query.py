@@ -62,6 +62,7 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    VarRegistry,
     could_unify,
     deref,
     fresh_copy,
@@ -71,6 +72,7 @@ from .terms import (
     name_unnamed,
     resolve,
     undo_to,
+    unify_head,
     unify_into,
 )
 
@@ -105,11 +107,12 @@ def solve(node: Node, goal: Term, timeout: Optional[float] = None) -> Iterator[S
     iterator undoes those bindings before searching on, and abandoning it
     keeps the last ones made.  Builtins: true, =, integer or atom
     comparison.  ``G ? S`` and ``G ?? S`` ship the subgoal to server S.
-    A goal's candidate clauses come from the store's index and each head is
-    pre-tested before its clause is copied.  A predicate with no clauses
-    logs a diagnostic and produces no solutions, so a serving loop survives
-    bad queries; a defined one with no matching clause simply fails.  ``=``
-    and heads unify with the occurs check.  timeout bounds each remote exchange.
+    A goal's candidate clauses come from the store's index; unify_head
+    matches each stored head in place and builds only a matched one's body.
+    A predicate with no clauses logs a diagnostic and produces no solutions,
+    so a serving loop survives bad queries; a defined one with no matching
+    clause simply fails.  ``=`` and heads unify with the occurs check.
+    timeout bounds each remote exchange.
 
     The search is one loop over the goals left, as nested ``(goal, rest)``
     pairs, and a stack of choicepoints: a goal's untried alternatives, the
@@ -190,17 +193,15 @@ def _alternatives(node: Node, g: Term, f: Optional[str], trail: list,
         return
     mark = len(trail)
     for head, body in matched:
-        if could_unify(g, head):
-            clause = fresh_copy(Compound(":-", (head, body)))
-            # head into goal: a goal variable never ends behind a chain of head variables
-            if unify_into(clause.args[0], g, trail, occurs_check=True):
-                yield clause.args[1]
-            undo_to(trail, mark)
+        body = unify_head(g, head, body, trail)
+        if body is not None:
+            yield body
+        undo_to(trail, mark)
 
 
 def find_all(node: Node, goal: Term, timeout: Optional[float] = None) -> list:
     """Every solution of goal as an instantiated copy, in solve order."""
-    name_unnamed(goal, node.current().registry)
+    name_unnamed(goal, VarRegistry())  # not the thread's: a server's would grow
     out = []
     for _ in solve(node, goal, timeout=timeout):
         out.append(fresh_copy(goal))
@@ -309,7 +310,7 @@ def ans_gen(node: Node, call: Term, client: Address):
     propagates a finish down a delegation chain.
     """
     def search():
-        name_unnamed(call, node.current().registry)
+        name_unnamed(call, VarRegistry())
         for _ in solve(node, call):
             node.send(mk("answer_instance", fresh_copy(call)), client, remember_names=False)
             word = node.message_choice(

@@ -38,8 +38,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .address import Address, AddressContext, AddressError, parse_address, resolve, term_to_address
 from .codec import (
@@ -61,12 +60,11 @@ from .terms import (
     Substitution,
     Term,
     Var,
-    could_unify,
     deref,
     fresh_copy,
     name_unnamed,
     undo_to,
-    unify_into,
+    unify_head,
 )
 
 log = logging.getLogger("termbus.node")
@@ -146,9 +144,6 @@ class ThreadHandle:
         return self.mailbox.registry
 
 
-_entry_of = itemgetter(1)  # (seq, entry) -> entry
-
-
 class _Predicate:
     """One predicate's clauses in assertion order, plus their index."""
 
@@ -170,8 +165,8 @@ class ClauseDB:
     with a key gets the clauses sharing it merged by seq with the None list,
     so assertion order holds and one clause such as p(X) adds itself, not
     the whole predicate; a pattern whose own key is None gets every clause.
-    lookup and retract share one scan over those candidates, and only one
-    that passes the copy-free could_unify pre-test is copied and unified.
+    lookup, retract and resolution match each candidate's head in place with
+    unify_head, which binds no stored cell and copies no head.
 
     Mutations run under the node lock and bump a change counter that
     thread_wait listens on.  retract and lookup match heads only, with the
@@ -214,37 +209,25 @@ class ClauseDB:
             pred.index.add(key, pair)
             self._cond.notify_all()
 
-    def _candidates(self, pat: Term) -> list[tuple[int, tuple[Term, Term]]]:
+    def _candidates(self, pat: Term) -> Iterable[tuple[int, tuple[Term, Term]]]:
         """(seq, (head, body)) of the clauses pat may match, in assertion
-        order, as a new list; lock held."""
+        order; lock held, and read before it is released."""
         pred = self._preds.get(self.key_of(pat))
         if pred is None:
-            return []
+            return ()
         key = index_key(pat)
-        return list(pred.clauses.values()) if key is None else pred.index.after((key,))
-
-    def _scan(self, pat: Term) -> Iterator[tuple[int, Term]]:
-        """(seq, head) of each candidate that passes the pre-test, in order.
-
-        The candidates are snapshotted under the lock on the first step;
-        stored heads are never bound, so the pre-test needs no lock.
-        """
-        with self._cond:
-            snapshot = self._candidates(pat)
-        for seq, (head, _) in snapshot:
-            if could_unify(pat, head):
-                yield seq, head
+        return pred.clauses.values() if key is None else pred.index.after((key,))
 
     def retract(self, head_pat: Term) -> Optional[Substitution]:
         """Remove the first clause whose head unifies; bindings stay made."""
         pat = deref(head_pat)
         with self._cond:
-            for seq, head in self._scan(pat):
+            for seq, (head, _) in self._candidates(pat):
                 trail: list = []
-                if unify_into(pat, fresh_copy(head), trail, occurs_check=True):
+                if unify_head(pat, head, TRUE, trail) is not None:
                     pred_key = self.key_of(pat)
                     pred = self._preds[pred_key]
-                    del pred.clauses[seq]
+                    del pred.clauses[seq]  # the loop ends here, so its view may change
                     pred.index.remove(index_key(head), seq)
                     if not pred.clauses:
                         del self._preds[pred_key]
@@ -257,23 +240,25 @@ class ClauseDB:
     def lookup(self, head_pat: Term) -> Iterator[Substitution]:
         """Enumerate matching clauses; bindings undone as iteration advances."""
         pat = deref(head_pat)
-        for _, head in self._scan(pat):
+        with self._cond:  # only the snapshot: matching binds no stored cell
+            snapshot = list(self._candidates(pat))
+        for _, (head, _) in snapshot:
             trail: list = []
-            if unify_into(pat, fresh_copy(head), trail, occurs_check=True):
+            if unify_head(pat, head, TRUE, trail) is not None:
                 yield Substitution(trail)
             undo_to(trail, 0)
 
-    def clauses(self, head_pat: Term) -> tuple:
+    def clauses(self, head_pat: Term) -> list:
         """(head, body) of the clauses head_pat may match, in assertion order.
 
-        These are the index candidates, not yet pre-tested; the stored terms
-        are shared, so a caller copies one before unifying with it.  Empty
-        for a defined predicate with no candidate as for an undefined one:
-        defines() tells them apart.
+        These are the index candidates, not yet tried; the stored terms are
+        shared and must never be bound, so a caller matches one with
+        unify_head.  Empty for a defined predicate with no candidate as for
+        an undefined one: defines() tells them apart.
         """
         pat = deref(head_pat)
         with self._cond:
-            return tuple(map(_entry_of, self._candidates(pat)))
+            return [entry for _, entry in self._candidates(pat)]
 
     def defines(self, key: tuple[str, int]) -> bool:
         """True while the predicate name/arity has at least one clause."""

@@ -18,9 +18,11 @@ mailbox matching operations and the clause store lean on.
 
 No walker recurses, so a term of any length or depth can be matched,
 copied, compared, hashed, named and written.  unify_into and could_unify are
-specialised loops of their own, because every receive runs them; every other
-walker is one of three loops over an explicit stack: a post-order rebuild
-(_rebuild: fresh_copy, intern_named, resolve), a pre-order walk over
+specialised loops of their own, because every receive runs them, and so is
+unify_head, which matches a goal with a stored head without copying it.
+Every other walker is one of three loops over an explicit stack: a
+post-order rebuild (_rebuild: fresh_copy, intern_named, resolve and
+unify_head's instances), a pre-order walk over
 dereferenced subterms (_subterms: variables, name_unnamed, the occurs check
 and the writer's name pass) and a pairwise walk (_pairwise: term_equal,
 variant).  Compound's ``==``, ``hash`` and ``repr`` follow no binding, so
@@ -308,6 +310,12 @@ def _rebuild(t: Term, var: Callable[[Var], Term]) -> Term:
             return x
 
 
+def _renaming(cells: dict) -> Callable[[Var], Term]:
+    """_rebuild's var for a copy: v's term in cells, a new cell named as v
+    when v is first met."""
+    return lambda v: cells.get(v) or cells.setdefault(v, Var(v.name))
+
+
 def _pairwise(a: Term, b: Term, same_vars: Callable[[Term, Term], bool]) -> bool:
     """True when a and b agree after dereferencing, position by position.
 
@@ -509,6 +517,44 @@ def unify(a: Term, b: Term, occurs_check: bool = False) -> Optional[Substitution
     return None
 
 
+def unify_head(goal: Term, head: Term, body: Term, trail: Trail) -> Optional[Term]:
+    """Unify goal with the stored clause head :- body, occurs check on, and
+    return body as the match leaves it, or None (the caller unwinds trail).
+
+    No stored cell is bound, so threads share stored clauses unlocked.  Each
+    clause variable maps to the goal subterm it first meets; later ones unify
+    with that.  A head compound meeting an unbound goal variable is built
+    through the map, and the body likewise once the head has unified.
+    """
+    seen: dict[Var, Term] = {}
+    cell = _renaming(seen)
+    stack = [((head,), (goal,))]
+    while stack:
+        hs, gs = stack.pop()
+        for h, g in zip(hs, gs):
+            while type(g) is Var and g.ref is not None:
+                g = g.ref
+            t = type(h)
+            if t is Var:
+                first = seen.setdefault(h, g)
+                if first is not g and not unify_into(first, g, trail, True):
+                    return None
+            elif type(g) is Var:
+                built = _rebuild(h, cell) if t is Compound else h
+                if built is not h and _occurs(g, built):
+                    return None
+                _bind(g, built, trail)
+            elif t is not type(g):
+                return None
+            elif t is Compound:
+                if h.functor != g.functor or len(h.args) != len(g.args):
+                    return None
+                stack.append((h.args, g.args))
+            elif (h.name != g.name) if t is Atom else (h.value != g.value):
+                return None
+    return _rebuild(body, cell) if type(body) is Compound or type(body) is Var else body
+
+
 # ---------------------------------------------------------------------------
 # copying and naming
 
@@ -538,15 +584,7 @@ def fresh_copy(t: Term) -> Term:
     """
     if not _holds_var(t):
         return t
-    mapping: dict[Var, Var] = {}
-
-    def fresh(v: Var) -> Var:
-        c = mapping.get(v)
-        if c is None:
-            c = mapping[v] = Var(v.name)
-        return c
-
-    return _rebuild(t, fresh)
+    return _rebuild(t, _renaming({}))
 
 
 class VarRegistry:

@@ -2,6 +2,8 @@
 
 import logging
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -201,8 +203,44 @@ class TestFindAll:
         out = [format_term(t) for t in find_all(local, parse_goal("free(A)"))]
         assert out == ["free(A)"]
 
+    def test_two_threads_resolving_the_same_clauses_get_the_oracle_answers(self, local):
+        db = EDGE_DB + ["edge(c, d).", "edge(b, d).", "pair(X, p(X, Y), Y) :- edge(X, Y)."]
+        fill(local, db[len(EDGE_DB):])
+        goals = ["path(X, Y)", "path(a, X), path(X, Y)", "pair(a, P, Q)", "pair(X, p(Y, d), Z)"]
+        want = [oracle_answers(db, g) for g in goals]
+        start, faults = threading.Barrier(2), []
+
+        def resolve_over_and_over():
+            start.wait()
+            for _ in range(40):
+                got = [engine_answers(local, g) for g in goals]
+                if got != want:
+                    faults.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-resolution
+        try:
+            threads = [threading.Thread(target=resolve_over_and_over) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert faults == []
+
 
 class TestServing:
+    def test_a_thousand_all_of_requests_leave_the_server_registry_as_it_was(self, served):
+        server = served._lookup_local(query.SERVER_SYMBOL)
+        before = len(server.registry)
+        for _ in range(1000):
+            answers = list(query_all(served, parse_goal("path(a, _)"), query.SERVER_SYMBOL,
+                                     timeout=5.0))
+            assert len(answers) == 2
+        assert len(server.registry) == before
+
     def test_query_all_round_trip(self, served):
         g, vs = parse_goal_with_vars("edge(a, X)")
         names = []

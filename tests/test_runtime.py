@@ -542,19 +542,19 @@ class TestClauseIndex:
             node.assert_clause(mk("tuple", mk("task", Int(k), Atom("o1"), Int(k % 7))))
         node.fork(lambda: linda.serve(node), symbol=linda.SERVER_SYMBOL)
         s = linda.connect(node, linda.SERVER_SYMBOL)
-        copies = []
-        real = termbus.runtime.fresh_copy
+        tried = []
+        real = termbus.runtime.unify_head
 
-        def counting(t):
-            if deref(t).functor == "tuple":  # a stored tuple, not a local message
-                copies.append(t)
-            return real(t)
+        def counting(goal, head, body, trail):
+            if getattr(head, "functor", None) == "tuple":  # a stored tuple, no other clause
+                tried.append(head)
+            return real(goal, head, body, trail)
 
-        monkeypatch.setattr(termbus.runtime, "fresh_copy", counting)
+        monkeypatch.setattr(termbus.runtime, "unify_head", counting)
         t, vs = parse_term_with_vars("task(1500, Owner, Load)")
         assert s.in_(t, timeout=5.0)
         assert format_term(deref(vs["Load"])) == str(1500 % 7)
-        assert len(copies) == 1
+        assert len(tried) == 1
         assert node.db.size() == 1999
 
     def test_path_resolution_visits_at_most_two_clauses_a_step(self, node, monkeypatch):

@@ -23,7 +23,10 @@ from termbus.terms import (
     name_unnamed,
     resolve,
     term_equal,
+    undo_to,
     unify,
+    unify_head,
+    unify_into,
     variables,
     variant,
     INT_MAX,
@@ -535,6 +538,107 @@ def test_intern_named_keeps_unchanged_compounds():
     t = mk("f", mk("g", Int(1)), Var("N"))
     out = intern_named(t, reg)
     assert out is not t and out.args[0] is t.args[0]
+
+
+# unify_head against its reference: unify a copy of the clause ------------
+
+
+def _blur(t, draw, pool):
+    """t with some subterms replaced by variables drawn from pool.  A pool
+    variable may stand in several places, so two blurs of one term can
+    clash, or unify only by binding a cycle, as well as unify."""
+    t = deref(t)
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(pool))
+    if type(t) is Compound:
+        return Compound(t.functor, tuple(_blur(a, draw, pool) for a in t.args))
+    return t
+
+
+def _check_unify_head(goal, head, body):
+    """unify_head against unify_into(fresh_copy(head :- body), goal) with the
+    occurs check: the same verdict, variant instances, no stored cell bound
+    and every binding undone by the trail."""
+    stored = all_cells(head) + all_cells(body)
+    assert all(c.ref is None for c in stored)
+    goal_cells = all_cells(goal)
+    before = [c.ref for c in goal_cells]
+    trail = []
+    got = unify_head(goal, head, body, trail)
+    assert all(c.ref is None for c in stored)
+    mine = None if got is None else resolve(mk("r", goal, got))
+    undo_to(trail, 0)
+    assert [c.ref for c in goal_cells] == before
+    copy = fresh_copy(mk(":-", head, body))
+    trail = []
+    if not unify_into(copy.args[0], goal, trail, occurs_check=True):
+        assert mine is None
+    else:
+        assert mine is not None and variant(mine, resolve(mk("r", goal, copy.args[1])))
+    undo_to(trail, 0)
+    return mine is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms(), terms(), st.data())
+def test_unify_head_agrees_with_unifying_a_copy_of_the_clause(t, other, data):
+    g = Var("G")
+    goal = _blur(data.draw(st.sampled_from([t, other])), data.draw, [g, Var(), Var("W")])
+    if data.draw(st.booleans()):  # a goal cell bound before the match
+        g.ref = _blur(other, data.draw, [Var("U"), Var()])
+    # stored as assertz stores it: a copy, so it shares no cell with the goal
+    x, y = Var("X"), Var()
+    head = _blur(t, data.draw, [x, y, Var("Z")])
+    body = mk("b", data.draw(st.sampled_from([x, y, head])), _blur(other, data.draw, [x, y]))
+    head, body = fresh_copy(mk(":-", head, body)).args
+    _check_unify_head(goal, head, body)
+    _check_unify_head(goal, head, Atom("true"))
+    # pairs that unify only by binding a cycle, through a later occurrence
+    # of a clause variable or through a goal variable met twice
+    for v in variables(head)[:1]:
+        _check_unify_head(mk("c", goal, goal), fresh_copy(mk("c", v, head)), body)
+    for w in variables(goal)[:1]:
+        _check_unify_head(mk("c", goal, w), mk("c", head, head), body)
+
+
+def test_unify_head_examples():
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    rule = (mk("path", x, y), mk(",", mk("edge", x, z), mk("path", z, y)))
+    a, b = Var("A"), Var("B")
+    assert _check_unify_head(mk("path", Atom("n0"), a), *rule)
+    trail = []
+    body = unify_head(mk("path", Atom("n0"), a), *rule, trail)
+    assert trail == []  # a goal variable met by a clause variable is not bound
+    assert body.args[0].args[0] == Atom("n0") and body.args[1].args[1] is a
+    assert body.args[0].args[1] is body.args[1].args[0] is not z
+    for goal, head, ok in [
+        (mk("p", a, a), mk("p", x, mk("f", x)), False),  # needs a cycle
+        (mk("p", a, a), mk("p", mk("f", x), x), False),
+        (mk("p", a, mk("f", a)), mk("p", x, x), False),
+        (mk("p", a, b, a), mk("p", x, mk("f", x), mk("g", y)), True),
+        (mk("p", Atom("a"), Atom("b")), mk("p", x, x), False),
+        (mk("p", a, a), mk("p", mk("f", x), mk("f", mk("f", x))), False),
+        (mk("q", Int(1)), mk("q", Str("1")), False),
+        (Atom("go"), Atom("go"), True),
+        (mk("p", mklist([a, b, Int(3)])), mk("p", mklist([Int(1), x], tail=y)), True),
+    ]:
+        assert _check_unify_head(goal, head, mk("b", x, y)) is ok, (goal, head)
+
+
+def test_unify_head_is_stack_safe():
+    n = 100_000
+    x = Var("X")
+    head = mk("p", mklist([Int(i) for i in range(n)], tail=x), _nested(n, x, "deep"))
+    goal_tail, v = Var(), Var()
+    goal = mk("p", mklist([Int(i) for i in range(n)], tail=goal_tail), v)
+    trail = []
+    body = unify_head(goal, head, mk("b", x), trail)
+    assert body is not None and deref(body.args[0]) is goal_tail
+    assert term_equal(deref(v), _nested(n, goal_tail, "deep"))
+    assert x.ref is None
+    undo_to(trail, 0)
+    assert v.ref is None and goal_tail.ref is None
+    assert unify_head(mk("p", Atom("nil"), mk("s", goal_tail)), head, Atom("true"), []) is None
 
 
 @given(terms())
