@@ -4,28 +4,33 @@ One server thread (symbol ``main_linda_thread``) accepts ``connect``
 requests and forks a private handler per client.  Every message in the
 protocol is sent without name memory: each operation is a self-contained
 exchange, and a variable name reused across two operations must not make
-them share a cell.  The handler answers that
-client's operations over a store shared by every handler in the server
-process, so a blocking removal in one session is released by an insert from
-any other.
+them share a cell.  The handler answers that client's operations over a
+store shared by every handler in the server process, so a blocking removal
+in one session is released by an insert from any other.
 
-Wire protocol, all handler replies addressed to the requesting client:
+Wire protocol.  Each request but disconnect carries R, a fresh integer of
+the client's node, and every answer to it is reply(R, X) (runtime's
+Node.request, Node.answer, Node.await_reply), addressed to the client:
 
-    connect                ->  connected          (from the new handler)
-    out(T)                 ->  inserted
-    in(T)    blocking      ->  ok(T')             removes the matched tuple
-    rd(T)    blocking      ->  ok(T')             leaves the tuple in place
-    inp(T)   non-blocking  ->  ok(T') | fail
-    rdp(T)   non-blocking  ->  ok(T') | fail
-    disconnect             ->  (handler exits)
+    connect(R)                 ->  reply(R, connected)   from the new handler
+    out(R, T)                  ->  reply(R, inserted)
+    in(R, T)    blocking       ->  reply(R, ok(T'))      removes the matched tuple
+    rd(R, T)    blocking       ->  reply(R, ok(T'))      leaves the tuple in place
+    inp(R, T)   non-blocking   ->  reply(R, ok(T')) | reply(R, fail)
+    rdp(R, T)   non-blocking   ->  reply(R, ok(T')) | reply(R, fail)
+    disconnect                 ->  (handler exits)
 
 T' is T instantiated by the match.  Blocking operations suspend the handler
-on the store's change signal; the client simply sees a delayed reply.
+on the store's change signal; the client simply sees a delayed reply.  An
+operation that raises is answered with reply(R, error(Type, Message)),
+which the client raises as LindaError.  A client awaits each reply with one
+receive keyed on R, so a reply whose call timed out answers no later call.
 
 The accept loop and every handler run on ``Node.serve``: the accept loop
-takes every message and answers a connect's reply-to, a handler takes only
-its client's messages.  An unknown or raising request, and any message to
-the accept loop other than connect, is consumed and logged as
+takes every message and forks a handler for a connect, a handler takes its
+client's messages and consumes another sender's once none of its client's
+is buffered.  An unknown request, a message from another sender, and any
+message to the accept loop other than connect, is consumed and logged as
 ``event=request_failed`` and gets no reply; the loop goes on serving.
 """
 
@@ -36,9 +41,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .address import Address, term_to_address
-from .mailbox import BLOCK, Guard, Timeout
+from .mailbox import BLOCK, Timeout
 from .runtime import Node
-from .terms import Atom, Compound, Substitution, Term, Var, deref, mk
+from .terms import Atom, Compound, Substitution, Term, Var, deref, mk, unify_into
 
 log = logging.getLogger("termbus.linda")
 
@@ -63,13 +68,13 @@ def serve(node: Node) -> None:
 def _accept(node: Node, request: Term, client: Address) -> None:
     """Fork a handler for client on connect; anything else raises, so that
     it is logged and never answered."""
-    if request != Atom("connect"):
+    if type(request) is not Compound or request.functor != "connect" or request.arity != 1:
         raise LindaError(f"not a connect request: {request!r}")
-    node.fork(lambda: _handle(node, client), label="linda_handler")
+    node.fork(lambda: _handle(node, request.args[0], client), label="linda_handler")
 
 
-def _handle(node: Node, client: Address) -> None:
-    node.send(Atom("connected"), client, remember_names=False)
+def _handle(node: Node, ref: Term, client: Address) -> None:
+    node.send(node.answer(ref, lambda: Atom("connected")), client, remember_names=False)
     node.serve(lambda request, _: _operate(node, request, client), from_=client)
 
 
@@ -79,10 +84,13 @@ def _operate(node: Node, r: Term, client: Address) -> Term:
     if r == Atom("disconnect"):
         log.info("event=client_left client=%s", client)
         node.exit_thread()
-    op = r.functor if type(r) is Compound and r.arity == 1 else None
+    op = r.functor if type(r) is Compound and r.arity == 2 else None
     if op not in ("out", "in", "rd", "inp", "rdp"):
         raise LindaError(f"unknown request {r!r}")
-    pat = mk(_WRAP, r.args[0])
+    return node.answer(r.args[0], lambda: _perform(node, op, mk(_WRAP, r.args[1])))
+
+
+def _perform(node: Node, op: str, pat: Term) -> Term:
     if op == "out":
         node.assert_clause(pat)
         return Atom("inserted")
@@ -94,7 +102,7 @@ def _operate(node: Node, r: Term, client: Address) -> Term:
         node.thread_wait(found)
     elif not found():
         return Atom("fail")
-    return mk("ok", r.args[0])
+    return mk("ok", pat.args[0])
 
 
 # --------------------------------------------------------------------------
@@ -105,25 +113,24 @@ class LindaSession:
     """One thread's connection to a tuple-space server.
 
     Methods follow the protocol above; the blocking calls accept the usual
-    timeout forms.  A timed-out blocking call abandons its reply, which then
-    sits in the mailbox ahead of later replies: treat the session as dead.
+    timeout forms, and a call that timed out leaves the session usable.
     """
 
     node: Node
     handler: Address
 
+    def _call(self, op: str, t: Term, timeout: Timeout) -> Optional[Term]:
+        """X of the handler's reply(R, X) to op(R, t); None on timeout."""
+        ref = self.node.request(self.handler, op, t)
+        return self.node.await_reply(ref, self.handler, timeout, LindaError)
+
     def out(self, t: Term, timeout: Timeout = BLOCK) -> None:
-        self.node.send(mk("out", t), self.handler, remember_names=False)
-        if self.node.recv_search(
-            Atom("inserted"), from_=self.handler, timeout=timeout
-        ) is None:
+        if self._call("out", t, timeout) is None:
             raise LindaError("no insert acknowledgement")
 
     def _blocking(self, op: str, pattern: Term, timeout: Timeout):
-        self.node.send(mk(op, pattern), self.handler, remember_names=False)
-        return self.node.recv_search(
-            mk("ok", pattern), from_=self.handler, timeout=timeout
-        )
+        found = self._call(op, pattern, timeout)
+        return None if found is None else _bind(pattern, found)
 
     def in_(self, pattern: Term, timeout: Timeout = BLOCK) -> Optional[Substitution]:
         """Remove a matching tuple, instantiating pattern; None on timeout."""
@@ -134,14 +141,10 @@ class LindaSession:
         return self._blocking("rd", pattern, timeout)
 
     def _probing(self, op: str, pattern: Term, timeout: Timeout) -> bool:
-        self.node.send(mk(op, pattern), self.handler, remember_names=False)
-        return self.node.message_choice(
-            [
-                Guard(mk("ok", pattern), from_=self.handler, body=lambda: True),
-                Guard(Atom("fail"), from_=self.handler, body=lambda: False),
-            ],
-            timeout=(timeout, _timed_out) if isinstance(timeout, (int, float)) else None,
-        )
+        found = self._call(op, pattern, timeout if isinstance(timeout, (int, float)) else BLOCK)
+        if found is None:
+            raise LindaError("no reply from tuple-space handler")
+        return found != Atom("fail") and _bind(pattern, found) is not None
 
     def inp(self, pattern: Term, timeout: Timeout = BLOCK) -> bool:
         """Try to remove a matching tuple right now."""
@@ -155,16 +158,17 @@ class LindaSession:
         self.node.send(Atom("disconnect"), self.handler, remember_names=False)
 
 
-def _timed_out():
-    raise LindaError("no reply from tuple-space handler")
+def _bind(pattern: Term, found: Term) -> Substitution:
+    """pattern unified with T' of the reply ok(T'); None if they clash."""
+    trail: list = []
+    return Substitution(trail) if unify_into(pattern, found.args[0], trail) else None
 
 
 def connect(
     node: Node, server: Union[str, Address], timeout: Timeout = 5.0
 ) -> LindaSession:
     """Open a session: ask the server for a handler and await its greeting."""
-    node.send(Atom("connect"), server, remember_names=False)
     who = Var()
-    if node.recv_search(Atom("connected"), from_=who, timeout=timeout) is None:
+    if node.await_reply(node.request(server, "connect"), who, timeout, LindaError) is None:
         raise LindaError(f"no answer from tuple-space server {server}")
     return LindaSession(node, term_to_address(deref(who)))

@@ -2,31 +2,32 @@
 
 A serving node runs :func:`query_server_main` on a thread that names itself
 ``query_thread``.  Clients ask it to prove goals against the node's clause
-store, either all at once or one answer at a time:
+store, either all at once or one answer at a time.  Each request carries R,
+a fresh integer of the client's node, and every answer to it is reply(R, X):
 
-    all_of(G)     ->  answer_list(L)        L = every solution instance of G
-    stream_of(G)  ->  query_thread_is(A)    A = address of a fresh generator
-    (to A)            answer_instance(G')   one solution, then the generator
-    next ->  A        waits for next/finish before searching on
-    finish -> A       stops the generator early
-    (from A)          fail                  no (further) solution; generator gone
+    all_of(R, G)     ->  reply(R, answer_list(L))  L = every solution of G
+    stream_of(R, G)  ->  reply(R, generator(A))    A = a fresh generator
+    (from A)             reply(R, answer(G'))      one solution, then A
+    next ->  A           waits for next/finish before searching on
+    finish -> A          stops the generator early
+    (from A)             reply(R, fail)            no (further) solution; A gone
 
 A request whose handling raises is answered, by the server for all_of and
-stream_of or by the generator mid-stream, with
-``query_error(Request, Type, Message)``: the request as the server saw it,
-the exception's class name as an atom and its text as a string.
-query_all and AnswerStream raise it as RemoteError, a QueryError; a client
-takes only the error whose echoed request could unify with its own, and a
-stream that gets one is closed.  The server runs on ``Node.serve``: a
-message that is neither all_of nor stream_of is consumed and logged as
-``event=request_failed``, and never answered, so a reply misaddressed to a
-server cannot start an exchange of query_errors between two servers.
+stream_of or by the generator mid-stream, with reply(R, error(Type,
+Message)), which query_all and AnswerStream raise as RemoteError, a
+QueryError; a stream that gets one is closed.  A client awaits each reply
+with one receive keyed on R, so a reply whose caller timed out answers no
+later request; the generator of an open that timed out is finished by the
+next kill_orphans after its reply came.  The server runs on ``Node.serve``:
+a message that is neither all_of nor stream_of is consumed and logged as
+``event=request_failed``, never answered, so no server answers another's
+reply; a generator reply among them has its generator finished first.
 
 Replies go to the ``reply_to`` of the request, not its sender, so a query can
-be placed on behalf of a third thread.  Requests and answers are matched by
-address, never by variable name: every send in the protocol switches name
-memory off, because each exchange is self-contained (namelessness rules out
-cross-request capture when many clients reuse the same source-level names).
+be placed on behalf of a third thread.  Every send in the protocol switches
+name memory off, because each exchange is self-contained (namelessness
+rules out cross-request capture when many clients reuse the same
+source-level names).
 
 Goals may carry remote annotations ``G ? Server`` and ``G ?? Server``; the
 resolver delegates those subgoals to the named server, so a clause store can
@@ -51,19 +52,17 @@ from .address import (
     term_to_address,
 )
 from .address import resolve as resolve_address
-from .mailbox import BLOCK, Guard, MailboxClosed, Timeout
-from .runtime import TRUE, ClauseDB, ClauseError, Node, NodeShutdown, TermbusError, ThreadExit
+from .mailbox import BLOCK, Guard, Timeout
+from .runtime import TRUE, ClauseDB, ClauseError, Node, TermbusError, reply
 from .syntax import format_term, parse_clause
 from .terms import (
     Atom,
     Compound,
     Int,
-    Str,
     Substitution,
     Term,
     Var,
     VarRegistry,
-    could_unify,
     deref,
     fresh_copy,
     list_parts,
@@ -72,6 +71,7 @@ from .terms import (
     name_unnamed,
     resolve,
     undo_to,
+    unify,
     unify_head,
     unify_into,
 )
@@ -93,7 +93,7 @@ class RemoteTimeout(QueryError):
 
 
 class RemoteError(QueryError):
-    """A remote server answered the request with query_error."""
+    """A remote server answered the request with an error reply."""
 
 
 # --------------------------------------------------------------------------
@@ -202,10 +202,7 @@ def _alternatives(node: Node, g: Term, f: Optional[str], trail: list,
 def find_all(node: Node, goal: Term, timeout: Optional[float] = None) -> list:
     """Every solution of goal as an instantiated copy, in solve order."""
     name_unnamed(goal, VarRegistry())  # not the thread's: a server's would grow
-    out = []
-    for _ in solve(node, goal, timeout=timeout):
-        out.append(fresh_copy(goal))
-    return out
+    return [fresh_copy(goal) for _ in solve(node, goal, timeout=timeout)]
 
 
 def load_clause_file(node: Node, path) -> int:
@@ -226,12 +223,10 @@ def load_clause_file(node: Node, path) -> int:
 
 def _server_address(node: Node, server: Union[Address, Term, str]) -> Address:
     if isinstance(server, str):
-        addr = parse_address(server)
-    elif isinstance(server, Address):
-        addr = server
-    else:
-        addr = term_to_address(deref(server))
-    return resolve_address(addr, node.context())
+        server = parse_address(server)
+    elif not isinstance(server, Address):
+        server = term_to_address(deref(server))
+    return resolve_address(server, node.context())
 
 
 # --------------------------------------------------------------------------
@@ -246,8 +241,8 @@ def query_server_main(node: Node) -> None:
     some on other servers, and the answers are already safely collected).
     stream_of gets a fresh generator thread whose address goes back to the
     client; all further traffic for that query bypasses this loop.  A
-    request that raises is answered with query_error and swept all the same.
-    Any other message is consumed and logged, never answered.
+    request that raises is answered with an error reply and swept all the
+    same.  Any other message is consumed and logged, never answered.
     """
     node.set_symbol(SERVER_SYMBOL)
     log.info("event=query_server_up process=%s", node.process)
@@ -255,64 +250,42 @@ def query_server_main(node: Node) -> None:
 
 
 def _serve_request(node: Node, request: Term, client: Address) -> Term:
-    op = request.functor if type(request) is Compound and request.arity == 1 else None
+    op = request.functor if type(request) is Compound and request.arity == 2 else None
     if op == "all_of":
-        call = request.args[0]
+        ref, call = request.args
         try:
-            return _answer(request, lambda: mk("answer_list", mklist(find_all(node, call))))
+            return node.answer(ref, lambda: mk("answer_list", mklist(find_all(node, call))))
         finally:
             kill_orphans(node)
     if op == "stream_of":
-        def start():
-            h = node.fork(ans_gen(node, request.args[0], client), label=GENERATOR_LABEL)
-            return mk("query_thread_is",
-                      address_to_term(Address(h.id, node.process, node.host)))
+        ref, call = request.args
 
-        return _answer(request, start)
-    # raised, not answered with query_error: a reply that strayed here from
-    # another server would be answered by that server in turn, for ever
+        def start():
+            h = node.fork(ans_gen(node, ref, call, client), label=GENERATOR_LABEL)
+            return mk("generator", address_to_term(Address(h.id, node.process, node.host)))
+
+        return node.answer(ref, start)
+    gen = Var()
+    if unify(request, reply(Var(), mk("generator", gen))) is not None:
+        _finish(node, gen)  # a stream this thread opened timed out before its reply came
+    # raised, not answered: only a request names the reply its client awaits
     raise QueryError(f"not a query request: {request!r}")
 
 
-def _answer(request: Term, work) -> Optional[Term]:
-    """What work() returns, or the query_error reply to request when work
-    raises: a fault while serving one request must reach its client."""
-    try:
-        return work()
-    except (MailboxClosed, NodeShutdown, ThreadExit):
-        raise
-    except Exception as e:
-        log.warning("event=request_failed err=%s", e, exc_info=True)
-        return mk("query_error", request, Atom(type(e).__name__), Str(str(e)))
-
-
-def _error_guard(request: Term, source: Address) -> Guard:
-    """The alternative that takes source's query_error reply to request and
-    raises it as QueryError."""
-    echoed, kind, text = Var(), Var(), Var()
-
-    def fail():
-        raise RemoteError(
-            f"{source} failed: {format_term(resolve(kind))}: {format_term(resolve(text))}"
-        )
-
-    return Guard(mk("query_error", echoed, kind, text), from_=source,
-                 test=lambda: could_unify(echoed, request), body=fail)
-
-
-def ans_gen(node: Node, call: Term, client: Address):
-    """Thread goal: search call and feed solutions to client on demand.
+def ans_gen(node: Node, ref: Term, call: Term, client: Address):
+    """Thread goal: search call and feed solutions to client on demand, each
+    as reply(ref, answer(G')).
 
     Sends the first answer unprompted, then waits for next or finish from
     the client between solutions.  Exhaustion is reported with fail, and a
-    search that raises with query_error.  The exit hook sweeps remote
+    search that raises with an error reply.  The exit hook sweeps remote
     streams this search opened, on every exit path, which is what
     propagates a finish down a delegation chain.
     """
     def search():
         name_unnamed(call, VarRegistry())
         for _ in solve(node, call):
-            node.send(mk("answer_instance", fresh_copy(call)), client, remember_names=False)
+            node.send(reply(ref, mk("answer", fresh_copy(call))), client, remember_names=False)
             word = node.message_choice(
                 [
                     Guard(Atom("next"), from_=client, body=lambda: "next"),
@@ -325,7 +298,7 @@ def ans_gen(node: Node, call: Term, client: Address):
 
     def run():
         node.on_exit(lambda: kill_orphans(node))
-        msg = _answer(mk("stream_of", call), search)
+        msg = node.answer(ref, search)
         if msg is not None:
             node.send(msg, client, remember_names=False)
 
@@ -333,7 +306,9 @@ def ans_gen(node: Node, call: Term, client: Address):
 
 
 def kill_orphans(node: Node) -> None:
-    """Retract this thread's remote-stream facts, finishing each generator.
+    """Finish every generator this thread opened and no longer reads: those
+    of its remote-stream facts, which are retracted, and those named by a
+    buffered generator reply, whose open timed out.
 
     The receivers run their own sweep on exit, so one call here reaches
     every generator the abandoned query started, however deep.  Sends to
@@ -342,13 +317,22 @@ def kill_orphans(node: Node) -> None:
     """
     me = Int(node.my_id())
     while True:
-        qth = Var()
-        if node.retract_clause(mk("remote_thread", me, qth)) is None:
+        gen = Var()
+        if (node.recv_search(reply(Var(), mk("generator", gen)), timeout="poll") is None
+                and node.retract_clause(mk("remote_thread", me, gen)) is None):
             return
-        try:
-            node.send(Atom("finish"), term_to_address(deref(qth)), remember_names=False)
-        except (TermbusError, AddressError) as e:
-            log.debug("event=orphan_gone err=%s", e)
+        _finish(node, gen)
+
+
+def _finish(node: Node, gen: Term) -> None:
+    """Send finish to the generator at address term gen, dropping its
+    answer if one is buffered here."""
+    try:
+        to = term_to_address(deref(gen))
+        node.recv_search(reply(Var(), Var()), from_=to, timeout="poll")
+        node.send(Atom("finish"), to, remember_names=False)
+    except (TermbusError, AddressError) as e:
+        log.debug("event=orphan_gone err=%s", e)
 
 
 # --------------------------------------------------------------------------
@@ -364,26 +348,28 @@ def query_all(
 
     Yields one Substitution per answer, unifying call against the answers
     in server order; bindings are undone between steps and kept on
-    abandonment.  The reply is matched by the server's address, so several
-    outstanding requests to different servers cannot cross.
+    abandonment.  The reply is awaited by the request's reference, so
+    neither another request's reply nor one that arrives after its caller
+    timed out can be taken for it.
     """
     dest = _server_address(node, server)
-    request = mk("all_of", call)
-    node.send(request, dest, remember_names=False)
-    answers = Var()
-    node.message_choice(
-        [
-            Guard(mk("answer_list", answers), from_=dest, body=lambda: None),
-            _error_guard(request, dest),
-        ],
-        timeout=_reply_timeout(timeout, f"no answer_list from {dest} within {timeout}s"),
-    )
-    items, _ = list_parts(answers)
+    answers = _await(node, node.request(dest, "all_of", call), dest, timeout, "answer_list")
+    items, _ = list_parts(answers.args[0])
     for item in items:
         trail: list = []
         if unify_into(call, item, trail):
             yield Substitution(trail)
         undo_to(trail, 0)
+
+
+def _await(node: Node, ref: Int, source: Address, timeout: Optional[Timeout],
+           what: str) -> Term:
+    """X of source's reply(ref, X): RemoteTimeout when it does not come
+    within timeout (None waits for good), RemoteError when X is an error."""
+    x = node.await_reply(ref, source, BLOCK if timeout is None else timeout, RemoteError)
+    if x is None:
+        raise RemoteTimeout(f"no {what} from {source} within {timeout}s")
+    return x
 
 
 class AnswerStream:
@@ -410,23 +396,14 @@ class AnswerStream:
         self.call = call
         self.timeout: Timeout = BLOCK if timeout is None else timeout
         dest = _server_address(node, server)
-        self._request = mk("stream_of", call)
-        node.send(self._request, dest, remember_names=False)
-        who = Var()
-        node.message_choice(
-            [
-                Guard(mk("query_thread_is", who), from_=dest, body=lambda: None),
-                _error_guard(self._request, dest),
-            ],
-            timeout=_reply_timeout(self.timeout, f"no generator address from {dest}"),
-        )
-        self.generator = term_to_address(deref(who))
+        self._ref = node.request(dest, "stream_of", call)
+        opened = _await(node, self._ref, dest, self.timeout, "generator address")
+        self.generator = term_to_address(deref(opened.args[0]))
         self._owner = Int(node.my_id())
         node.assert_clause(mk("remote_thread", self._owner, address_to_term(self.generator)))
         self._trail: list = []
         self._started = False
         self._done = False
-        self._error = _error_guard(self._request, self.generator)
 
     def pull(self) -> Optional[Substitution]:
         """Demand one answer; None once the stream is exhausted.
@@ -440,46 +417,31 @@ class AnswerStream:
         if self._started:
             self.node.send(Atom("next"), self.generator, remember_names=False)
         self._started = True
-        got = Var()
         try:
-            kind = self.node.message_choice(
-                [
-                    Guard(mk("answer_instance", got), from_=self.generator,
-                          body=lambda: "answer"),
-                    Guard(Atom("fail"), from_=self.generator, body=lambda: "fail"),
-                    self._error,  # unbound unless it matched, which ends the stream
-                ],
-                timeout=_reply_timeout(self.timeout, "no answer from the remote generator"),
-            )
+            got = _await(self.node, self._ref, self.generator, self.timeout, "answer")
         except RemoteError:
             self._done = True  # the generator exits after reporting its fault
             self._forget()
             raise
-        if kind == "fail":
+        if got == Atom("fail"):
             self._done = True
             self._forget()
             return None
-        if not unify_into(self.call, deref(got), self._trail):
+        if not unify_into(self.call, deref(got.args[0]), self._trail):
             raise QueryError(
-                f"answer {format_term(resolve(got))} is not an instance of the query"
+                f"answer {format_term(resolve(got.args[0]))} is not an instance of the query"
             )
         return Substitution(self._trail)
 
     def finish(self) -> None:
         """Stop the remote generator now.  The stream is dead afterwards."""
-        if self._done:
-            return
-        self._done = True
-        try:
-            self.node.send(Atom("finish"), self.generator, remember_names=False)
-        except (TermbusError, AddressError) as e:
-            log.debug("event=generator_gone err=%s", e)
-        self._forget()  # we ended it, so it is known-terminated, not orphaned
+        if not self._done:
+            self._done = True
+            _finish(self.node, address_to_term(self.generator))
+            self._forget()  # we ended it, so it is known-terminated, not orphaned
 
     def _forget(self) -> None:
-        self.node.retract_clause(
-            mk("remote_thread", self._owner, address_to_term(self.generator))
-        )
+        self.node.retract_clause(mk("remote_thread", self._owner, address_to_term(self.generator)))
 
     @property
     def closed(self) -> bool:
@@ -491,18 +453,6 @@ class AnswerStream:
             if sub is None:
                 return
             yield sub
-
-
-def _reply_timeout(timeout: Optional[Timeout], missing: str):
-    """message_choice's timeout for awaiting a reply: none under BLOCK, else
-    one whose alternative raises RemoteTimeout(missing)."""
-    if timeout is None or timeout == BLOCK:
-        return None
-
-    def silent():
-        raise RemoteTimeout(missing)
-
-    return timeout, silent
 
 
 def query_stream(

@@ -28,12 +28,17 @@ Each predicate is hashed on the leftmost path of its heads (keyindex,
 the key mailboxes file messages under), so a lookup, retract or resolution
 step visits only the clauses that share the pattern's key, merged in
 assertion order with the clauses whose path ends at a variable.  A pattern
-whose own path ends at a variable gets the whole predicate.  Every candidate
-first passes a copy-free pre-test; only one that passes is copied.
+whose own path ends at a variable gets the whole predicate.  Each candidate's
+head is matched in place (terms.unify_head), and no clause is copied.
+
+Services run on Node.serve.  A request carries R, a fresh integer of its
+sender's node (Node.request), and its answer is reply(R, X) (Node.answer),
+which the client awaits with one receive keyed on R (Node.await_reply).
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import threading
 import time
@@ -54,9 +59,12 @@ from .router import WRITE_BOUND, ConnLoop, Holds, _Conn, endpoint_addr
 from .counters import Counters
 from .keyindex import KeyIndex, index_key
 from .mailbox import BLOCK, Guard, Mailbox, MailboxClosed, MessageRef, RecvOptions, Timeout, _Budget
+from .syntax import format_term
 from .terms import (
     Atom,
     Compound,
+    Int,
+    Str,
     Substitution,
     Term,
     Var,
@@ -270,6 +278,10 @@ class ClauseDB:
             return sum(len(p.clauses) for p in self._preds.values())
 
 
+def reply(ref: Term, x: Term) -> Term:  # every service's answer x to its request ref
+    return Compound("reply", (ref, x))
+
+
 class Node:
     def __init__(self, config: NodeConfig):
         self.config = config
@@ -282,6 +294,7 @@ class Node:
         self._symbols: dict[str, int] = {}
         self._next_tid = 0
         self._tl = threading.local()
+        self._refs = itertools.count(1)  # numbers this node's requests
         self._counters = Counters("frames_out", "frames_in", "bad_frames", "dropped")
         self._undelivered = Holds(self._counters, "drop_unknown_target to=%s", 128)
         self.closing = False
@@ -568,20 +581,27 @@ class Node:
         Each message is taken with one recv_search and passed to
         handle(request, client), and what that returns, unless None, is sent
         to client without name memory.  With from_ None every message is
-        taken and client is its reply-to; with from_ given only that
-        sender's messages are, and client is from_.  A message whose
-        handling raises is consumed, logged as one event=request_failed line
+        taken and client is its reply-to; with from_ given client is from_,
+        and another sender's message is taken only when none of from_'s is
+        buffered.  A message whose handling raises, and one from another
+        sender, is consumed, logged as one event=request_failed line
         without a traceback, and not answered.  Only a closed mailbox, a
         node shutdown or exit_thread() ends the loop.
         """
+        mailbox = self.current().mailbox
         while True:
             request = Var()
-            reply = Var() if from_ is None else None
+            back = Var() if from_ is None else None
             client = from_
             try:
-                self.recv_search(request, from_=from_, reply=reply)
-                if reply is not None:
-                    client = term_to_address(deref(reply))
+                if from_ is None or not len(mailbox):
+                    self.recv_search(request, from_=from_, reply=back)
+                elif self.recv_search(request, from_=from_, timeout="poll") is None:
+                    sender = Var()  # none is from_'s, so the oldest is another's
+                    self.recv_first(request, from_=sender, timeout="poll")
+                    raise TermbusError(f"sent by {term_to_address(deref(sender))}")
+                if back is not None:
+                    client = term_to_address(deref(back))
                 answer = handle(deref(request), client)
                 if answer is not None:
                     self.send(answer, client, remember_names=False)
@@ -590,6 +610,40 @@ class Node:
             except Exception as e:
                 log.warning("event=request_failed at=%s client=%s err=%s: %s",
                             self.self_address(), client, type(e).__name__, e)
+
+    def answer(self, ref: Term, work: Callable[[], Optional[Term]]) -> Optional[Term]:
+        """reply(ref, X), X what work() returns, or None when that is None.
+        When work raises, X is error(Type, Message), so a fault while serving
+        a request reaches its client, and the traceback is logged."""
+        try:
+            x = work()
+        except (MailboxClosed, NodeShutdown, ThreadExit):
+            raise
+        except Exception as e:
+            log.warning("event=request_failed at=%s err=%s: %s",
+                        self.self_address(), type(e).__name__, e, exc_info=True)
+            x = Compound("error", (Atom(type(e).__name__), Str(str(e))))
+        return None if x is None else reply(ref, x)
+
+    def request(self, to, op: str, *args: Term) -> Int:
+        """Send the request op(R, *args) to `to` without name memory and
+        return R, a fresh integer of this node that its reply names."""
+        ref = Int(next(self._refs))
+        self.send(Compound(op, (ref, *args)), to, remember_names=False)
+        return ref
+
+    def await_reply(self, ref: Int, from_, timeout: Timeout = BLOCK,
+                    error: type = TermbusError) -> Optional[Term]:
+        """X of the reply(ref, X) that from_ sends, or None when none comes
+        within timeout; an error(Type, Message) reply raises error.  One
+        receive keyed on ref: no other request's reply is looked at."""
+        x = Var()
+        if self.recv_search(reply(ref, x), from_=from_, timeout=timeout) is None:
+            return None
+        x = deref(x)
+        if type(x) is Compound and x.functor == "error" and x.arity == 2:
+            raise error(f"{from_} failed: {format_term(x.args[0])}: {format_term(x.args[1])}")
+        return x
 
     # -- clause store ---------------------------------------------------------
 

@@ -642,15 +642,17 @@ def name_unnamed(t: Term, reg: VarRegistry) -> Term:
     The name is written onto the cell itself (occurrences stay shared) and
     registered in reg, so a later reply that mentions the name is interned
     back to this very cell.  Named variables encountered on the way are
-    adopted into the registry as well.  Applying the operation twice is the
-    same as applying it once.
+    adopted into the registry first, so no generated name equals one of
+    theirs.  Applying the operation twice is the same as applying it once.
     """
-    for v in variables(t):
+    cells = variables(t)
+    for v in cells:
+        if v.name is not None:
+            reg.adopt(v)
+    for v in cells:
         if v.name is None:
             v.name = reg.generate_name()
             reg._cells[v.name] = v
-        else:
-            reg.adopt(v)
     return t
 
 

@@ -58,9 +58,10 @@ class TestFaults:
             return real(clause)
 
         monkeypatch.setattr(space, "assert_clause", assert_failing_once)
-        with caplog.at_level(logging.WARNING, logger="termbus.linda"):
-            # the failing out gets no reply, so send it without awaiting one
-            space.send(mk("out", parse_term("job(1)")), s.handler, remember_names=False)
+        with caplog.at_level(logging.WARNING):
+            # the failing out is answered with an error, raised here
+            with pytest.raises(linda.LindaError, match="store fault"):
+                s.out(parse_term("job(1)"), timeout=5.0)
             s.out(parse_term("job(2)"), timeout=5.0)
             t, vs = parse_term_with_vars("job(N)")
             assert s.in_(t, timeout=5.0)
@@ -68,6 +69,42 @@ class TestFaults:
         assert len(failures) == 1
         assert "event=request_failed" in caplog.text
         assert space.live_threads(label="linda_handler") == 1
+
+    def test_an_operation_that_raises_is_answered_within_a_second(self, space, monkeypatch):
+        s = session(space)
+
+        def failing(clause):
+            raise ValueError("store fault")
+
+        monkeypatch.setattr(space, "assert_clause", failing)
+        t0 = time.monotonic()
+        with pytest.raises(linda.LindaError, match="ValueError.*store fault"):
+            s.out(parse_term("job(1)"), timeout=5.0)
+        assert time.monotonic() - t0 < 1.0
+        monkeypatch.undo()
+        s.out(parse_term("job(2)"), timeout=5.0)  # the handler serves on
+        assert s.rdp(parse_term("job(2)"), timeout=5.0)
+
+    def test_a_reply_that_came_after_its_timeout_answers_no_later_call(self, space):
+        s, other = session(space), session(space)
+        assert s.in_(parse_term("job(X)"), timeout=0.05) is None
+        other.out(parse_term("job(1)"), timeout=5.0)  # the timed-out in takes it
+        s.out(parse_term("job(2)"), timeout=5.0)
+        t, vs = parse_term_with_vars("job(N)")
+        assert s.rd(t, timeout=5.0)
+        assert format_term(deref(vs["N"])) == "2"
+
+    def test_a_greeting_that_came_after_its_timeout_binds_no_later_session(self, space):
+        with pytest.raises(linda.LindaError):
+            linda.connect(space, linda.SERVER_SYMBOL, timeout="poll")
+        mailbox = space.current().mailbox
+        wait_until(lambda: len(mailbox) == 1, msg="the late greeting arrived")
+        s = session(space)
+        handlers = [h.id for h in space._threads.values() if h.label == "linda_handler"]
+        assert len(handlers) == 2
+        assert s.handler.thread == max(handlers)  # the one forked for this connect
+        s.out(parse_term("job(1)"), timeout=5.0)
+        assert s.rdp(parse_term("job(1)"), timeout=5.0)
 
     def test_an_unknown_request_is_consumed_and_logged(self, space, caplog):
         s = session(space)
@@ -95,16 +132,27 @@ class TestFaults:
         # no stray was answered: the one reply from the accept side is connected
         assert space.recv_search(Var(), timeout="poll") is None
 
-    def test_a_handler_answers_its_client_and_ignores_other_senders(self, space):
+    def test_a_handler_answers_its_client_and_ignores_other_senders(self, space, caplog):
         s = session(space)
-        intruder = space.fork(lambda: space.send(mk("out", parse_term("stolen")),
-                                                 s.handler, remember_names=False))
-        intruder.pythread.join(5.0)
-        s.out(parse_term("job(1)"), timeout=5.0)
-        assert s.rdp(parse_term("job(1)"), timeout=5.0)
-        assert s.rdp(parse_term("stolen"), timeout=5.0) is False
         handler = space._lookup_local(s.handler.thread)
-        assert len(handler.mailbox) == 1  # the other sender's out, never taken
+        answers = []
+
+        def intruder():
+            space.send(mk("out", Int(1), parse_term("stolen")), s.handler,
+                       remember_names=False)
+            answers.append(space.recv_search(Var(), timeout=0.5))
+
+        with caplog.at_level(logging.WARNING):
+            h = space.fork(intruder)
+            wait_until(lambda: len(handler.mailbox) == 1, msg="the other sender's out buffered")
+            s.out(parse_term("job(1)"), timeout=5.0)
+            assert s.rdp(parse_term("job(1)"), timeout=5.0)
+            h.pythread.join(5.0)
+        assert s.rdp(parse_term("stolen"), timeout=5.0) is False  # never executed
+        assert answers == [None]  # nor answered
+        assert len(handler.mailbox) == 0  # but consumed
+        failed = [r for r in caplog.records if "event=request_failed" in r.getMessage()]
+        assert len(failed) == 1 and f"sent by {h.id}:" in failed[0].getMessage()
 
     def test_a_pattern_that_would_bind_a_cycle_does_not_match(self, space):
         s = session(space)

@@ -21,7 +21,7 @@ from termbus.query import (
     solve,
 )
 from termbus.router import Router, RouterConfig
-from termbus.runtime import Node, NodeConfig
+from termbus.runtime import Node, NodeConfig, TermbusError
 from termbus.syntax import format_term, parse_clause, parse_goal, parse_goal_with_vars
 from termbus.terms import Atom, Int, Var, deref, list_parts, mk, mklist, resolve
 
@@ -249,10 +249,10 @@ class TestServing:
         assert names == ["b"]
 
     def test_raw_answer_list_shape(self, served):
-        served.send(mk("all_of", parse_goal("edge(a, X)")),
+        served.send(mk("all_of", Int(7), parse_goal("edge(a, X)")),
                     query.SERVER_SYMBOL, remember_names=False)
         body = Var()
-        assert served.recv_search(mk("answer_list", body),
+        assert served.recv_search(mk("reply", Int(7), mk("answer_list", body)),
                                   from_=query.SERVER_SYMBOL, timeout=5.0)
         assert canon(to_data(body)) == canon(to_data(
             parse_goal("'.'(edge(a, b), [])")
@@ -285,8 +285,7 @@ class TestServing:
             return find_all(node, call)
 
         monkeypatch.setattr(query, "find_all", find_all_failing_once)
-        served.send(mk("all_of", parse_goal("edge(a, X)")),
-                    query.SERVER_SYMBOL, remember_names=False)
+        ref = served.request(query.SERVER_SYMBOL, "all_of", parse_goal("edge(a, X)"))
         g, vs = parse_goal_with_vars("edge(b, X)")
         with caplog.at_level(logging.WARNING, logger="termbus.query"):
             names = [format_term(deref(vs["X"]))
@@ -295,6 +294,9 @@ class TestServing:
         assert len(failures) == 1
         assert "event=request_failed" in caplog.text
         assert served.live_threads(label="query_main") == 1
+        # the failed request was answered too, with its error
+        with pytest.raises(TermbusError, match="solver fault"):
+            served.await_reply(ref, query.SERVER_SYMBOL, timeout="poll")
 
     def test_a_request_that_raises_gets_an_error_reply(self, served, monkeypatch):
         real = query.find_all
@@ -335,11 +337,11 @@ class TestServing:
 
         def collector():
             body = Var()
-            served.recv_search(mk("answer_list", body), timeout=5.0)
+            served.recv_search(mk("reply", Int(1), mk("answer_list", body)), timeout=5.0)
             seen.append(format_term(resolve(body)))
 
         h = served.fork(collector, label="collector")
-        served.send(mk("all_of", parse_goal("edge(b, X)")),
+        served.send(mk("all_of", Int(1), parse_goal("edge(b, X)")),
                     query.SERVER_SYMBOL, reply_to=h.id, remember_names=False)
         wait_until(lambda: seen, msg="answer_list reached the third thread")
         assert seen == ["[edge(b,c)]"]
@@ -361,22 +363,22 @@ class TestServing:
                    msg="generator exits after fail")
 
     def test_scripted_stream_message_sequence(self, served):
-        # two answers then exhaustion: answer_instance, answer_instance, fail
-        served.send(mk("stream_of", parse_goal("path(a, C)")),
+        # two answers then exhaustion: answer, answer, fail, each naming the open
+        served.send(mk("stream_of", Int(5), parse_goal("path(a, C)")),
                     query.SERVER_SYMBOL, remember_names=False)
         who = Var()
-        assert served.recv_search(mk("query_thread_is", who),
+        assert served.recv_search(mk("reply", Int(5), mk("generator", who)),
                                   from_=query.SERVER_SYMBOL, timeout=5.0)
         from termbus.address import term_to_address
         gen = term_to_address(deref(who))
         seq = []
         for _ in range(2):
             got = Var()
-            assert served.recv_search(mk("answer_instance", got),
+            assert served.recv_search(mk("reply", Int(5), mk("answer", got)),
                                       from_=gen, timeout=5.0)
             seq.append(format_term(resolve(got)))
             served.send(Atom("next"), gen, remember_names=False)
-        assert served.recv_search(Atom("fail"), from_=gen, timeout=5.0)
+        assert served.recv_search(mk("reply", Int(5), Atom("fail")), from_=gen, timeout=5.0)
         assert seq == ["path(a,b)", "path(a,c)"]
 
     def test_stream_over_zero_solutions_ends_at_once(self, served):
@@ -394,9 +396,7 @@ class TestServing:
         assert orphan_count(served) == 0
         # no stray second answer or fail arrives afterwards
         time.sleep(0.05)
-        assert served.recv_search(mk("answer_instance", Var()),
-                                  timeout="poll") is None
-        assert served.recv_search(Atom("fail"), timeout="poll") is None
+        assert served.recv_search(mk("reply", Var(), Var()), timeout="poll") is None
 
     def test_abandoned_stream_waits_for_kill_orphans(self, served):
         s = query_stream(served, parse_goal("path(a, C)"), query.SERVER_SYMBOL)
@@ -414,8 +414,8 @@ class TestServing:
         server = served._lookup_local(query.SERVER_SYMBOL)
         with caplog.at_level(logging.WARNING):
             for i in range(5000):
-                served.send(mk("answer_list", Int(i)), query.SERVER_SYMBOL,
-                            remember_names=False)
+                served.send(mk("reply", Int(i), mk("answer_list", mklist([]))),
+                            query.SERVER_SYMBOL, remember_names=False)
             wait_until(lambda: len(server.mailbox) == 0, timeout=60.0,
                        msg="the strays consumed")
             g, vs = parse_goal_with_vars("edge(a, X)")
@@ -433,6 +433,97 @@ class TestServing:
         with pytest.raises(RemoteTimeout):
             list(query_all(served, parse_goal("edge(a, X)"),
                            Address(mute.id, None, None), timeout=0.2))
+
+    def test_a_reply_that_came_after_its_timeout_answers_no_later_query(self, served,
+                                                                          monkeypatch):
+        real = query.find_all
+
+        def slow_find_all(node, call):
+            monkeypatch.setattr(query, "find_all", real)
+            time.sleep(0.3)
+            return real(node, call)
+
+        monkeypatch.setattr(query, "find_all", slow_find_all)
+        with pytest.raises(RemoteTimeout):
+            list(query_all(served, parse_goal("edge(a, X)"), query.SERVER_SYMBOL,
+                           timeout=0.05))
+        mailbox = served.current().mailbox
+        wait_until(lambda: len(mailbox) == 1, msg="the late answer_list arrived")
+        g, vs = parse_goal_with_vars("edge(b, X)")
+        names = [format_term(deref(vs["X"]))
+                 for _ in query_all(served, g, query.SERVER_SYMBOL, timeout=5.0)]
+        assert names == ["c"]
+
+    @staticmethod
+    def time_out_opens(served, monkeypatch, n=20):
+        """n opens of path(a, C) that time out: the server waits 5 ms before
+        it forks each generator.  Returns once every late reply and every
+        generator's first answer has arrived."""
+        real = query.ans_gen
+
+        def slow_ans_gen(*args):
+            time.sleep(0.005)
+            return real(*args)
+
+        monkeypatch.setattr(query, "ans_gen", slow_ans_gen)
+        for _ in range(n):
+            with pytest.raises(RemoteTimeout):
+                query_stream(served, parse_goal("path(a, C)"), query.SERVER_SYMBOL,
+                             timeout=0.0001)
+        mailbox = served.current().mailbox
+        wait_until(lambda: len(mailbox) == 2 * n, msg="the late replies arrived")
+        assert served.live_threads(label=query.GENERATOR_LABEL) == n
+
+    def test_one_sweep_finishes_the_generators_of_opens_that_timed_out(self, served,
+                                                                         monkeypatch):
+        self.time_out_opens(served, monkeypatch)
+        kill_orphans(served)
+        wait_until(lambda: served.live_threads(label=query.GENERATOR_LABEL) == 0,
+                   msg="every generator finished")
+        assert len(served.current().mailbox) == 0  # and none of their replies left
+
+    def test_a_sweep_before_the_late_reply_leaves_its_generator_to_the_next(self, served,
+                                                                           monkeypatch):
+        real = query.ans_gen
+
+        def slow_ans_gen(*args):
+            time.sleep(0.2)
+            return real(*args)
+
+        monkeypatch.setattr(query, "ans_gen", slow_ans_gen)
+        with pytest.raises(RemoteTimeout):
+            query_stream(served, parse_goal("path(a, C)"), query.SERVER_SYMBOL,
+                         timeout=0.0001)
+        kill_orphans(served)  # at once: the reply is still on its way
+        mailbox = served.current().mailbox
+        wait_until(lambda: len(mailbox) == 2, msg="the late reply and first answer arrived")
+        assert served.live_threads(label=query.GENERATOR_LABEL) == 1
+        kill_orphans(served)
+        wait_until(lambda: served.live_threads(label=query.GENERATOR_LABEL) == 0,
+                   msg="the next sweep finished the generator")
+        assert len(mailbox) == 0
+
+    def test_the_server_finishes_the_generator_of_a_late_open_reply(self, served, caplog):
+        server = served._lookup_local(query.SERVER_SYMBOL)
+        with caplog.at_level(logging.WARNING):
+            # an open whose reply goes to the server loop itself, as a
+            # timed-out open's reply reaches a thread that awaits it no more
+            served.send(mk("stream_of", Int(1), parse_goal("path(a, C)")),
+                        query.SERVER_SYMBOL, reply_to=query.SERVER_SYMBOL,
+                        remember_names=False)
+            wait_until(lambda: "event=request_failed" in caplog.text
+                       and served.live_threads(label=query.GENERATOR_LABEL) == 0
+                       and len(server.mailbox) == 0,
+                       msg="the reply consumed and its generator finished")
+        assert served.recv_search(Var(), from_=query.SERVER_SYMBOL, timeout="poll") is None
+
+    def test_after_opens_that_timed_out_a_stream_answers_its_own_query(self, served,
+                                                                         monkeypatch):
+        self.time_out_opens(served, monkeypatch)
+        g, vs = parse_goal_with_vars("edge(b, Y)")
+        s = query_stream(served, g, query.SERVER_SYMBOL, timeout=5.0)
+        assert [format_term(deref(vs["Y"])) for _ in s] == ["c"]
+        kill_orphans(served)
 
     def test_query_stream_timeout_raises(self, served):
         mute = served.fork(lambda: time.sleep(5), label="mute")
@@ -485,11 +576,11 @@ class TestDistributed:
         network("qs_long", EDGE_DB)
         client = network("qc_long", [], serve=False)
         # a 600-element list, longer than a recursive term copy could go
-        client.send(mk("all_of", mklist(Int(i) for i in range(600))), server,
+        client.send(mk("all_of", Int(1), mklist(Int(i) for i in range(600))), server,
                     remember_names=False)
         answers = Var()
-        assert client.recv_search(mk("answer_list", answers), from_=server,
-                                  timeout=5.0, remember_names=False)
+        assert client.recv_search(mk("reply", Int(1), mk("answer_list", answers)),
+                                  from_=server, timeout=5.0, remember_names=False)
         assert deref(answers) == Atom("[]")
         g, vs = parse_goal_with_vars("edge(a, X)")
         got = [format_term(deref(vs["X"]))
@@ -588,9 +679,10 @@ class TestDistributed:
         a_server = a._lookup_local(query.SERVER_SYMBOL)
         b_server = b._lookup_local(query.SERVER_SYMBOL)
         with caplog.at_level(logging.WARNING):
-            # an answer_list at A whose reply-to is B's server: answering it
-            # with query_error would start an exchange of errors
-            client.send(mk("answer_list", mklist([])), "query_thread:qs_a@hostq",
+            # a reply at A whose reply-to is B's server: answering it with
+            # an error would start an exchange of errors
+            client.send(mk("reply", Int(1), mk("answer_list", mklist([]))),
+                        "query_thread:qs_a@hostq",
                         reply_to="query_thread:qs_b@hostq", remember_names=False)
             wait_until(lambda: a.stats()["frames_in"] == 1 and len(a_server.mailbox) == 0,
                        msg="the stray consumed at A")
@@ -601,20 +693,23 @@ class TestDistributed:
         assert len(b_server.mailbox) == 0
         assert a.stats()["frames_out"] == 0
 
-    def test_two_servers_replies_do_not_cross(self, network):
+    def test_two_servers_replies_do_not_cross(self, network, caplog):
         a = network("qs_a", ["item(left)."])
         b = network("qs_b", ["item(right)."])
         client = network("shell", [], serve=False)
         # a reply from A is already waiting when the B call starts; the
         # B call must leave it alone
-        client.send(mk("all_of", parse_goal("item(X)")),
-                    "query_thread:qs_a@hostq", remember_names=False)
-        g, vs = parse_goal_with_vars("item(Y)")
-        got_b = [format_term(deref(vs["Y"]))
-                 for _ in query_all(client, g, "query_thread:qs_b@hostq",
-                                    timeout=10.0)]
-        assert got_b == ["right"]
-        body = Var()
-        assert client.recv_search(mk("answer_list", body),
-                                  from_="query_thread:qs_a@hostq", timeout=5.0)
-        assert format_term(resolve(body)) == "[item(left)]"
+        with caplog.at_level(logging.WARNING):
+            ref = client.request("query_thread:qs_a@hostq", "all_of", parse_goal("item(X)"))
+            g, vs = parse_goal_with_vars("item(Y)")
+            got_b = [format_term(deref(vs["Y"]))
+                     for _ in query_all(client, g, "query_thread:qs_b@hostq",
+                                        timeout=10.0)]
+            assert got_b == ["right"]
+            body = client.await_reply(ref, "query_thread:qs_a@hostq", timeout=5.0)
+            assert format_term(body) == "answer_list([item(left)])"
+            time.sleep(0.3)
+        # one request in and one reply out at each server: no error went between them
+        for server in (a, b):
+            assert (server.stats()["frames_in"], server.stats()["frames_out"]) == (1, 1)
+        assert "event=request_failed" not in caplog.text

@@ -676,15 +676,22 @@ class TestServe:
         assert seen == [Atom("note")]
         assert node.recv_search(Var(), timeout=0.1) is None
 
-    def test_from_takes_only_that_senders_messages(self, node):
+    def test_from_takes_only_that_senders_messages(self, node, caplog):
         me = node.self_address()
-        h, server = self.serving(node, lambda r, client: mk("for", r), from_=me)
-        intruder = node.fork(lambda: node.send(Atom("intruder"), server, remember_names=False))
-        intruder.pythread.join(5.0)
-        node.send(Atom("mine"), server, remember_names=False)
-        assert node.recv_search(mk("for", Var()), from_=server, timeout=5.0)
-        assert format_term(h.mailbox._items[0][1].payload) == "intruder"
-        assert len(h.mailbox) == 1
+        seen = []
+        h, server = self.serving(node, lambda r, _: seen.append(r) or mk("for", r), from_=me)
+        with caplog.at_level(logging.WARNING):
+            intruder = node.fork(lambda: node.send(Atom("intruder"), server,
+                                                   remember_names=False))
+            intruder.pythread.join(5.0)
+            node.send(Atom("mine"), server, remember_names=False)
+            assert node.recv_search(parse_term("for(mine)"), from_=server, timeout=5.0)
+            # the other sender's message is consumed once none of from_'s is left
+            wait_until(lambda: len(h.mailbox) == 0, msg="the intruder consumed")
+        assert seen == [Atom("mine")]  # never handled
+        failed = failed_requests(caplog)
+        assert len(failed) == 1 and f"sent by {intruder.id}:" in failed[0].getMessage()
+        assert node.recv_search(Var(), from_=server, timeout=0.1) is None  # nor answered
 
     def test_exit_thread_in_handle_ends_the_loop(self, node):
         h, server = self.serving(node, lambda r, _: node.exit_thread())

@@ -245,6 +245,15 @@ class TestNaming:
         name_unnamed(mk("f", q), reg)
         assert reg.lookup("Q") is q
 
+    def test_a_generated_name_is_never_a_later_named_variables(self):
+        # the unnamed variable comes first, so it is named after the named
+        # one has been adopted: _A1 is taken
+        reg = VarRegistry()
+        anon, named = Var(), Var("_A1")
+        name_unnamed(mk("f", anon, named), reg)
+        assert anon.name == "_A2"
+        assert reg.lookup("_A1") is named and reg.lookup("_A2") is anon
+
     def test_intern_named_maps_to_registry_cells(self):
         reg = VarRegistry()
         incoming = mk("f", Var("X"), Var("X"))
