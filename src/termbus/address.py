@@ -8,7 +8,17 @@ the sending thread's context.  The reserved one-part addresses ``self`` and
 
 Addresses double as match patterns: any slot (or the whole address) may be a
 variable, and match_address unifies pattern slots against a concrete address
-using the shared binding trail.
+using the shared binding trail.  A None slot is a wildcard, and a pattern is
+not resolved the way a destination is: the short form ``kid`` as a receive's
+from_ matches thread kid of any process on any host.  Only ``self`` and
+``creator`` in a pattern resolve, to the receiving thread's own address and
+its creator's (Node._pat).
+
+Addresses are frozen values, and each distinct qualified address is shared
+rather than rebuilt per message: parse_address and the codec's header memo
+hand out one object per text while it is memoised (both memos are bounded),
+each node thread keeps its own address on its handle, and resolve returns a
+qualified address as itself.
 """
 
 from __future__ import annotations
@@ -129,7 +139,9 @@ class AddressContext:
 
 
 def resolve(a: Address, ctx: AddressContext) -> Address:
-    """Fully qualify a against ctx; idempotent on qualified addresses."""
+    """Fully qualify a against ctx; a qualified address comes back as itself."""
+    if a.qualified():
+        return a
     if isinstance(a.thread, _Reserved):
         if a.process is not None or a.host is not None:
             raise AddressError(f"reserved token {a.thread.token} takes no suffix")
@@ -202,8 +214,10 @@ def match_address(pattern, ground: Address, trail: Trail) -> bool:
 
     pattern may be None (matches anything), a Var (binds to the whole
     address as a term), or an Address whose slots are values, Vars, or None
-    wildcards.  Bindings go on the caller's trail; the caller unwinds on an
-    overall failure.
+    wildcards.  A value slot is compared with ==, which is what unifying
+    the two slot terms decides, so a pattern without variables builds no
+    term; a Var slot is unified.  Bindings go on the caller's trail; the
+    caller unwinds on an overall failure.
     """
     if pattern is None:
         return True
@@ -216,9 +230,9 @@ def match_address(pattern, ground: Address, trail: Trail) -> bool:
         (pattern.process, ground.process),
         (pattern.host, ground.host),
     ):
-        if pat_part is None:
+        if pat_part is None or pat_part == got_part:
             continue
-        if got_part is None:
+        if isinstance(pat_part, (str, int)) or got_part is None:
             return False
         if not unify_into(_part_term(pat_part), _part_term(got_part), trail):
             return False

@@ -178,15 +178,6 @@ def _utf8(raw) -> str:
         raise BodyParseError(f"bad UTF-8: {e}") from None
 
 
-def _get_text(data, pos: int, end: int) -> tuple[str, int]:
-    """The length-prefixed UTF-8 text at data[pos:end] and the position after it."""
-    n, pos = _get_varint(data, pos, end)
-    stop = pos + n
-    if stop > end:
-        raise TruncatedFrameError("unexpected end of frame")
-    return _utf8(data[pos:stop]), stop
-
-
 def _put_text(out: bytearray, text: str) -> None:
     raw = text.encode("utf-8")
     _put_varint(out, len(raw))
@@ -437,15 +428,34 @@ def encode_envelope(env: Envelope) -> bytes:
     return bytes(out)
 
 
+# a header field's UTF-8 bytes -> its Address, checked qualified: a frame
+# names few distinct addresses, so each is decoded, parsed and checked once
+# and every frame naming it shares the one object; only addresses that
+# passed are kept, and the memo is emptied when it reaches its bound
+_HEADER: dict[bytes, Address] = {}
+_HEADER_MAX = 4096
+
+
 def _get_address(data, pos: int, end: int, what: str) -> tuple[Address, int]:
-    text, pos = _get_text(data, pos, end)
+    n, pos = _get_varint(data, pos, end)
+    stop = pos + n
+    if stop > end:
+        raise TruncatedFrameError("unexpected end of frame")
+    raw = data[pos:stop]
+    a = _HEADER.get(raw)
+    if a is not None:
+        return a, stop
+    text = _utf8(raw)
     try:
         a = parse_address(text)
     except Exception as e:
         raise BodyParseError(f"bad {what} address {text!r}: {e}") from None
     if not a.qualified():
         raise BodyParseError(f"{what} address not fully qualified: {text!r}")
-    return a, pos
+    if len(_HEADER) >= _HEADER_MAX:
+        _HEADER.clear()
+    _HEADER[raw] = a
+    return a, stop
 
 
 def decode_envelope(frame: bytes, body: bool = True) -> Envelope:

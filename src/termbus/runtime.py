@@ -45,7 +45,16 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .address import Address, AddressContext, AddressError, parse_address, resolve, term_to_address
+from .address import (
+    CREATOR,
+    SELF,
+    Address,
+    AddressContext,
+    AddressError,
+    parse_address,
+    resolve,
+    term_to_address,
+)
 from .codec import (
     CodecError,
     Envelope,
@@ -126,6 +135,7 @@ class ThreadHandle:
     __slots__ = (
         "id",
         "symbol",
+        "address",
         "label",
         "mailbox",
         "creator",
@@ -137,9 +147,10 @@ class ThreadHandle:
     RUNNING = "running"
     EXITED = "exited"
 
-    def __init__(self, tid: int):
+    def __init__(self, tid: int, address: Address):
         self.id = tid
         self.symbol: Optional[str] = None
+        self.address = address  # the sender of its messages, rebuilt with its symbol
         self.label: Optional[str] = None
         self.mailbox = Mailbox()
         self.creator: Optional[Address] = None
@@ -333,7 +344,7 @@ class Node:
         h = getattr(self._tl, "handle", None)
         if h is None:
             h = self._new_handle()
-            h.creator = self._address_of(h)
+            h.creator = h.address
             h.pythread = threading.current_thread()
             self._tl.handle = h
         if symbol is not None:
@@ -343,7 +354,7 @@ class Node:
     def _new_handle(self) -> ThreadHandle:
         with self._tables:
             self._next_tid += 1
-            h = ThreadHandle(self._next_tid)
+            h = ThreadHandle(self._next_tid, Address(self._next_tid, self.process, self.host))
             self._threads[h.id] = h
             for env in self._undelivered.take(h.id):
                 h.mailbox.post(env)
@@ -364,7 +375,7 @@ class Node:
         parent = getattr(self._tl, "handle", None)
         h = self._new_handle()
         h.label = label
-        h.creator = self._address_of(parent) if parent else self._address_of(h)
+        h.creator = parent.address if parent else h.address
         if symbol is not None:
             self._bind_symbol(symbol, h)
 
@@ -423,6 +434,7 @@ class Node:
                 self._symbols.pop(h.symbol, None)
             self._symbols[name] = h.id
             h.symbol = name
+            h.address = Address(name, self.process, self.host)
             # flushing inside the lock keeps held frames ahead of any frame
             # delivered directly once the name is visible
             for env in self._undelivered.take(name):
@@ -445,20 +457,12 @@ class Node:
 
     # -- addressing ----------------------------------------------------------
 
-    def _address_of(self, h: ThreadHandle) -> Address:
-        return Address(h.symbol if h.symbol is not None else h.id, self.process, self.host)
-
     def self_address(self) -> Address:
-        return self._address_of(self.current())
+        return self.current().address
 
     def context(self) -> AddressContext:
         h = self.current()
-        return AddressContext(
-            self_thread=h.symbol if h.symbol is not None else h.id,
-            process=self.process,
-            host=self.host,
-            creator=h.creator,
-        )
+        return AddressContext(h.address.thread, self.process, self.host, h.creator)
 
     def _as_address(self, a) -> Address:
         if isinstance(a, Address):
@@ -468,7 +472,7 @@ class Node:
         if isinstance(a, int):
             return Address(thread=a)
         if isinstance(a, ThreadHandle):
-            return self._address_of(a)
+            return a.address
         raise AddressError(f"not an address: {a!r}")
 
     def _find_handle(self, thread_part) -> Optional[ThreadHandle]:
@@ -509,15 +513,14 @@ class Node:
         the binary body codec for remote hops.  Pass both as False for the
         raw low-level behaviour.
         """
-        ctx = self.context()
-        dest = resolve(self._as_address(to), ctx)
-        sender = ctx.self_address()
-        reply = resolve(self._as_address(reply_to), ctx) if reply_to is not None else sender
-        payload = msg
         h = self.current()
+        sender = h.address
+        dest = self._qualified(to)
+        reply = self._qualified(reply_to) if reply_to is not None else sender
+        payload = msg
         if remember_names:
             payload = name_unnamed(payload, h.registry)
-        flags = Flags(encoded=encoded, remember_names=remember_names)
+        flags = Flags.from_byte((1 if encoded else 0) | (2 if remember_names else 0))
         if dest.process == self.process and dest.host == self.host:
             target = self._lookup_local(dest.thread)
             target.mailbox.post(
@@ -531,11 +534,20 @@ class Node:
         frame = encode_envelope(Envelope(payload, dest, sender, reply, flags))
         self._link.send_frame(frame)
 
+    def _qualified(self, a) -> Address:
+        """a as a qualified address; only a short form needs the context."""
+        a = self._as_address(a)
+        return a if a.qualified() else resolve(a, self.context())
+
     # -- receive (current thread's mailbox, name remembering on) -------------
 
     def _pat(self, p):
+        """An address pattern: text is parsed, and self or creator resolves
+        against the calling thread as a send resolves it."""
         if isinstance(p, str):
-            return parse_address(p)
+            p = parse_address(p)
+        if isinstance(p, Address) and (p.thread is SELF or p.thread is CREATOR):
+            return resolve(p, self.context())
         return p
 
     def recv_first(

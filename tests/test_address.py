@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 import termbus.address
 from termbus.address import (
@@ -15,7 +16,7 @@ from termbus.address import (
     term_to_address,
 )
 from termbus.syntax import parse_term
-from termbus.terms import Atom, Int, Var, resolve as tresolve, undo_to
+from termbus.terms import Atom, Compound, Int, Var, resolve as tresolve, undo_to, unify_into
 
 
 CTX = AddressContext(
@@ -116,6 +117,45 @@ def test_int_vs_symbol_thread_slots_differ():
     trail = []
     assert not match_address(Address(7, None, None), Address("7x", "p", "h"), trail)
     assert match_address(Address(7, None, None), Address(7, "p", "h"), trail)
+
+
+# a pattern slot: a wildcard, one of two variables, a symbol, an id, or a
+# digit string, which names no id; a qualified address's slots from the same
+_PATTERN_SLOTS = st.sampled_from([None, "V0", "V1", "a", "p", "1", 1, 2])
+_THREADS = st.sampled_from(["a", "p", "1", 1, 2])
+_NAMES = st.sampled_from(["a", "p", "1"])
+
+
+@given(st.tuples(_PATTERN_SLOTS, _PATTERN_SLOTS, _PATTERN_SLOTS), _THREADS, _NAMES, _NAMES)
+def test_match_agrees_with_unifying_the_address_terms(slots, thread, process, host):
+    ground = Address(thread, process, host)
+
+    def run(match):
+        pool = [Var("V0"), Var("V1")]
+        parts = [pool[int(s[1])] if s in ("V0", "V1") else s for s in slots]
+        trail = []
+        ok = match(parts, trail)
+        bound = [tresolve(v) if v.ref is not None else None for v in pool]
+        undo_to(trail, 0)
+        assert all(v.ref is None for v in pool)
+        return ok, bound if ok else None
+
+    def reference(parts, trail):
+        # the pattern as the term ':'(T, '@'(P, H)), a wildcard as a fresh variable
+        t, p, h = (
+            Var() if x is None
+            else x if isinstance(x, Var)
+            else Int(x) if isinstance(x, int)
+            else Atom(x)
+            for x in parts
+        )
+        return unify_into(
+            Compound(":", (t, Compound("@", (p, h)))), address_to_term(ground), trail
+        )
+
+    assert run(lambda parts, trail: match_address(Address(*parts), ground, trail)) == run(
+        reference
+    )
 
 
 def test_address_term_embedding():

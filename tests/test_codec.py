@@ -104,6 +104,42 @@ def test_address_field_memo_stays_bounded():
         assert unqualified not in termbus.codec._FIELDS
 
 
+def _frame(to: bytes, sender: bytes, reply_to: bytes) -> bytes:
+    """A frame whose header fields are the given raw texts, with body 'x'."""
+    rest = bytes([0x01, 0x00])
+    for raw in (to, sender, reply_to):
+        rest += encode_varint(len(raw)) + raw
+    rest += b"x"
+    return len(rest).to_bytes(4, "big") + rest
+
+
+def test_header_memo_decodes_every_destination_and_stays_bounded():
+    for i in range(5000):
+        to = Address(f"t{i}", "p", "h") if i % 2 else Address(i, f"p{i}", "h")
+        assert decode_envelope(encode_envelope(Envelope(Atom("x"), to, B))).to == to
+    assert len(termbus.codec._HEADER) <= termbus.codec._HEADER_MAX
+
+
+@pytest.mark.parametrize("sender", [b"u:q", b"u", b"self", b"u:q@h!", b"", b"\xff:q@h"])
+def test_a_bad_sender_field_is_rejected_on_every_frame(sender):
+    good = _frame(b"t:p@h", b"u:q@h", b"u:q@h")
+    bad = _frame(b"t:p@h", sender, b"u:q@h")
+    for _ in range(3):
+        assert decode_envelope(good).to == A
+        with pytest.raises(BodyParseError):
+            decode_envelope(bad)
+        with pytest.raises(BodyParseError):
+            decode_envelope(bad, body=False)
+    assert sender not in termbus.codec._HEADER
+
+
+def test_one_address_decodes_to_one_shared_object():
+    frame = encode_envelope(Envelope(Atom("x"), A, B, reply_to=A))
+    first, second = decode_envelope(frame), decode_envelope(frame, body=False)
+    assert first.to is second.to is first.reply_to
+    assert first.sender is second.sender
+
+
 def test_an_address_with_a_variable_slot_is_an_unqualified_address():
     for slot in range(3):
         parts = ["t", "p", "h"]

@@ -254,6 +254,25 @@ class TestLocalSend:
         node.fork(child)
         assert node.recv_search(parse_term("made_by_you"), timeout=2.0)
 
+    def test_reserved_tokens_in_a_receive_pattern_name_the_caller_and_its_creator(self, node):
+        # "self" and "creator" resolve as a send resolves them: against the
+        # receiving thread, here a child whose creator is main
+        got = []
+
+        def child():
+            node.send(Atom("ok"), "self")
+            node.send(Atom("ok"), "main")
+            got.append(node.recv_search(Atom("ok"), from_="creator", timeout=2.0) is not None)
+            got.append(node.recv_search(Atom("ok"), from_="self", timeout=0.2) is not None)
+            got.append(node.recv_search(Atom("ok"), reply="creator", timeout=0.2) is not None)
+            node.send(Atom("done"), "creator")
+
+        node.send(Atom("ok"), node.fork(child, symbol="kid"))
+        assert node.recv_search(Atom("done"), timeout=2.0)
+        assert got == [True, True, False]
+        assert node.recv_search(Atom("ok"), from_="self", timeout=0.2) is None
+        assert node.recv_search(Atom("ok"), from_="kid:shell@hostA", timeout=0.2)
+
     def test_message_choice_through_node(self, node):
         node.send(parse_term("b"), "main")
         node.send(parse_term("a"), "main")
