@@ -4,7 +4,8 @@ The thread slot holds either a symbolic name or an integer thread id.  The
 short forms leave process and host implicit: a bare thread means "same
 process", thread:process means "same host"; resolve() fills the gaps from
 the sending thread's context.  The reserved one-part addresses ``self`` and
-``creator`` denote the calling thread and the thread that forked it.
+``creator`` denote the calling thread and the thread that forked it, each
+by its current address.
 
 Addresses double as match patterns: any slot (or the whole address) may be a
 variable, and match_address unifies pattern slots against a concrete address

@@ -281,19 +281,21 @@ def _linda_op(node: Node, conf: LaunchConfig, pattern) -> int:
     wait = conf.timeout if conf.timeout is not None else 10.0
     try:
         s = linda_protocol.connect(node, conf.server, timeout=wait)
-        if conf.op == "out":
-            s.out(pattern, timeout=wait)
-            print("inserted")
-        elif conf.op in ("in", "rd"):
-            got = (s.in_ if conf.op == "in" else s.rd)(pattern, timeout=wait)
-            if got is None:
-                print("timed out", file=sys.stderr)
-                return 1
-            print(format_term(deref(pattern)))
-        else:
-            ok = (s.inp if conf.op == "inp" else s.rdp)(pattern, timeout=wait)
-            print(format_term(deref(pattern)) if ok else "no match")
-        s.disconnect()
+        try:  # the handler serves this session alone: it ends on every path
+            if conf.op == "out":
+                s.out(pattern, timeout=wait)
+                print("inserted")
+            elif conf.op in ("in", "rd"):
+                got = (s.in_ if conf.op == "in" else s.rd)(pattern, timeout=wait)
+                if got is None:
+                    print("timed out", file=sys.stderr)
+                    return 1
+                print(format_term(deref(pattern)))
+            else:
+                ok = (s.inp if conf.op == "inp" else s.rdp)(pattern, timeout=wait)
+                print(format_term(deref(pattern)) if ok else "no match")
+        finally:
+            s.disconnect()
     except (linda_protocol.LindaError, TermbusError, AddressError) as e:
         print(f"linda: {e}", file=sys.stderr)
         return 1

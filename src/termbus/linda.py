@@ -40,10 +40,10 @@ import logging
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .address import Address, term_to_address
+from .address import Address
 from .mailbox import BLOCK, Timeout
 from .runtime import Node
-from .terms import Atom, Compound, Substitution, Term, Var, deref, mk, unify_into
+from .terms import Atom, Compound, Substitution, Term, Var, mk, unify_into
 
 log = logging.getLogger("termbus.linda")
 
@@ -171,4 +171,4 @@ def connect(
     who = Var()
     if node.await_reply(node.request(server, "connect"), who, timeout, LindaError) is None:
         raise LindaError(f"no answer from tuple-space server {server}")
-    return LindaSession(node, term_to_address(deref(who)))
+    return LindaSession(node, node._as_address(who))

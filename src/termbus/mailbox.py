@@ -227,10 +227,10 @@ class Mailbox:
         timeout: Timeout,
         head_only: bool = False,
         consuming: bool = False,
-    ) -> Iterator[tuple[int, Guard, list]]:
+    ) -> Iterator[tuple[int, Envelope, Guard, list]]:
         """The one scan loop behind every receive.
 
-        Yields (seq, guard, trail) for each buffered message, oldest first,
+        Yields (seq, env, guard, trail) per buffered message, oldest first,
         that some alternative accepts; the alternatives are tried in listed
         order and the first whose patterns match and whose test passes wins.
         Its bindings stay in effect while the consumer holds the yield and
@@ -274,7 +274,7 @@ class Mailbox:
                     undo_to(trail, 0)
                 else:
                     continue
-                yield seq, g, trail
+                yield seq, env, g, trail
                 undo_to(trail, 0)
                 break  # the consumer may have changed the buffer: look again
             if head_only:
@@ -282,11 +282,11 @@ class Mailbox:
 
     def _consume(
         self, alts: list[Guard], remember: bool, timeout: Timeout, head_only: bool = False
-    ) -> Optional[tuple[Guard, list]]:
+    ) -> Optional[tuple[Envelope, Guard, list]]:
         """Remove the scan's first hit and keep its bindings; None if none."""
-        for seq, g, trail in self._scan(alts, remember, timeout, head_only, True):
+        for seq, env, g, trail in self._scan(alts, remember, timeout, head_only, True):
             self._remove(seq)
-            return g, trail
+            return env, g, trail
         return None
 
     # -- receive operations -------------------------------------------------
@@ -306,7 +306,7 @@ class Mailbox:
         hit = self._consume(
             [Guard(msg_pat, from_pat, reply_pat)], opts.remember_names, opts.timeout, True
         )
-        return None if hit is None else Substitution(hit[1])
+        return None if hit is None else Substitution(hit[2])
 
     def recv_search(
         self,
@@ -323,7 +323,7 @@ class Mailbox:
         hit = self._consume(
             [Guard(msg_pat, from_pat, reply_pat)], opts.remember_names, opts.timeout
         )
-        return None if hit is None else Substitution(hit[1])
+        return None if hit is None else Substitution(hit[2])
 
     def peek(
         self,
@@ -338,7 +338,7 @@ class Mailbox:
         resumes, so abandoning the iteration keeps the last bindings (pair
         with commit() to consume the chosen message).
         """
-        for seq, _, trail in self._scan(
+        for seq, _, _, trail in self._scan(
             [Guard(msg_pat, from_pat, reply_pat)], opts.remember_names, opts.timeout
         ):
             yield MessageRef(seq), Substitution(trail)
@@ -366,5 +366,5 @@ class Mailbox:
         hit = self._consume(guards, True, secs)
         if hit is None:
             return alt() if callable(alt) else alt
-        g, trail = hit
+        _, g, trail = hit
         return g.body() if g.body is not None else Substitution(trail)

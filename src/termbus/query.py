@@ -44,14 +44,7 @@ import logging
 import operator
 from typing import Iterator, Optional, Union
 
-from .address import (
-    Address,
-    AddressError,
-    address_to_term,
-    parse_address,
-    term_to_address,
-)
-from .address import resolve as resolve_address
+from .address import Address, AddressError, address_to_term
 from .mailbox import BLOCK, Guard, Timeout
 from .runtime import TRUE, ClauseDB, ClauseError, Node, TermbusError, reply
 from .syntax import format_term, parse_clause
@@ -221,14 +214,6 @@ def load_clause_file(node: Node, path) -> int:
     return n
 
 
-def _server_address(node: Node, server: Union[Address, Term, str]) -> Address:
-    if isinstance(server, str):
-        server = parse_address(server)
-    elif not isinstance(server, Address):
-        server = term_to_address(deref(server))
-    return resolve_address(server, node.context())
-
-
 # --------------------------------------------------------------------------
 # server side
 
@@ -262,7 +247,7 @@ def _serve_request(node: Node, request: Term, client: Address) -> Term:
 
         def start():
             h = node.fork(ans_gen(node, ref, call, client), label=GENERATOR_LABEL)
-            return mk("generator", address_to_term(Address(h.id, node.process, node.host)))
+            return mk("generator", address_to_term(h.address))
 
         return node.answer(ref, start)
     gen = Var()
@@ -324,11 +309,11 @@ def kill_orphans(node: Node) -> None:
         _finish(node, gen)
 
 
-def _finish(node: Node, gen: Term) -> None:
-    """Send finish to the generator at address term gen, dropping its
-    answer if one is buffered here."""
+def _finish(node: Node, gen: Union[Address, Term]) -> None:
+    """Send finish to the generator at gen, an address or an address term,
+    dropping its answer if one is buffered here."""
     try:
-        to = term_to_address(deref(gen))
+        to = node._as_address(gen)
         node.recv_search(reply(Var(), Var()), from_=to, timeout="poll")
         node.send(Atom("finish"), to, remember_names=False)
     except (TermbusError, AddressError) as e:
@@ -352,7 +337,7 @@ def query_all(
     neither another request's reply nor one that arrives after its caller
     timed out can be taken for it.
     """
-    dest = _server_address(node, server)
+    dest = node._qualified(server)
     answers = _await(node, node.request(dest, "all_of", call), dest, timeout, "answer_list")
     items, _ = list_parts(answers.args[0])
     for item in items:
@@ -395,12 +380,12 @@ class AnswerStream:
         self.node = node
         self.call = call
         self.timeout: Timeout = BLOCK if timeout is None else timeout
-        dest = _server_address(node, server)
+        dest = node._qualified(server)
         self._ref = node.request(dest, "stream_of", call)
         opened = _await(node, self._ref, dest, self.timeout, "generator address")
-        self.generator = term_to_address(deref(opened.args[0]))
-        self._owner = Int(node.my_id())
-        node.assert_clause(mk("remote_thread", self._owner, address_to_term(self.generator)))
+        self.generator = node._as_address(opened.args[0])
+        self._fact = mk("remote_thread", Int(node.my_id()), opened.args[0])
+        node.assert_clause(self._fact)
         self._trail: list = []
         self._started = False
         self._done = False
@@ -437,11 +422,11 @@ class AnswerStream:
         """Stop the remote generator now.  The stream is dead afterwards."""
         if not self._done:
             self._done = True
-            _finish(self.node, address_to_term(self.generator))
+            _finish(self.node, self.generator)
             self._forget()  # we ended it, so it is known-terminated, not orphaned
 
     def _forget(self) -> None:
-        self.node.retract_clause(mk("remote_thread", self._owner, address_to_term(self.generator)))
+        self.node.retract_clause(self._fact)
 
     @property
     def closed(self) -> bool:

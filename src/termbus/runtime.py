@@ -1,7 +1,10 @@
 """The per-process node: threads, symbolic names, clause store, send/receive.
 
 A Node hosts any number of threads.  Each thread has an integer id, an
-optional symbolic name, its own mailbox and its own variable registry.
+optional symbolic name, its own mailbox and its own variable registry; it
+is live exactly while its handle is in the node's thread table, and its
+handle keeps its creator's, so ``creator`` names the creator's address as
+it is now, symbol included.
 Threads map one-to-one onto host threads; mutual exclusion against other
 threads' clause-store activity is available through critical() rather than
 through scheduler control.
@@ -31,9 +34,10 @@ assertion order with the clauses whose path ends at a variable.  A pattern
 whose own path ends at a variable gets the whole predicate.  Each candidate's
 head is matched in place (terms.unify_head), and no clause is copied.
 
-Services run on Node.serve.  A request carries R, a fresh integer of its
-sender's node (Node.request), and its answer is reply(R, X) (Node.answer),
-which the client awaits with one receive keyed on R (Node.await_reply).
+Services run on Node.serve, which answers each request at its envelope's
+own reply-to.  A request carries R, a fresh integer of its sender's node
+(Node.request), and its answer is reply(R, X) (Node.answer), which the
+client awaits with one receive keyed on R (Node.await_reply).
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from .address import (
     SELF,
     Address,
     AddressContext,
-    AddressError,
     parse_address,
     resolve,
     term_to_address,
@@ -139,13 +142,9 @@ class ThreadHandle:
         "label",
         "mailbox",
         "creator",
-        "status",
         "hooks",
         "pythread",
     )
-
-    RUNNING = "running"
-    EXITED = "exited"
 
     def __init__(self, tid: int, address: Address):
         self.id = tid
@@ -153,8 +152,7 @@ class ThreadHandle:
         self.address = address  # the sender of its messages, rebuilt with its symbol
         self.label: Optional[str] = None
         self.mailbox = Mailbox()
-        self.creator: Optional[Address] = None
-        self.status = ThreadHandle.RUNNING
+        self.creator: Optional[ThreadHandle] = None  # its address is read when used
         self.hooks: list[Callable[[], None]] = []
         self.pythread: Optional[threading.Thread] = None
 
@@ -344,7 +342,7 @@ class Node:
         h = getattr(self._tl, "handle", None)
         if h is None:
             h = self._new_handle()
-            h.creator = h.address
+            h.creator = h
             h.pythread = threading.current_thread()
             self._tl.handle = h
         if symbol is not None:
@@ -375,7 +373,7 @@ class Node:
         parent = getattr(self._tl, "handle", None)
         h = self._new_handle()
         h.label = label
-        h.creator = parent.address if parent else h.address
+        h.creator = parent or h
         if symbol is not None:
             self._bind_symbol(symbol, h)
 
@@ -405,12 +403,11 @@ class Node:
             except Exception:
                 if not self.closing:
                     log.exception("event=cleanup_hook_failed id=%d", h.id)
-        h.status = ThreadHandle.EXITED
-        h.mailbox.close()
-        with self._tables:
+        with self._tables:  # no longer live: no send finds it from here on
             self._threads.pop(h.id, None)
             if h.symbol is not None and self._symbols.get(h.symbol) == h.id:
                 del self._symbols[h.symbol]
+        h.mailbox.close()
 
     def current(self) -> ThreadHandle:
         h = getattr(self._tl, "handle", None)
@@ -448,12 +445,7 @@ class Node:
 
     def live_threads(self, label: Optional[str] = None) -> int:
         with self._tables:
-            return sum(
-                1
-                for h in self._threads.values()
-                if h.status == ThreadHandle.RUNNING
-                and (label is None or h.label == label)
-            )
+            return sum(1 for h in self._threads.values() if label is None or h.label == label)
 
     # -- addressing ----------------------------------------------------------
 
@@ -462,7 +454,7 @@ class Node:
 
     def context(self) -> AddressContext:
         h = self.current()
-        return AddressContext(h.address.thread, self.process, self.host, h.creator)
+        return AddressContext(h.address.thread, self.process, self.host, h.creator.address)
 
     def _as_address(self, a) -> Address:
         if isinstance(a, Address):
@@ -473,20 +465,13 @@ class Node:
             return Address(thread=a)
         if isinstance(a, ThreadHandle):
             return a.address
-        raise AddressError(f"not an address: {a!r}")
+        return term_to_address(deref(a))  # an address term, or AddressError
 
     def _find_handle(self, thread_part) -> Optional[ThreadHandle]:
         # callers hold self._tables
-        if isinstance(thread_part, int):
-            h = self._threads.get(thread_part)
-        elif isinstance(thread_part, str):
-            tid = self._symbols.get(thread_part)
-            h = self._threads.get(tid) if tid is not None else None
-        else:
-            h = None
-        if h is not None and h.status != ThreadHandle.RUNNING:
-            return None
-        return h
+        if isinstance(thread_part, str):
+            thread_part = self._symbols.get(thread_part)
+        return self._threads.get(thread_part)
 
     def _lookup_local(self, thread_part) -> ThreadHandle:
         with self._tables:
@@ -590,38 +575,36 @@ class Node:
     def serve(self, handle: Callable[[Term, Address], Optional[Term]], from_=None) -> None:
         """The serving loop: answer the calling thread's messages in arrival order.
 
-        Each message is taken with one recv_search and passed to
-        handle(request, client), and what that returns, unless None, is sent
-        to client without name memory.  With from_ None every message is
-        taken and client is its reply-to; with from_ given client is from_,
-        and another sender's message is taken only when none of from_'s is
-        buffered.  A message whose handling raises, and one from another
-        sender, is consumed, logged as one event=request_failed line
-        without a traceback, and not answered.  Only a closed mailbox, a
-        node shutdown or exit_thread() ends the loop.
+        Each message is consumed and passed to handle(request, client),
+        client being the message's own reply-to, and what that returns,
+        unless None, is sent to client without name memory.  With from_
+        given, from_'s messages are taken first, and another sender's only
+        when none of from_'s is buffered.  A message whose handling raises,
+        and one from another sender, is consumed, logged as one
+        event=request_failed line without a traceback, and not answered.
+        Only a closed mailbox, a node shutdown or exit_thread() ends the loop.
         """
         mailbox = self.current().mailbox
+        from_ = self._pat(from_)
         while True:
             request = Var()
-            back = Var() if from_ is None else None
-            client = from_
+            env = None
             try:
-                if from_ is None or not len(mailbox):
-                    self.recv_search(request, from_=from_, reply=back)
-                elif self.recv_search(request, from_=from_, timeout="poll") is None:
-                    sender = Var()  # none is from_'s, so the oldest is another's
-                    self.recv_first(request, from_=sender, timeout="poll")
-                    raise TermbusError(f"sent by {term_to_address(deref(sender))}")
-                if back is not None:
-                    client = term_to_address(deref(back))
-                answer = handle(deref(request), client)
+                wait = BLOCK if from_ is None or not len(mailbox) else "poll"
+                hit = mailbox._consume([Guard(request, from_)], True, wait)
+                if hit is None:  # none is from_'s, so the oldest is another's
+                    env = mailbox._consume([Guard(request)], True, "poll", True)[0]
+                    raise TermbusError(f"sent by {env.sender}")
+                env = hit[0]
+                answer = handle(deref(request), env.reply_to)
                 if answer is not None:
-                    self.send(answer, client, remember_names=False)
+                    self.send(answer, env.reply_to, remember_names=False)
             except (MailboxClosed, NodeShutdown, ThreadExit):
                 raise
             except Exception as e:
                 log.warning("event=request_failed at=%s client=%s err=%s: %s",
-                            self.self_address(), client, type(e).__name__, e)
+                            self.self_address(), env and env.reply_to,
+                            type(e).__name__, e)
 
     def answer(self, ref: Term, work: Callable[[], Optional[Term]]) -> Optional[Term]:
         """reply(ref, X), X what work() returns, or None when that is None.

@@ -9,10 +9,10 @@ import time
 
 import pytest
 
-from termbus import query
-from termbus.cli import LaunchConfig, build_config, read_config_file, repl_loop
+from termbus import linda, query
+from termbus.cli import LaunchConfig, _linda_op, build_config, read_config_file, repl_loop
 from termbus.runtime import Node, NodeConfig
-from termbus.syntax import parse_clause
+from termbus.syntax import parse_clause, parse_term
 from termbus.terms import Var, mk
 
 from netutil import wait_until
@@ -165,6 +165,28 @@ class TestReplLoop:
     def test_unknown_command_reported(self, served):
         got = run_repl(served, "frobnicate\nquit\n")
         assert got == "unknown command: frobnicate\n"
+
+
+class TestLindaOneShot:
+    def test_a_timed_out_in_leaves_no_handler_behind(self, capsys):
+        n = Node(NodeConfig(process="linda_server", host="hosta"))
+        n.attach("shell")
+        n.fork(lambda: linda.serve(n), symbol=linda.SERVER_SYMBOL)
+        try:
+            conf = build_config("linda", ["--server", linda.SERVER_SYMBOL, "--timeout", "0.2",
+                                          "in", "job(N)"], environ={})
+            assert _linda_op(n, conf, parse_term(conf.tuple_text)) == 1
+            assert "timed out" in capsys.readouterr().err
+            other = linda.connect(n, linda.SERVER_SYMBOL)
+            other.out(parse_term("job(1)"))
+            # the timed-out call's handler takes job(1), then its session's disconnect
+            wait_until(lambda: n.live_threads(label="linda_handler") == 1,
+                       msg="the one-shot's handler gone")
+            other.disconnect()
+            wait_until(lambda: n.live_threads(label="linda_handler") == 0,
+                       msg="every handler gone")
+        finally:
+            n.shutdown()
 
 
 # --------------------------------------------------------------------------

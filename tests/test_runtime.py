@@ -273,6 +273,29 @@ class TestLocalSend:
         assert node.recv_search(Atom("ok"), from_="self", timeout=0.2) is None
         assert node.recv_search(Atom("ok"), from_="kid:shell@hostA", timeout=0.2)
 
+    def test_creator_names_a_top_level_thread_as_it_now_sends(self, node):
+        # the fixture's thread took the symbol main after it was attached
+        node.send(Atom("ok"), "self")
+        assert node.recv_search(Atom("ok"), from_="creator", timeout=2.0)
+
+    def test_creator_names_a_parent_by_the_symbol_it_took_after_the_fork(self, node):
+        go = threading.Event()
+        got = []
+
+        def child():
+            go.wait(5.0)
+            got.append(node.recv_search(Atom("ok"), from_="creator", timeout=2.0) is not None)
+
+        def parent():
+            kid = node.fork(child)
+            node.set_symbol("late")
+            node.send(Atom("ok"), kid)
+            go.set()
+            kid.pythread.join(5.0)
+
+        node.fork(parent).pythread.join(10.0)
+        assert got == [True]
+
     def test_message_choice_through_node(self, node):
         node.send(parse_term("b"), "main")
         node.send(parse_term("a"), "main")
@@ -667,6 +690,13 @@ class TestServe:
         assert node.recv_search(parse_term("echo(a)"), from_=server, timeout=5.0)
         wait_until(lambda: got, msg="the reply-to thread answered")
         assert got[0]
+
+    def test_the_client_is_the_requests_own_reply_to(self, node):
+        clients = []
+        _, server = self.serving(node, lambda r, client: clients.append(client) or r)
+        node.send(Atom("a"), server, remember_names=False)
+        assert node.recv_search(Atom("a"), from_=server, timeout=5.0)
+        assert clients[0] is node.current().address
 
     def test_a_request_that_raises_is_consumed_and_logged_once(self, node, caplog):
         def handle(r, client):
