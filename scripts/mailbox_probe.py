@@ -23,11 +23,10 @@ import time
 
 from termbus.address import parse_address
 from termbus.codec import Envelope, Flags
-from termbus.mailbox import POLL, Mailbox, RecvOptions
+from termbus.mailbox import POLL, Mailbox
 from termbus.terms import Int, Var, deref, mk, mklist
 
 ME = parse_address("probe:mailbox@here")
-POLLING = RecvOptions(timeout=POLL)
 
 
 class WrongMessage(Exception):
@@ -57,7 +56,7 @@ def round_us(depth: int, pattern, rng: random.Random) -> float:
     for k in range(depth):
         pat, got = pattern(k)
         t0 = time.perf_counter()
-        ok = box.recv_search(pat, opts=POLLING)
+        ok = box.recv_search(pat, timeout=POLL)
         elapsed += time.perf_counter() - t0
         if not ok or got() != Int(k):
             raise WrongMessage(f"depth {depth}: asked for {k}, got {ok and got()}")

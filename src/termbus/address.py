@@ -3,9 +3,10 @@
 The thread slot holds either a symbolic name or an integer thread id.  The
 short forms leave process and host implicit: a bare thread means "same
 process", thread:process means "same host"; resolve() fills the gaps from
-the sending thread's context.  The reserved one-part addresses ``self`` and
-``creator`` denote the calling thread and the thread that forked it, each
-by its current address.
+the sending thread's own address.  The reserved one-part addresses ``self``
+and ``creator`` denote the calling thread and the thread that forked it:
+resolve() hands back the very address objects it is given for them, which
+a node takes from the thread's handle and its creator's, as they are now.
 
 Addresses double as match patterns: any slot (or the whole address) may be a
 variable, and match_address unifies pattern slots against a concrete address
@@ -19,7 +20,7 @@ Addresses are frozen values, and each distinct qualified address is shared
 rather than rebuilt per message: parse_address and the codec's header memo
 hand out one object per text while it is memoised (both memos are bounded),
 each node thread keeps its own address on its handle, and resolve returns a
-qualified address as itself.
+qualified address, ``self`` and ``creator`` as those objects.
 """
 
 from __future__ import annotations
@@ -126,31 +127,22 @@ def format_address(a: Address) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class AddressContext:
-    """What the sending thread knows: who it is and who forked it."""
+def resolve(a: Address, me: Address, creator: Address) -> Address:
+    """Fully qualify a for the thread at me, whose creator is at creator.
 
-    self_thread: Union[str, int]
-    process: str
-    host: str
-    creator: "Address"
-
-    def self_address(self) -> Address:
-        return Address(self.self_thread, self.process, self.host)
-
-
-def resolve(a: Address, ctx: AddressContext) -> Address:
-    """Fully qualify a against ctx; a qualified address comes back as itself."""
+    A qualified a comes back as itself, self as me and creator as creator,
+    the very objects; a short form takes me's process and host.
+    """
     if a.qualified():
         return a
     if isinstance(a.thread, _Reserved):
         if a.process is not None or a.host is not None:
             raise AddressError(f"reserved token {a.thread.token} takes no suffix")
-        return ctx.self_address() if a.thread is SELF else ctx.creator
+        return me if a.thread is SELF else creator
     if a.thread is None or isinstance(a.thread, Var):
         raise AddressError("destination thread slot is not concrete")
-    process = a.process if a.process is not None else ctx.process
-    host = a.host if a.host is not None else ctx.host
+    process = a.process if a.process is not None else me.process
+    host = a.host if a.host is not None else me.host
     if isinstance(process, Var) or isinstance(host, Var):
         raise AddressError("destination has variable slots")
     return Address(a.thread, process, host)

@@ -26,7 +26,7 @@ from typing import Callable, Optional, TextIO
 from . import linda as linda_protocol
 from . import query as query_protocol
 from .address import AddressError
-from .query import AnswerStream, QueryError, RemoteTimeout, load_clause_file, query_all
+from .query import AnswerStream, QueryError, load_clause_file, query_all
 from .router import Router, RouterConfig
 from .runtime import Node, NodeConfig, TermbusError
 from .syntax import ParseError, format_term, parse_goal_with_vars, parse_term

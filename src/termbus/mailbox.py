@@ -33,9 +33,11 @@ matched as a fresh copy, so the buffered term is never bound.
 
 Concurrency contract: any thread may post; only the owning thread receives,
 peeks or commits.  The internal lock covers buffer mutation and blocking
-only, so guard tests run without holding it.  Timeouts: BLOCK suspends
-indefinitely, POLL never suspends, a float bounds the total suspension of
-the call in seconds (for iterating operations, of the whole enumeration).
+only, so guard tests run without holding it.  recv_first, recv_search and
+peek take ``timeout`` (default BLOCK) and ``remember_names`` (default off)
+as keywords.  Timeouts: BLOCK suspends indefinitely, POLL never suspends,
+a float bounds the total suspension of the call in seconds (for iterating
+operations, of the whole enumeration).
 """
 
 from __future__ import annotations
@@ -74,12 +76,6 @@ class MailboxClosed(Exception):
 
 class StaleReferenceError(Exception):
     """commit() was handed a reference to a message no longer buffered."""
-
-
-@dataclass(frozen=True)
-class RecvOptions:
-    timeout: Timeout = BLOCK
-    remember_names: bool = False
 
 
 @dataclass(frozen=True)
@@ -144,8 +140,8 @@ def _pattern_keys(alts: list[Guard]) -> Optional[list]:
 
 
 class Mailbox:
-    def __init__(self, registry: Optional[VarRegistry] = None):
-        self.registry = registry if registry is not None else VarRegistry()
+    def __init__(self):
+        self.registry = VarRegistry()
         self._cond = threading.Condition()
         # (seq, env, key, owned): the payload's index key, and whether the
         # payload may be bound in place, both fixed when it is posted
@@ -292,45 +288,32 @@ class Mailbox:
     # -- receive operations -------------------------------------------------
 
     def recv_first(
-        self,
-        msg_pat: Term,
-        from_pat: FromPattern = None,
-        reply_pat: FromPattern = None,
-        opts: RecvOptions = RecvOptions(),
+        self, msg_pat: Term, from_pat: FromPattern = None, reply_pat: FromPattern = None,
+        *, timeout: Timeout = BLOCK, remember_names: bool = False,
     ) -> Optional[Substitution]:
         """Match the head of the buffer, or fail leaving it in place.
 
-        Blocks (per opts.timeout) only while the buffer is empty: once a
-        first message exists the outcome depends on that message alone.
+        Blocks (per timeout) only while the buffer is empty: once a first
+        message exists the outcome depends on that message alone.
         """
-        hit = self._consume(
-            [Guard(msg_pat, from_pat, reply_pat)], opts.remember_names, opts.timeout, True
-        )
+        hit = self._consume([Guard(msg_pat, from_pat, reply_pat)], remember_names, timeout, True)
         return None if hit is None else Substitution(hit[2])
 
     def recv_search(
-        self,
-        msg_pat: Term,
-        from_pat: FromPattern = None,
-        reply_pat: FromPattern = None,
-        opts: RecvOptions = RecvOptions(),
+        self, msg_pat: Term, from_pat: FromPattern = None, reply_pat: FromPattern = None,
+        *, timeout: Timeout = BLOCK, remember_names: bool = False,
     ) -> Optional[Substitution]:
         """Consume the oldest matching message, skipping non-matching ones.
 
         When the scan reaches the end of the buffer the call suspends; only
         newly arrived messages are examined after that.
         """
-        hit = self._consume(
-            [Guard(msg_pat, from_pat, reply_pat)], opts.remember_names, opts.timeout
-        )
+        hit = self._consume([Guard(msg_pat, from_pat, reply_pat)], remember_names, timeout)
         return None if hit is None else Substitution(hit[2])
 
     def peek(
-        self,
-        msg_pat: Term,
-        from_pat: FromPattern = None,
-        reply_pat: FromPattern = None,
-        opts: RecvOptions = RecvOptions(),
+        self, msg_pat: Term, from_pat: FromPattern = None, reply_pat: FromPattern = None,
+        *, timeout: Timeout = BLOCK, remember_names: bool = False,
     ) -> Iterator[tuple[MessageRef, Substitution]]:
         """Enumerate matches in buffer order without consuming anything.
 
@@ -339,7 +322,7 @@ class Mailbox:
         with commit() to consume the chosen message).
         """
         for seq, _, _, trail in self._scan(
-            [Guard(msg_pat, from_pat, reply_pat)], opts.remember_names, opts.timeout
+            [Guard(msg_pat, from_pat, reply_pat)], remember_names, timeout
         ):
             yield MessageRef(seq), Substitution(trail)
 

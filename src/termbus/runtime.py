@@ -3,8 +3,10 @@
 A Node hosts any number of threads.  Each thread has an integer id, an
 optional symbolic name, its own mailbox and its own variable registry; it
 is live exactly while its handle is in the node's thread table, and its
-handle keeps its creator's, so ``creator`` names the creator's address as
-it is now, symbol included.
+handle keeps its creator's.  The handle is the only context a send or a
+receive resolves against: ``self`` is the handle's own address object and
+``creator`` its creator's, as they are now, symbol included, and a short
+form takes the thread's process and host.
 Threads map one-to-one onto host threads; mutual exclusion against other
 threads' clause-store activity is available through critical() rather than
 through scheduler control.
@@ -22,10 +24,10 @@ write queue holds WRITE_BOUND bytes, the rule the router applies to its
 producers.
 
 The clause store is the node-wide shared state: assertion-ordered clauses
-per functor/arity with a monotonically increasing change counter.
-thread_wait() re-runs a query whenever the counter advances, under the same
-node lock that assert/retract and critical() take, so a retract inside a
-waiting query is atomic with the decision that it succeeded.
+per functor/arity, each numbered when it is asserted.
+thread_wait() re-runs a query after every change, under the same node lock
+that assert/retract and critical() take, so a retract inside a waiting
+query is atomic with the decision that it succeeded.
 
 Each predicate is hashed on the leftmost path of its heads (keyindex,
 the key mailboxes file messages under), so a lookup, retract or resolution
@@ -49,15 +51,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .address import (
-    CREATOR,
-    SELF,
-    Address,
-    AddressContext,
-    parse_address,
-    resolve,
-    term_to_address,
-)
+from .address import CREATOR, SELF, Address, parse_address, resolve, term_to_address
 from .codec import (
     CodecError,
     Envelope,
@@ -70,7 +64,7 @@ from .codec import (
 from .router import WRITE_BOUND, ConnLoop, Holds, _Conn, endpoint_addr
 from .counters import Counters
 from .keyindex import KeyIndex, index_key
-from .mailbox import BLOCK, Guard, Mailbox, MailboxClosed, MessageRef, RecvOptions, Timeout, _Budget
+from .mailbox import BLOCK, Guard, Mailbox, MailboxClosed, MessageRef, Timeout
 from .syntax import format_term
 from .terms import (
     Atom,
@@ -185,15 +179,15 @@ class ClauseDB:
     lookup, retract and resolution match each candidate's head in place with
     unify_head, which binds no stored cell and copies no head.
 
-    Mutations run under the node lock and bump a change counter that
-    thread_wait listens on.  retract and lookup match heads only, with the
-    occurs check, so no pattern binds a cycle.
+    Mutations run under the node lock and wake thread_wait's waiters.
+    retract and lookup match heads only, with the occurs check, so no
+    pattern binds a cycle.
     """
 
     def __init__(self, lock: threading.RLock):
         self._cond = threading.Condition(lock)
         self._preds: dict[tuple[str, int], _Predicate] = {}
-        self.change_count = 0  # also numbers the clauses: it grows on every assert
+        self._seq = 0  # numbers the clauses in assertion order
 
     @staticmethod
     def split_clause(clause: Term) -> tuple[Term, Term]:
@@ -218,11 +212,11 @@ class ClauseDB:
         entry = (snapshot.args[0], snapshot.args[1])
         key = index_key(entry[0])
         with self._cond:
-            self.change_count += 1
+            self._seq += 1
             pred = self._preds.get(pred_key)
             if pred is None:
                 pred = self._preds[pred_key] = _Predicate()
-            pair = pred.clauses[self.change_count] = (self.change_count, entry)
+            pair = pred.clauses[self._seq] = (self._seq, entry)
             pred.index.add(key, pair)
             self._cond.notify_all()
 
@@ -248,7 +242,6 @@ class ClauseDB:
                     pred.index.remove(index_key(head), seq)
                     if not pred.clauses:
                         del self._preds[pred_key]
-                    self.change_count += 1
                     self._cond.notify_all()
                     return Substitution(trail)
                 undo_to(trail, 0)
@@ -452,10 +445,6 @@ class Node:
     def self_address(self) -> Address:
         return self.current().address
 
-    def context(self) -> AddressContext:
-        h = self.current()
-        return AddressContext(h.address.thread, self.process, self.host, h.creator.address)
-
     def _as_address(self, a) -> Address:
         if isinstance(a, Address):
             return a
@@ -520,19 +509,23 @@ class Node:
         self._link.send_frame(frame)
 
     def _qualified(self, a) -> Address:
-        """a as a qualified address; only a short form needs the context."""
+        """a as a qualified address: self, creator and a short form resolve
+        against the calling thread's handle and its creator's."""
         a = self._as_address(a)
-        return a if a.qualified() else resolve(a, self.context())
+        if a.qualified():
+            return a
+        h = self.current()
+        return resolve(a, h.address, h.creator.address)
 
     # -- receive (current thread's mailbox, name remembering on) -------------
 
     def _pat(self, p):
         """An address pattern: text is parsed, and self or creator resolves
-        against the calling thread as a send resolves it."""
+        as a send resolves it, to the very address."""
         if isinstance(p, str):
             p = parse_address(p)
         if isinstance(p, Address) and (p.thread is SELF or p.thread is CREATOR):
-            return resolve(p, self.context())
+            return self._qualified(p)
         return p
 
     def recv_first(
@@ -541,7 +534,7 @@ class Node:
     ):
         return self.current().mailbox.recv_first(
             msg_pat, self._pat(from_), self._pat(reply),
-            RecvOptions(timeout, remember_names),
+            timeout=timeout, remember_names=remember_names,
         )
 
     def recv_search(
@@ -550,7 +543,7 @@ class Node:
     ):
         return self.current().mailbox.recv_search(
             msg_pat, self._pat(from_), self._pat(reply),
-            RecvOptions(timeout, remember_names),
+            timeout=timeout, remember_names=remember_names,
         )
 
     def peek(
@@ -559,7 +552,7 @@ class Node:
     ):
         return self.current().mailbox.peek(
             msg_pat, self._pat(from_), self._pat(reply),
-            RecvOptions(timeout, remember_names),
+            timeout=timeout, remember_names=remember_names,
         )
 
     def commit(self, ref: MessageRef) -> None:
@@ -656,23 +649,19 @@ class Node:
 
         The query runs under the node lock, so a retract inside it is atomic
         with the success decision: of several waiters racing for one fact,
-        exactly one sees it.  timeout bounds the total time suspended, as it
-        does for a mailbox receive (mailbox._Budget).
+        exactly one sees it.  timeout bounds the total time suspended.
         """
-        budget = _Budget(BLOCK if timeout is None else timeout)
+
+        def ready():
+            if self.closing:
+                raise NodeShutdown()
+            return query()
+
         with self.db._cond:
-            while True:
-                if self.closing:
-                    raise NodeShutdown()
-                result = query()
-                if result:
-                    return result
-                seen = self.db.change_count
-                while self.db.change_count == seen:
-                    if self.closing:
-                        raise NodeShutdown()
-                    if not budget.wait(self.db._cond):
-                        raise TimeoutError("thread_wait timed out")
+            result = self.db._cond.wait_for(ready, timeout)
+        if not result:
+            raise TimeoutError("thread_wait timed out")
+        return result
 
     def critical(self, body: Optional[Callable[[], Any]] = None):
         """Node-wide mutual exclusion (re-entrant).

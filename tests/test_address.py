@@ -6,7 +6,6 @@ from termbus.address import (
     CREATOR,
     SELF,
     Address,
-    AddressContext,
     AddressError,
     address_to_term,
     format_address,
@@ -19,12 +18,8 @@ from termbus.syntax import parse_term
 from termbus.terms import Atom, Compound, Int, Var, resolve as tresolve, undo_to, unify_into
 
 
-CTX = AddressContext(
-    self_thread="worker",
-    process="proc_a",
-    host="hosta",
-    creator=Address("main", "proc_a", "hosta"),
-)
+# the resolving thread's address and its creator's
+CTX = (Address("worker", "proc_a", "hosta"), Address("main", "proc_a", "hosta"))
 
 
 def test_parse_full_and_short_forms():
@@ -66,25 +61,25 @@ def test_format_roundtrip():
 
 
 def test_resolve_fills_short_forms():
-    assert resolve(parse_address("t"), CTX) == Address("t", "proc_a", "hosta")
-    assert resolve(parse_address("t:other"), CTX) == Address("t", "other", "hosta")
+    assert resolve(parse_address("t"), *CTX) == Address("t", "proc_a", "hosta")
+    assert resolve(parse_address("t:other"), *CTX) == Address("t", "other", "hosta")
     full = Address("t", "p", "h")
-    assert resolve(full, CTX) == full
-    assert resolve(resolve(parse_address("t"), CTX), CTX) == resolve(
-        parse_address("t"), CTX
+    assert resolve(full, *CTX) == full
+    assert resolve(resolve(parse_address("t"), *CTX), *CTX) == resolve(
+        parse_address("t"), *CTX
     )
 
 
 def test_resolve_reserved():
-    assert resolve(parse_address("self"), CTX) == Address("worker", "proc_a", "hosta")
-    assert resolve(parse_address("creator"), CTX) == CTX.creator
+    assert resolve(parse_address("self"), *CTX) == Address("worker", "proc_a", "hosta")
+    assert resolve(parse_address("creator"), *CTX) == CTX[1]
 
 
 def test_resolve_requires_concrete_thread():
     with pytest.raises(AddressError):
-        resolve(Address(None, "p", "h"), CTX)
+        resolve(Address(None, "p", "h"), *CTX)
     with pytest.raises(AddressError):
-        resolve(Address(Var("T"), "p", "h"), CTX)
+        resolve(Address(Var("T"), "p", "h"), *CTX)
 
 
 def test_match_binds_slots():

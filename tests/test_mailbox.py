@@ -15,7 +15,6 @@ from termbus.mailbox import (
     Guard,
     Mailbox,
     MailboxClosed,
-    RecvOptions,
     StaleReferenceError,
 )
 from termbus.syntax import format_term, parse_term, parse_term_with_vars
@@ -41,7 +40,6 @@ def payloads(box):
     return [format_term(item[1].payload) for item in box._items]
 
 
-POLLING = RecvOptions(timeout=POLL)
 
 
 class TestRecvFirst:
@@ -50,7 +48,7 @@ class TestRecvFirst:
         box.post(env("job(1)"))
         box.post(env("job(2)"))
         t, vs = parse_term_with_vars("job(N)")
-        s = box.recv_first(t, opts=POLLING)
+        s = box.recv_first(t, timeout=POLL)
         assert s
         assert format_term(vs["N"]) == "1"
         assert payloads(box) == ["job(2)"]
@@ -59,7 +57,7 @@ class TestRecvFirst:
         box = Mailbox()
         box.post(env("noise"))
         box.post(env("job(1)"))
-        assert box.recv_first(parse_term("job(N)"), opts=POLLING) is None
+        assert box.recv_first(parse_term("job(N)"), timeout=POLL) is None
         assert payloads(box) == ["noise", "job(1)"]
 
     def test_blocks_only_while_empty(self):
@@ -87,8 +85,8 @@ class TestRecvFirst:
     def test_sender_filter(self):
         box = Mailbox()
         box.post(env("m", sender=BOB))
-        assert box.recv_first(parse_term("m"), from_pat=ALICE, opts=POLLING) is None
-        assert box.recv_first(parse_term("m"), from_pat=BOB, opts=POLLING)
+        assert box.recv_first(parse_term("m"), from_pat=ALICE, timeout=POLL) is None
+        assert box.recv_first(parse_term("m"), from_pat=BOB, timeout=POLL)
 
 
 class TestRecvSearch:
@@ -96,7 +94,7 @@ class TestRecvSearch:
         box = Mailbox()
         for text in ["a", "b", "job(1)", "c", "job(2)"]:
             box.post(env(text))
-        s = box.recv_search(parse_term("job(N)"), opts=POLLING)
+        s = box.recv_search(parse_term("job(N)"), timeout=POLL)
         assert s
         assert payloads(box) == ["a", "b", "c", "job(2)"]
 
@@ -105,14 +103,14 @@ class TestRecvSearch:
         box.post(env("job(first)"))
         box.post(env("job(second)"))
         t, vs = parse_term_with_vars("job(W)")
-        box.recv_search(t, opts=POLLING)
+        box.recv_search(t, timeout=POLL)
         assert format_term(vs["W"]) == "first"
 
     def test_timeout_returns_none(self):
         box = Mailbox()
         box.post(env("noise"))
         t0 = time.monotonic()
-        s = box.recv_search(parse_term("job(N)"), opts=RecvOptions(timeout=0.15))
+        s = box.recv_search(parse_term("job(N)"), timeout=0.15)
         waited = time.monotonic() - t0
         assert s is None
         assert 0.15 <= waited < 0.6
@@ -137,27 +135,27 @@ class TestRecvSearch:
         box = Mailbox()
         box.post(env("m", sender=BOB))
         w = Var()
-        assert box.recv_search(parse_term("m"), from_pat=w, opts=POLLING)
+        assert box.recv_search(parse_term("m"), from_pat=w, timeout=POLL)
         assert format_term(deref(w)) == "bob:shell@hostB"
 
     def test_reply_filter_defaults_to_sender(self):
         box = Mailbox()
         box.post(env("m", sender=BOB))
-        assert box.recv_search(parse_term("m"), reply_pat=BOB, opts=POLLING)
+        assert box.recv_search(parse_term("m"), reply_pat=BOB, timeout=POLL)
 
     def test_reply_distinct_from_sender(self):
         box = Mailbox()
         box.post(env("m", sender=BOB, reply=ALICE))
         box.post(env("m", sender=BOB, reply=BOB))
         w = Var()
-        assert box.recv_search(parse_term("m"), reply_pat=ALICE, opts=POLLING)
+        assert box.recv_search(parse_term("m"), reply_pat=ALICE, timeout=POLL)
         assert payloads(box) == ["m"]
 
     def test_pattern_vars_reusable_after_failure(self):
         box = Mailbox()
         box.post(env("job(1)"))
         t, vs = parse_term_with_vars("task(N)")
-        assert box.recv_search(t, opts=POLLING) is None
+        assert box.recv_search(t, timeout=POLL) is None
         assert deref(vs["N"]) is vs["N"]  # still unbound
 
 
@@ -168,7 +166,7 @@ class TestPeekCommit:
         box.post(env("job(2)"))
         t, vs = parse_term_with_vars("job(N)")
         got = []
-        for ref, s in box.peek(t, opts=POLLING):
+        for ref, s in box.peek(t, timeout=POLL):
             got.append(format_term(deref(vs["N"])))
         assert got == ["1", "2"]
         assert payloads(box) == ["job(1)", "job(2)"]
@@ -340,14 +338,13 @@ class TestNameMemory:
         # two messages mention the same named variable; with remembering on,
         # both receives resolve it to one registry cell
         box = Mailbox()
-        remembering = RecvOptions(timeout=POLL, remember_names=True)
         box.post(env("offer(Price)"))
         box.post(env("accept(Price)"))
         a, avs = parse_term_with_vars("offer(P)")
-        assert box.recv_search(a, opts=remembering)
+        assert box.recv_search(a, timeout=POLL, remember_names=True)
         cell = deref(avs["P"])
         b, bvs = parse_term_with_vars("accept(Q)")
-        assert box.recv_search(b, opts=remembering)
+        assert box.recv_search(b, timeout=POLL, remember_names=True)
         assert deref(bvs["Q"]) is cell
 
     def test_without_remembering_vars_are_separated(self):
@@ -355,21 +352,20 @@ class TestNameMemory:
         box.post(env("offer(Price)"))
         box.post(env("accept(Price)"))
         a, avs = parse_term_with_vars("offer(P)")
-        assert box.recv_search(a, opts=POLLING)
+        assert box.recv_search(a, timeout=POLL)
         b, bvs = parse_term_with_vars("accept(Q)")
-        assert box.recv_search(b, opts=POLLING)
+        assert box.recv_search(b, timeout=POLL)
         assert deref(avs["P"]) is not deref(bvs["Q"])
 
     def test_sender_without_flag_defeats_interning(self):
         # name identity needs both sides: an unflagged send stays separated
         box = Mailbox()
-        remembering = RecvOptions(timeout=POLL, remember_names=True)
         box.post(env("offer(Price)", remember=False))
         box.post(env("accept(Price)", remember=False))
         a, avs = parse_term_with_vars("offer(P)")
-        assert box.recv_search(a, opts=remembering)
+        assert box.recv_search(a, timeout=POLL, remember_names=True)
         b, bvs = parse_term_with_vars("accept(Q)")
-        assert box.recv_search(b, opts=remembering)
+        assert box.recv_search(b, timeout=POLL, remember_names=True)
         assert deref(avs["P"]) is not deref(bvs["Q"])
 
     def test_message_choice_always_remembers(self):
@@ -406,7 +402,7 @@ class TestCopyOnlyTheWinner:
             box.post(env(f"m({i}, data(p, [1, 2, 3]))"))
         box.post(env("m(100, data(p, [4]))"))
         t, vs = parse_term_with_vars("m(100, P)")
-        assert box.recv_search(t, opts=POLLING)
+        assert box.recv_search(t, timeout=POLL)
         assert format_term(deref(vs["P"])) == "data(p,[4])"
         assert len(copies) == 1
         assert len(box) == 100
@@ -430,10 +426,9 @@ class TestCopyOnlyTheWinner:
     def test_rejected_message_leaves_the_registry_alone(self):
         box = Mailbox()
         box.post(env("offer(Price, Qty)"))
-        remembering = RecvOptions(timeout=POLL, remember_names=True)
-        assert box.recv_search(parse_term("accept(P)"), opts=remembering) is None
+        assert box.recv_search(parse_term("accept(P)"), timeout=POLL, remember_names=True) is None
         assert len(box.registry) == 0
-        assert box.recv_search(parse_term("offer(P, Q)"), opts=remembering)
+        assert box.recv_search(parse_term("offer(P, Q)"), timeout=POLL, remember_names=True)
         assert box.registry.lookup("Price") is not None
 
     def test_a_message_from_another_sender_is_rejected_before_a_copy(self, monkeypatch):
@@ -441,20 +436,19 @@ class TestCopyOnlyTheWinner:
         box = Mailbox()
         for i in range(1000):
             box.post(env(f"m({i}, X)", sender=BOB, remember=False))
-        assert box.recv_search(Var(), ALICE, None, POLLING) is None
+        assert box.recv_search(Var(), ALICE, None, timeout=POLL) is None
         assert len(copies) == 0
         box.post(env("m(1000, X)", remember=False))
-        assert box.recv_search(Var(), ALICE, None, POLLING)
+        assert box.recv_search(Var(), ALICE, None, timeout=POLL)
         assert len(copies) == 1
         assert len(box) == 1000
 
     def test_a_message_to_another_reply_to_teaches_the_registry_nothing(self):
         box = Mailbox()
         box.post(env("offer(Price, Qty)", reply=BOB))
-        remembering = RecvOptions(timeout=POLL, remember_names=True)
-        assert box.recv_search(Var(), None, ALICE, remembering) is None
+        assert box.recv_search(Var(), None, ALICE, timeout=POLL, remember_names=True) is None
         assert len(box.registry) == 0
-        assert box.recv_search(Var(), None, BOB, remembering)
+        assert box.recv_search(Var(), None, BOB, timeout=POLL, remember_names=True)
         assert box.registry.lookup("Price") is not None
 
 
@@ -467,10 +461,9 @@ class TestLongPayloads:
             box.post(Envelope(mk("m", items), ME, ALICE, None, Flags(remember_names=remember)))
             box.post(env("next"))
             got = Var()
-            opts = RecvOptions(timeout=POLL, remember_names=remember)
-            assert box.recv_first(mk("m", got), opts=opts)
+            assert box.recv_first(mk("m", got), timeout=POLL, remember_names=remember)
             assert len(list_parts(deref(got))[0]) == 100_000
-            assert box.recv_first(parse_term("next"), opts=opts)
+            assert box.recv_first(parse_term("next"), timeout=POLL, remember_names=remember)
 
 
 class TestClose:
@@ -535,7 +528,7 @@ def test_concurrent_posts_preserved_in_order_per_sender():
     seen: dict[int, list[int]] = {k: [] for k in range(n_senders)}
     while len(box):
         t, vs = parse_term_with_vars("m(K,I)")
-        box.recv_first(t, opts=POLLING)
+        box.recv_first(t, timeout=POLL)
         seen[deref(vs["K"]).value].append(deref(vs["I"]).value)
     for k in range(n_senders):
         assert seen[k] == list(range(n_each))
@@ -548,7 +541,7 @@ def test_recv_search_takes_oldest_and_keeps_rest(texts):
     for tx in texts:
         box.post(env(tx))
     t, vs = parse_term_with_vars("job(N)")
-    s = box.recv_search(t, opts=POLLING)
+    s = box.recv_search(t, timeout=POLL)
     matches = [tx for tx in texts if tx.startswith("job")]
     if not matches:
         assert s is None
@@ -577,7 +570,7 @@ class TestOwnedPayloads:
         vs = self.post_owned(box, "offer(X, 3)")
         box.post(env("offer(Y, 4)", remember=False))
         for n, want in ((3, 0), (4, 1)):
-            assert box.recv_search(parse_term(f"offer(a, {n})"), opts=POLLING)
+            assert box.recv_search(parse_term(f"offer(a, {n})"), timeout=POLL)
             assert len(copies) == want
         assert deref(vs["X"]) == parse_term("a")  # the consumed cell itself
 
@@ -600,7 +593,7 @@ class TestOwnedPayloads:
     def test_an_abandoned_peek_leaves_the_buffered_payload_unbound(self):
         box = Mailbox()
         vs = self.post_owned(box, "offer(X)")
-        ref, _ = next(box.peek(parse_term("offer(a)"), opts=POLLING))
+        ref, _ = next(box.peek(parse_term("offer(a)"), timeout=POLL))
         assert deref(vs["X"]) is vs["X"]
         box.commit(ref)
         assert len(box) == 0
@@ -682,10 +675,10 @@ class TestKeyedIndexAgreesWithALinearScan:
         hits = Reference(specs).hits([(*build(pspec), False)])
         box = filled(specs, [o for _, o in buffer])
         pat, _ = build(pspec)
-        peeked = [(r.seq, resolve(pat)) for r, _ in box.peek(pat, opts=POLLING)]
+        peeked = [(r.seq, resolve(pat)) for r, _ in box.peek(pat, timeout=POLL)]
         assert [seq for seq, _ in peeked] == [i for i, _, _ in hits]
         assert all(variant(a, b) for (_, a), (_, _, b) in zip(peeked, hits))
-        got = box.recv_search(pat, opts=POLLING)
+        got = box.recv_search(pat, timeout=POLL)
         if not hits:
             assert got is None and len(box) == len(specs)
         else:
@@ -719,7 +712,7 @@ def test_a_blocked_keyed_search_takes_the_first_matching_arrival():
     box.post(env("m(1, early)"))
     got = []
     t, vs = parse_term_with_vars("m(3, P)")
-    th = threading.Thread(target=lambda: got.append(box.recv_search(t, opts=RecvOptions(2.0))))
+    th = threading.Thread(target=lambda: got.append(box.recv_search(t, timeout=2.0)))
     th.start()
     time.sleep(0.05)
     for text in ["n(V)", "m(2, x)", "m(3, first)", "m(V, y)", "m(3, second)"]:

@@ -296,6 +296,30 @@ class TestLocalSend:
         node.fork(parent).pythread.join(10.0)
         assert got == [True]
 
+    def test_self_and_creator_resolve_to_the_handles_own_address_objects(
+        self, node, monkeypatch
+    ):
+        # one shared object per address: in a destination, a reply-to and a
+        # receive pattern, self is the handle's address and creator its creator's
+        h = node.current()
+        posted = []
+        monkeypatch.setattr(h.mailbox, "post", lambda env, owned=False: posted.append(env))
+        node.send(Atom("x"), "self")
+        node.send(Atom("y"), "main", reply_to="self")
+        assert posted[0].to is h.address
+        assert posted[1].reply_to is h.address
+        assert node._pat("self") is h.address
+        assert node._qualified("creator") is h.creator.address
+        got = []
+
+        def child():
+            me = node.current()
+            got.append(node._qualified("creator") is me.creator.address is h.address)
+            got.append(node._pat("creator") is h.address and node._pat("self") is me.address)
+
+        node.fork(child).pythread.join(5.0)
+        assert got == [True, True]
+
     def test_message_choice_through_node(self, node):
         node.send(parse_term("b"), "main")
         node.send(parse_term("a"), "main")
