@@ -16,11 +16,13 @@ from_ matches thread kid of any process on any host.  Only ``self`` and
 ``creator`` in a pattern resolve, to the receiving thread's own address and
 its creator's (Node._pat).
 
-Addresses are frozen values, and each distinct qualified address is shared
-rather than rebuilt per message: parse_address and the codec's header memo
-hand out one object per text while it is memoised (both memos are bounded),
-each node thread keeps its own address on its handle, and resolve returns a
-qualified address, ``self`` and ``creator`` as those objects.
+Addresses are frozen values, and each distinct address is shared rather
+than rebuilt per message: parse_address, term_to_address and resolve take
+every address without variable slots from one bounded memo of the three
+slots, which the codec's header memo reads through parse_address, each node
+thread keeps its own address on its handle, and resolve returns a qualified
+address, ``self`` and ``creator`` as those objects and a short form naming
+the calling thread as its own.
 """
 
 from __future__ import annotations
@@ -84,6 +86,20 @@ class Address:
 _PARSED: dict[str, Address] = {}
 _PARSED_MAX = 4096
 
+# (thread, process, host) -> the one Address with those concrete slots that
+# parse_address, resolve and term_to_address hand out; bounded in the same way
+_SHARED: dict[tuple, Address] = {}
+
+
+def _shared(thread, process=None, host=None) -> Address:
+    key = (thread, process, host)
+    a = _SHARED.get(key)
+    if a is None:
+        if len(_SHARED) >= _PARSED_MAX:
+            _SHARED.clear()
+        a = _SHARED[key] = Address(thread, process, host)
+    return a
+
 
 def parse_address(text: str) -> Address:
     """Parse thread[:process[@host]]; digit-only thread slots become ids."""
@@ -97,7 +113,7 @@ def parse_address(text: str) -> Address:
         if m is None:
             raise AddressError(f"malformed address: {text!r}")
         t, process, host = m.groups()
-        a = Address(int(t) if t.isdigit() else t, process, host)
+        a = _shared(int(t) if t.isdigit() else t, process, host)
     if len(_PARSED) >= _PARSED_MAX:
         _PARSED.clear()
     _PARSED[text] = a
@@ -131,7 +147,8 @@ def resolve(a: Address, me: Address, creator: Address) -> Address:
     """Fully qualify a for the thread at me, whose creator is at creator.
 
     A qualified a comes back as itself, self as me and creator as creator,
-    the very objects; a short form takes me's process and host.
+    the very objects.  A short form takes me's process and host: one that
+    names me comes back as me, any other as one shared qualified address.
     """
     if a.qualified():
         return a
@@ -145,7 +162,9 @@ def resolve(a: Address, me: Address, creator: Address) -> Address:
     host = a.host if a.host is not None else me.host
     if isinstance(process, Var) or isinstance(host, Var):
         raise AddressError("destination has variable slots")
-    return Address(a.thread, process, host)
+    if (a.thread, process, host) == (me.thread, me.process, me.host):
+        return me
+    return _shared(a.thread, process, host)
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +204,22 @@ def _part_from_term(t: Term, allow_int: bool):
 
 
 def term_to_address(t: Term) -> Address:
-    """Inverse of address_to_term; accepts the short forms too."""
+    """Inverse of address_to_term; accepts the short forms too.  An address
+    without variable slots is the shared one."""
     t = deref(t)
     if isinstance(t, (Atom, Int, Var)):
-        return Address(thread=_part_from_term(t, allow_int=True))
-    if isinstance(t, Compound) and t.functor == ":" and t.arity == 2:
-        thread = _part_from_term(t.args[0], allow_int=True)
+        parts = (_part_from_term(t, allow_int=True),)
+    elif isinstance(t, Compound) and t.functor == ":" and t.arity == 2:
+        parts = (_part_from_term(t.args[0], allow_int=True),)
         rhs = deref(t.args[1])
         if isinstance(rhs, Compound) and rhs.functor == "@" and rhs.arity == 2:
-            return Address(
-                thread,
-                _part_from_term(rhs.args[0], allow_int=False),
-                _part_from_term(rhs.args[1], allow_int=False),
-            )
-        return Address(thread, _part_from_term(rhs, allow_int=False))
-    raise AddressError(f"term is not an address: {t!r}")
+            parts += (_part_from_term(rhs.args[0], allow_int=False),
+                      _part_from_term(rhs.args[1], allow_int=False))
+        else:
+            parts += (_part_from_term(rhs, allow_int=False),)
+    else:
+        raise AddressError(f"term is not an address: {t!r}")
+    return Address(*parts) if Var in map(type, parts) else _shared(*parts)
 
 
 def match_address(pattern, ground: Address, trail: Trail) -> bool:

@@ -46,12 +46,12 @@ the receiving node, whose full decode rejects it.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import syntax
 from .address import Address, format_address, parse_address
-from .terms import CONS, Atom, Compound, Int, Str, Term, Var, deref
+from .terms import CONS, INT_MAX, INT_MIN, Atom, Compound, Int, Str, Term, Var, deref
 
 VERSION = 0x01
 MAX_FRAME = 64 * 1024 * 1024
@@ -65,6 +65,14 @@ TAG_COMPOUND = 0x05
 
 # the header of a list cell, '.'/2, in its canonical spelling
 _CELL = bytes([TAG_COMPOUND, 1, ord(CONS), 2])
+
+# a decoded value is a bare instance whose slots are written through their
+# descriptors, as the classes' own __init__ does, without a Python frame
+_new = object.__new__
+_set_name = Atom.name.__set__
+_set_int = Int.value.__set__
+_set_functor = Compound.functor.__set__
+_set_args = Compound.args.__set__
 
 
 class CodecError(Exception):
@@ -89,43 +97,38 @@ class UnqualifiedAddressError(CodecError):
 
 @dataclass(frozen=True)
 class Flags:
+    """The flags byte of a frame (see the layout above).  Encoding writes
+    the byte in line, and decoding reads _FLAGS[byte & 0x07]: unknown high
+    bits are ignored for forward compatibility."""
+
     encoded: bool = False
     remember_names: bool = False
     control: bool = False
 
-    def to_byte(self) -> int:
-        return (
-            (0x01 if self.encoded else 0)
-            | (0x02 if self.remember_names else 0)
-            | (0x04 if self.control else 0)
-        )
 
-    @staticmethod
-    def from_byte(b: int) -> "Flags":
-        # unknown high bits are ignored for forward compatibility
-        return _FLAGS[b & 0x07]
-
-
+# every Flags value, indexed by its byte
 _FLAGS = tuple(Flags(bool(b & 0x01), bool(b & 0x02), bool(b & 0x04)) for b in range(8))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Envelope:
     """One message in flight: payload plus destination, sender and reply-to.
 
     reply_to defaults to the sender when not given explicitly.  payload is
     None only in a data frame's header read by decode_envelope(body=False).
+    The fields are written in one step, by __init__ or, in decode_envelope,
+    into a bare instance's __dict__, so building one runs one frame or none.
     """
 
     payload: Optional[Term]
     to: Address
     sender: Address
     reply_to: Optional[Address] = None
-    flags: Flags = field(default_factory=Flags)
+    flags: Flags = _FLAGS[0]
 
-    def __post_init__(self):
-        if self.reply_to is None:
-            object.__setattr__(self, "reply_to", self.sender)
+    def __init__(self, payload, to, sender, reply_to=None, flags=_FLAGS[0]):
+        self.__dict__.update(payload=payload, to=to, sender=sender, flags=flags,
+                             reply_to=sender if reply_to is None else reply_to)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +194,19 @@ def _put_text(out: bytearray, text: str) -> None:
 # from terms of any origin, so the cache is emptied when it reaches its bound
 _HEADS: dict[str, bytes] = {}
 _HEADS_MAX = 4096
+
+
+# the inverse, for the decoder: atom and functor UTF-8 bytes -> their text,
+# bounded in the same way
+_TEXTS: dict[bytes, str] = {}
+
+
+def _text(raw: bytes) -> str:
+    text = _utf8(raw)
+    if len(_TEXTS) >= _HEADS_MAX:
+        _TEXTS.clear()
+    _TEXTS[raw] = text
+    return text
 
 
 def _head(text: str) -> bytes:
@@ -286,13 +302,13 @@ def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
     ``open_`` holds those around it.  A list is one open run (``need`` 0)
     that collects the heads of its cells: after each head, a canonical cell
     header continues the run, and anything else is the tail (``need`` -1),
-    from which the cells are built back to front.  Each distinct atom or
-    functor text is decoded from UTF-8 once.  Every read is checked against
-    end.
+    from which the cells are built back to front.  An atom or functor
+    text is decoded from UTF-8 once while the bounded _TEXTS memo holds
+    it.  Every read is checked against end.
     """
     named: dict[str, Var] = {}
     by_serial: dict[int, Var] = {}
-    texts: dict[bytes, str] = {}
+    text_of = _TEXTS.get
     open_: list[tuple] = []
     functor, need, args = None, 0, None
     cell = data.startswith
@@ -318,21 +334,21 @@ def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
                 if shift > 70:
                     raise BodyParseError("varint too long")
         if tag == TAG_INT:
-            try:
-                term = Int((n >> 1) ^ -(n & 1))
-            except ValueError as e:  # out of the 64-bit range
-                raise BodyParseError(str(e)) from None
+            value = (n >> 1) ^ -(n & 1)
+            if not INT_MIN <= value <= INT_MAX:
+                raise BodyParseError(f"integer out of 64-bit range: {value}")
+            term = _new(Int)
+            _set_int(term, value)
         elif tag == TAG_COMPOUND or tag == TAG_ATOM:
             stop = pos + n
             if stop > end:
                 raise TruncatedFrameError("unexpected end of frame")
             raw = data[pos:stop]
             pos = stop
-            text = texts.get(raw)
-            if text is None:
-                text = texts[raw] = _utf8(raw)
+            text = text_of(raw) or _text(raw)
             if tag == TAG_ATOM:
-                term = Atom(text)
+                term = _new(Atom)
+                _set_name(term, text)
             else:
                 if pos < end and data[pos] < 0x80:
                     arity = data[pos]
@@ -350,7 +366,7 @@ def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
             stop = pos + n
             if stop > end:
                 raise TruncatedFrameError("unexpected end of frame")
-            text = _utf8(data[pos:stop])
+            text = _utf8(data[pos:stop]) if n else ""
             pos = stop
             if tag == TAG_STR:
                 term = Str(text)
@@ -370,7 +386,9 @@ def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
                 args.append(term)
                 if len(args) < need:
                     break
-                term = Compound(functor, tuple(args))
+                term = _new(Compound)
+                _set_functor(term, functor)
+                _set_args(term, tuple(args))
             elif need == 0:  # term is the head of a list cell
                 args.append(term)
                 if cell(_CELL, pos, end):
@@ -380,7 +398,9 @@ def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
                 break
             else:  # term is the list's tail
                 for h in reversed(args):
-                    term = Compound(CONS, (h, term))
+                    tail, term = term, _new(Compound)
+                    _set_functor(term, CONS)
+                    _set_args(term, (h, tail))
             functor, need, args = open_.pop()
         else:
             return term, pos
@@ -396,9 +416,12 @@ def decode_term_binary(data: bytes) -> Term:
 # ---------------------------------------------------------------------------
 # envelopes and frames
 
-# qualified address -> its header field, the varint length and UTF-8 bytes
-# of its canonical text; emptied when it reaches its bound, as _HEADS is
-_FIELDS: dict[Address, bytes] = {}
+# id of a qualified address -> (the address, its header field: the varint
+# length and UTF-8 bytes of its canonical text).  Addresses are shared
+# objects, so the id finds one without running the dataclass __hash__; the
+# entry holds the address, so its id is not reused while the entry lives.
+# Emptied when it reaches its bound, as _HEADS is.
+_FIELDS: dict[int, tuple[Address, bytes]] = {}
 _FIELDS_MAX = 4096
 
 
@@ -409,18 +432,20 @@ def _field(a: Address, slot: str) -> bytes:
     field = encode_varint(len(raw)) + raw
     if len(_FIELDS) >= _FIELDS_MAX:
         _FIELDS.clear()
-    _FIELDS[a] = field
+    _FIELDS[id(a)] = (a, field)
     return field
 
 
 def encode_envelope(env: Envelope) -> bytes:
     out = bytearray(4)  # the length prefix, written last
     out.append(VERSION)
-    out.append(env.flags.to_byte())
-    field = _FIELDS.get
+    f = env.flags
+    out.append((1 if f.encoded else 0) | (2 if f.remember_names else 0) | (4 if f.control else 0))
+    memo = _FIELDS.get
     for slot, a in (("to", env.to), ("sender", env.sender), ("reply_to", env.reply_to)):
-        out += field(a) or _field(a, slot)
-    if env.flags.encoded:
+        hit = memo(id(a))
+        out += hit[1] if hit is not None else _field(a, slot)
+    if f.encoded:
         _encode_term(out, env.payload)
     else:
         out += syntax.format_term(env.payload).encode("utf-8")
@@ -434,6 +459,7 @@ def encode_envelope(env: Envelope) -> bytes:
 # passed are kept, and the memo is emptied when it reaches its bound
 _HEADER: dict[bytes, Address] = {}
 _HEADER_MAX = 4096
+_HEADER_FIELDS = ("destination", "sender", "reply-to")
 
 
 def _get_address(data, pos: int, end: int, what: str) -> tuple[Address, int]:
@@ -466,6 +492,9 @@ def decode_envelope(frame: bytes, body: bool = True) -> Envelope:
     addresses) is all a router needs to relay the frame unchanged, so a bad
     data body only surfaces at the node that decodes it in full.  A control
     frame's body is always decoded, since the body is what it says.
+
+    A header field with a one-byte length whose bytes are in the memo is
+    read in line; any other goes through _get_address.
     """
     if len(frame) < 4:
         raise TruncatedFrameError("frame shorter than its length prefix")
@@ -484,10 +513,21 @@ def decode_envelope(frame: bytes, body: bool = True) -> Envelope:
         raise VersionMismatchError(f"unsupported version 0x{version:02x}")
     if end < 6:
         raise TruncatedFrameError("unexpected end of frame")
-    flags = Flags.from_byte(frame[5])
-    to, pos = _get_address(frame, 6, end, "destination")
-    sender, pos = _get_address(frame, pos, end, "sender")
-    reply_to, pos = _get_address(frame, pos, end, "reply-to")
+    flags = _FLAGS[frame[5] & 0x07]
+    memo = _HEADER.get
+    fields = []
+    pos = 6
+    for what in _HEADER_FIELDS:
+        a = None
+        if pos < end and frame[pos] < 0x80:
+            stop = pos + 1 + frame[pos]
+            if stop <= end:
+                a = memo(frame[pos + 1 : stop])
+        if a is None:
+            a, stop = _get_address(frame, pos, end, what)
+        fields.append(a)
+        pos = stop
+    to, sender, reply_to = fields
     if not (body or flags.control):
         payload = None
     elif flags.encoded:
@@ -501,7 +541,9 @@ def decode_envelope(frame: bytes, body: bool = True) -> Envelope:
             raise BodyParseError(f"bad UTF-8 in body: {e}") from None
         except syntax.ParseError as e:
             raise BodyParseError(f"body parse failure: {e}") from None
-    return Envelope(payload, to, sender, reply_to, flags)
+    env = _new(Envelope)
+    env.__dict__.update(payload=payload, to=to, sender=sender, reply_to=reply_to, flags=flags)
+    return env
 
 
 def cut_frames(buf: bytearray) -> list[bytes]:

@@ -32,8 +32,11 @@ with its bindings.  Any other payload, and every payload a peek looks at, is
 matched as a fresh copy, so the buffered term is never bound.
 
 Concurrency contract: any thread may post; only the owning thread receives,
-peeks or commits.  The internal lock covers buffer mutation and blocking
-only, so guard tests run without holding it.  recv_first, recv_search and
+peeks or commits, so at most one thread waits: an owner with nothing to
+take parks on the mailbox's one park lock, which the next post or close
+releases, and a wait that timed out as a post released it takes it back.
+The internal lock covers buffer mutation and the parked flag only, so
+guard tests run without holding it.  recv_first, recv_search and
 peek take ``timeout`` (default BLOCK) and ``remember_names`` (default off)
 as keywords.  Timeouts: BLOCK suspends indefinitely, POLL never suspends,
 a float bounds the total suspension of the call in seconds (for iterating
@@ -100,49 +103,17 @@ class Guard:
     body: Optional[Callable[[], Any]] = None
 
 
-class _Budget:
-    """Suspension budget for one receive call (deadline set at first wait)."""
-
-    __slots__ = ("timeout", "deadline")
-
-    def __init__(self, timeout: Timeout):
-        self.timeout = timeout
-        self.deadline: Optional[float] = None
-
-    def wait(self, cond: threading.Condition) -> bool:
-        """Suspend once; False when the budget is exhausted instead."""
-        if self.timeout == POLL:
-            return False
-        if self.timeout == BLOCK:
-            cond.wait()
-            return True
-        now = time.monotonic()
-        if self.deadline is None:
-            self.deadline = now + float(self.timeout)
-        remaining = self.deadline - now
-        if remaining <= 0:
-            return False
-        cond.wait(remaining)
-        return True
-
-
-def _pattern_keys(alts: list[Guard]) -> Optional[list]:
-    """The distinct index keys of the alternatives' message patterns, or
-    None when one of them has none."""
-    keys = []
-    for g in alts:
-        key = index_key(g.message)
-        if key is None:
-            return None
-        if key not in keys:
-            keys.append(key)
-    return keys
+# a receive's alternative as the scan reads it: message, sender, reply-to, test
+_Alt = tuple[Term, FromPattern, FromPattern, Optional[Callable[[], bool]]]
 
 
 class Mailbox:
     def __init__(self):
         self.registry = VarRegistry()
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._park = threading.Lock()  # held, but while a post wakes the owner
+        self._park.acquire()
+        self._parked = False  # the owner waits on _park
         # (seq, env, key, owned): the payload's index key, and whether the
         # payload may be bound in place, both fixed when it is posted
         self._items: list[tuple[int, Envelope, Optional[tuple], bool]] = []
@@ -151,7 +122,7 @@ class Mailbox:
         self._closed = False
 
     def __len__(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._items)
 
     def post(self, env: Envelope, owned: bool = False) -> None:
@@ -163,30 +134,35 @@ class Mailbox:
         everything it is entitled to know by the local delivery rules.
         """
         key = index_key(env.payload)
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             seq = self._next_seq
-            self._next_seq += 1
+            self._next_seq = seq + 1
             item = (seq, env, key, owned)
             self._items.append(item)
             self._index.add(key, item)
-            self._cond.notify_all()
+            if self._parked:
+                self._parked = False
+                self._park.release()
 
     def close(self) -> None:
-        with self._cond:
+        with self._lock:
             self._closed = True
             self._items.clear()
             self._index.clear()
-            self._cond.notify_all()
+            if self._parked:
+                self._parked = False
+                self._park.release()
 
     # -- internals ---------------------------------------------------------
 
     def _remove(self, seq: int) -> bool:
-        with self._cond:
-            i = bisect_left(self._items, seq, key=seq_of)
-            if i < len(self._items) and self._items[i][0] == seq:
-                self._index.remove(self._items.pop(i)[2], seq)
+        with self._lock:
+            items = self._items  # receives mostly take the oldest message:
+            i = 0 if items and items[0][0] == seq else bisect_left(items, seq, key=seq_of)
+            if i < len(items) and items[i][0] == seq:
+                self._index.remove(items.pop(i)[2], seq)
                 return True
             return False
 
@@ -202,8 +178,8 @@ class Mailbox:
     ) -> bool:
         if not (
             could_unify(msg_pat, env.payload)
-            and match_address(from_pat, env.sender, trail)
-            and match_address(reply_pat, env.reply_to, trail)
+            and (from_pat is None or match_address(from_pat, env.sender, trail))
+            and (reply_pat is None or match_address(reply_pat, env.reply_to, trail))
         ):
             return False
         # name identity applies only when the sender asked for it too; a
@@ -218,31 +194,38 @@ class Mailbox:
 
     def _scan(
         self,
-        alts: list[Guard],
+        alts: tuple[_Alt, ...],
         remember: bool,
         timeout: Timeout,
         head_only: bool = False,
         consuming: bool = False,
-    ) -> Iterator[tuple[int, Envelope, Guard, list]]:
+    ) -> Iterator[tuple[int, Envelope, int, list]]:
         """The one scan loop behind every receive.
 
-        Yields (seq, env, guard, trail) per buffered message, oldest first,
-        that some alternative accepts; the alternatives are tried in listed
-        order and the first whose patterns match and whose test passes wins.
-        Its bindings stay in effect while the consumer holds the yield and
-        are undone when the scan resumes.  At the end of the buffer the scan
-        suspends per timeout, then examines only newer arrivals; it ends when
-        the timeout is spent, or with head_only after the first message.
-        When every alternative's message pattern has a key (and not
-        head_only) only the messages filed under those keys or under None
-        are examined.  consuming lets an owned payload be matched in place:
-        the caller removes the first message yielded.
+        Yields (seq, env, i, trail) per buffered message, oldest first, that
+        some alternative accepts, i being the first of them, in listed
+        order, whose patterns match and whose test passes.  Its bindings
+        stay in effect while the consumer holds the yield and are undone
+        when the scan resumes.  At the end of the buffer the scan parks per
+        timeout, then examines only newer arrivals; it ends when the timeout
+        is spent, or with head_only after the first message.  When every
+        alternative's message pattern has a key (and not head_only) only
+        the messages filed under those keys or under None are examined.
+        consuming lets an owned payload be matched in place: the caller
+        removes the first message yielded.
         """
-        budget = _Budget(timeout)
-        keys = None if head_only else _pattern_keys(alts)
+        keys = None if head_only else ()  # the alternatives' distinct keys
+        for alt in () if head_only else alts:
+            key = index_key(alt[0])
+            if key is None:
+                keys = None
+                break
+            if key not in keys:
+                keys += (key,)
+        deadline = None
         cursor = -1
         while True:
-            with self._cond:
+            with self._lock:
                 while True:
                     if self._closed:
                         raise MailboxClosed()
@@ -256,33 +239,49 @@ class Mailbox:
                             cursor = self._next_seq - 1
                     if batch:
                         break
-                    if not budget.wait(self._cond):
+                    if timeout == POLL:
                         return
+                    wait = -1  # no bound
+                    if timeout != BLOCK:
+                        deadline = deadline or time.monotonic() + float(timeout)
+                        wait = deadline - time.monotonic()
+                        if wait <= 0:
+                            return
+                    self._parked = True
+                    self._lock.release()
+                    try:
+                        woken = self._park.acquire(True, wait)
+                    finally:
+                        self._lock.acquire()
+                    if not woken and not self._parked:  # a post released it late
+                        self._park.acquire()
+                    self._parked = False
             for seq, env, _, owned in batch:
                 cursor = seq
                 in_place = consuming and owned
-                for g in alts:
+                for i, (message, from_, reply, test) in enumerate(alts):
                     trail: list = []
                     if self._match_env(
-                        env, g.message, g.from_, g.reply, remember, trail, in_place
-                    ) and (g.test is None or g.test()):
+                        env, message, from_, reply, remember, trail, in_place
+                    ) and (test is None or test()):
                         break
                     undo_to(trail, 0)
                 else:
                     continue
-                yield seq, env, g, trail
+                yield seq, env, i, trail
                 undo_to(trail, 0)
                 break  # the consumer may have changed the buffer: look again
             if head_only:
                 return
 
     def _consume(
-        self, alts: list[Guard], remember: bool, timeout: Timeout, head_only: bool = False
-    ) -> Optional[tuple[Envelope, Guard, list]]:
-        """Remove the scan's first hit and keep its bindings; None if none."""
-        for seq, env, g, trail in self._scan(alts, remember, timeout, head_only, True):
+        self, alts: tuple[_Alt, ...], remember: bool, timeout: Timeout, head_only: bool = False
+    ) -> Optional[tuple[Envelope, int, list]]:
+        """Remove the scan's first hit and keep its bindings: (env, index of
+        the alternative that took it, trail), or None."""
+        for seq, env, i, trail in self._scan(alts, remember, timeout, head_only, True):
             self._remove(seq)
-            return env, g, trail
+            return env, i, trail
         return None
 
     # -- receive operations -------------------------------------------------
@@ -296,7 +295,7 @@ class Mailbox:
         Blocks (per timeout) only while the buffer is empty: once a first
         message exists the outcome depends on that message alone.
         """
-        hit = self._consume([Guard(msg_pat, from_pat, reply_pat)], remember_names, timeout, True)
+        hit = self._consume(((msg_pat, from_pat, reply_pat, None),), remember_names, timeout, True)
         return None if hit is None else Substitution(hit[2])
 
     def recv_search(
@@ -308,7 +307,7 @@ class Mailbox:
         When the scan reaches the end of the buffer the call suspends; only
         newly arrived messages are examined after that.
         """
-        hit = self._consume([Guard(msg_pat, from_pat, reply_pat)], remember_names, timeout)
+        hit = self._consume(((msg_pat, from_pat, reply_pat, None),), remember_names, timeout)
         return None if hit is None else Substitution(hit[2])
 
     def peek(
@@ -322,7 +321,7 @@ class Mailbox:
         with commit() to consume the chosen message).
         """
         for seq, _, _, trail in self._scan(
-            [Guard(msg_pat, from_pat, reply_pat)], remember_names, timeout
+            ((msg_pat, from_pat, reply_pat, None),), remember_names, timeout
         ):
             yield MessageRef(seq), Substitution(trail)
 
@@ -346,8 +345,10 @@ class Mailbox:
         Name remembering is always on here, as in every high-level receive.
         """
         secs, alt = (BLOCK, None) if timeout is None else timeout
-        hit = self._consume(guards, True, secs)
+        hit = self._consume(tuple((g.message, g.from_, g.reply, g.test) for g in guards),
+                            True, secs)
         if hit is None:
             return alt() if callable(alt) else alt
-        _, g, trail = hit
+        _, i, trail = hit
+        g = guards[i]
         return g.body() if g.body is not None else Substitution(trail)

@@ -12,7 +12,7 @@ dropped.  Held frames wait in a Holds (below), as a node's do.
 One ConnLoop (below) serves every connection of the router from one
 thread; each node's link to its router (runtime._RouterLink) runs one too.
 The loop owns the write queues: ConnLoop._queue appends every frame that
-either owner sends.
+either owner sends, and sends at once what finds its queue empty.
 A data frame counts in ``frames_out`` once queued; if its connection dies
 first, the count is taken back and the frame is routed again, so at
 quiescence frames_in == frames_out + queued + dropped.
@@ -100,8 +100,9 @@ class ConnLoop:
 
     Each connection has a receive buffer cut by codec.cut_frames and a write
     queue whose frames go out joined, up to SEND_CHUNK bytes a send; _queue
-    alone appends to a queue, and marks the connection for the loop's next
-    send.  A frame that finds a queue at WRITE_BOUND bytes is still queued,
+    alone appends to a queue, and sends at once frames that find it empty,
+    so they cost the loop a turn only if the socket does not take them
+    whole.  A frame that finds a queue at WRITE_BOUND bytes is still queued,
     but its producer is not read again until that queue drains: a slow
     consumer pauses its producers, loses nothing and delays no other
     connection.  Dials do not block.  The owner says what a connection's
@@ -111,6 +112,7 @@ class ConnLoop:
     """
 
     TICK = 0.1
+    WRITTEN: Optional[str] = None  # counts frames written whole, before the write
 
     def __init__(self, counters: Counters):
         self._counters = counters  # holds bad_frames
@@ -144,10 +146,10 @@ class ConnLoop:
             pass
 
     def _run(self) -> None:
-        tick = time.monotonic()
+        now = tick = time.monotonic()  # the clock is read once a turn
         try:
             while not self.closing:
-                for fd, mask in self._poll.poll(max(0.0, tick - time.monotonic()) * 1e3):
+                for fd, mask in self._poll.poll((tick - now) * 1e3 if tick > now else 0):
                     c = self._fds.get(fd)  # None once closed by an earlier event
                     if type(c) is _Conn:
                         self._serve(c, mask)
@@ -155,9 +157,10 @@ class ConnLoop:
                         self._wake_r.recv(RECV_SIZE)
                     elif c is not None:
                         self._accept()
-                if time.monotonic() >= tick:
+                now = time.monotonic()
+                if now >= tick:
                     self._tick()
-                    tick = time.monotonic() + self.TICK
+                    tick = now + self.TICK
                 while self._dirty:
                     self._serve(self._dirty.pop(), WRITE)
         finally:
@@ -168,12 +171,25 @@ class ConnLoop:
             self._wake_w.close()
 
     def _serve(self, c: _Conn, mask: int) -> None:
-        """Write and read c; a failure closes c alone and counts in bad_frames."""
+        """Write c, then read it into _inbound; a failure closes c alone and
+        counts in bad_frames."""
         try:
             if mask & WRITE:
                 self._flush(c)
             if mask & ~WRITE and c in self._conns:  # readable, hung up or failed
-                self._read(c)
+                try:
+                    data = c.sock.recv(RECV_SIZE)
+                except BlockingIOError:
+                    return
+                except OSError:  # reset: the same as a close
+                    data = b""
+                if data:
+                    c.rbuf += data
+                    self._inbound(c, cut_frames(c.rbuf))
+                elif c.rbuf:
+                    raise TruncatedFrameError("connection closed mid-frame")
+                else:
+                    self._close(c)
         except Exception as e:
             log.warning("event=conn_failed err=%r", e, exc_info=not isinstance(e, CodecError))
             self._counters.add("bad_frames")
@@ -192,34 +208,28 @@ class ConnLoop:
                 del self._fds[fd]
             c.events = want
 
-    def _read(self, c: _Conn) -> None:
-        """Hand every complete frame one recv brings in to _inbound."""
-        try:
-            data = c.sock.recv(RECV_SIZE)
-        except BlockingIOError:
-            return
-        except OSError:  # reset: the same as a close
-            data = b""
-        if not data:
-            if c.rbuf:
-                raise TruncatedFrameError("connection closed mid-frame")
-            self._close(c)
-            return
-        c.rbuf += data
-        self._inbound(c, cut_frames(c.rbuf))
-
-    def _queue(self, c: _Conn, *frames: bytes) -> None:
-        """Append frames to c's write queue, for the loop to send."""
+    def _queue(self, c: _Conn, *frames: bytes) -> bool:
+        """Append frames to c's write queue and, when it was empty and c is
+        not dialling, send them at once.  The loop sends what is left; True
+        says it was not sending this queue, so a caller in another thread wakes it."""
         c.wbuf.extend(frames)
         c.wbytes += sum(map(len, frames))
+        fresh = len(c.wbuf) == len(frames) and c.dial_deadline is None
+        if fresh and self._send(c) == len(frames):
+            return False
         self._dirty.add(c)
+        return fresh
 
     def _send(self, c: _Conn) -> int:
         """Write c's queue until it is empty or the socket takes less than it
         is handed; the number of frames now written whole, or -1 if the
         connection failed before any was.  Each send is handed the frames
         that fit in SEND_CHUNK bytes, joined, or the first frame alone, so
-        a long queue is copied once, not once per send."""
+        a long queue is copied once, not once per send.  WRITTEN counts the
+        frames handed to a connected socket, taking back what it did not."""
+        whole = len(c.wbuf) if self.WRITTEN and c.dial_deadline is None else 0
+        if whole:
+            self._counters.add(self.WRITTEN, whole)
         done = 0
         while c.wbuf:
             data = c.wbuf[0]
@@ -234,9 +244,10 @@ class ConnLoop:
             try:
                 n = c.sent + c.sock.send(memoryview(data)[c.sent:] if c.sent else data)
             except BlockingIOError:  # the socket is full, or a dial is under way
-                return done
+                break
             except OSError:
-                return done or -1
+                done = done or -1
+                break
             taken_all = n == len(data)
             while c.wbuf and n >= len(c.wbuf[0]):
                 n -= len(c.wbuf[0])
@@ -244,7 +255,9 @@ class ConnLoop:
                 done += 1
             c.sent = n
             if not taken_all:
-                return done
+                break
+        if done < whole:
+            self._counters.add(self.WRITTEN, max(done, 0) - whole)
         return done
 
     def _flush(self, c: _Conn) -> None:
@@ -414,7 +427,8 @@ class Router(ConnLoop):
             c.waiters.append(src)
             self._update(src)
         self._counters.add(counter)
-        c.last_used = time.monotonic()
+        if c.peer is not None:  # only a peer link is closed when idle
+            c.last_used = time.monotonic()
         self._queue(c, frame)
 
     def _closed(self, c: _Conn) -> None:

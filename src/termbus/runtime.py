@@ -53,9 +53,9 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .address import CREATOR, SELF, Address, parse_address, resolve, term_to_address
 from .codec import (
+    _FLAGS,
     CodecError,
     Envelope,
-    Flags,
     encode_envelope,
     decode_envelope,
     is_register_ack,
@@ -179,12 +179,13 @@ class ClauseDB:
     lookup, retract and resolution match each candidate's head in place with
     unify_head, which binds no stored cell and copies no head.
 
-    Mutations run under the node lock and wake thread_wait's waiters.
+    Every method holds the node lock; mutations wake thread_wait's waiters.
     retract and lookup match heads only, with the occurs check, so no
     pattern binds a cycle.
     """
 
     def __init__(self, lock: threading.RLock):
+        self._lock = lock
         self._cond = threading.Condition(lock)
         self._preds: dict[tuple[str, int], _Predicate] = {}
         self._seq = 0  # numbers the clauses in assertion order
@@ -211,7 +212,7 @@ class ClauseDB:
         snapshot = fresh_copy(Compound(":-", (head, body)))
         entry = (snapshot.args[0], snapshot.args[1])
         key = index_key(entry[0])
-        with self._cond:
+        with self._lock:
             self._seq += 1
             pred = self._preds.get(pred_key)
             if pred is None:
@@ -232,7 +233,7 @@ class ClauseDB:
     def retract(self, head_pat: Term) -> Optional[Substitution]:
         """Remove the first clause whose head unifies; bindings stay made."""
         pat = deref(head_pat)
-        with self._cond:
+        with self._lock:
             for seq, (head, _) in self._candidates(pat):
                 trail: list = []
                 if unify_head(pat, head, TRUE, trail) is not None:
@@ -250,7 +251,7 @@ class ClauseDB:
     def lookup(self, head_pat: Term) -> Iterator[Substitution]:
         """Enumerate matching clauses; bindings undone as iteration advances."""
         pat = deref(head_pat)
-        with self._cond:  # only the snapshot: matching binds no stored cell
+        with self._lock:  # only the snapshot: matching binds no stored cell
             snapshot = list(self._candidates(pat))
         for _, (head, _) in snapshot:
             trail: list = []
@@ -267,16 +268,16 @@ class ClauseDB:
         an undefined one: defines() tells them apart.
         """
         pat = deref(head_pat)
-        with self._cond:
+        with self._lock:
             return [entry for _, entry in self._candidates(pat)]
 
     def defines(self, key: tuple[str, int]) -> bool:
         """True while the predicate name/arity has at least one clause."""
-        with self._cond:
+        with self._lock:
             return key in self._preds
 
     def size(self) -> int:
-        with self._cond:
+        with self._lock:
             return sum(len(p.clauses) for p in self._preds.values())
 
 
@@ -322,7 +323,7 @@ class Node:
             handles = list(self._threads.values())
         for h in handles:
             h.mailbox.close()
-        with self.db._cond:
+        with self._lock:
             self.db._cond.notify_all()
 
     # -- threads -------------------------------------------------------------
@@ -489,12 +490,12 @@ class Node:
         """
         h = self.current()
         sender = h.address
-        dest = self._qualified(to)
-        reply = self._qualified(reply_to) if reply_to is not None else sender
+        dest = self._qualified(to, h)
+        reply = sender if reply_to is None else self._qualified(reply_to, h)
         payload = msg
         if remember_names:
-            payload = name_unnamed(payload, h.registry)
-        flags = Flags.from_byte((1 if encoded else 0) | (2 if remember_names else 0))
+            payload = name_unnamed(payload, h.mailbox.registry)
+        flags = _FLAGS[(1 if encoded else 0) | (2 if remember_names else 0)]
         if dest.process == self.process and dest.host == self.host:
             target = self._lookup_local(dest.thread)
             target.mailbox.post(
@@ -505,55 +506,54 @@ class Node:
             raise RouterUnavailableError(
                 f"destination {dest} is remote and no router is configured"
             )
-        frame = encode_envelope(Envelope(payload, dest, sender, reply, flags))
-        self._link.send_frame(frame)
+        self._link.send_frame(encode_envelope(Envelope(payload, dest, sender, reply, flags)))
 
-    def _qualified(self, a) -> Address:
+    def _qualified(self, a, h: Optional[ThreadHandle] = None) -> Address:
         """a as a qualified address: self, creator and a short form resolve
-        against the calling thread's handle and its creator's."""
-        a = self._as_address(a)
+        against the calling thread's handle h and its creator's."""
+        if type(a) is not Address:
+            a = self._as_address(a)
         if a.qualified():
             return a
-        h = self.current()
+        h = h or self.current()
         return resolve(a, h.address, h.creator.address)
 
     # -- receive (current thread's mailbox, name remembering on) -------------
 
-    def _pat(self, p):
+    def _pat(self, p, h: Optional[ThreadHandle] = None):
         """An address pattern: text is parsed, and self or creator resolves
         as a send resolves it, to the very address."""
+        if p is None:
+            return None
         if isinstance(p, str):
             p = parse_address(p)
         if isinstance(p, Address) and (p.thread is SELF or p.thread is CREATOR):
-            return self._qualified(p)
+            return self._qualified(p, h)
         return p
 
     def recv_first(
         self, msg_pat, from_=None, reply=None, timeout: Timeout = BLOCK,
         remember_names: bool = True,
     ):
-        return self.current().mailbox.recv_first(
-            msg_pat, self._pat(from_), self._pat(reply),
-            timeout=timeout, remember_names=remember_names,
-        )
+        h = self.current()
+        return h.mailbox.recv_first(msg_pat, self._pat(from_, h), self._pat(reply, h),
+                              timeout=timeout, remember_names=remember_names)
 
     def recv_search(
         self, msg_pat, from_=None, reply=None, timeout: Timeout = BLOCK,
         remember_names: bool = True,
     ):
-        return self.current().mailbox.recv_search(
-            msg_pat, self._pat(from_), self._pat(reply),
-            timeout=timeout, remember_names=remember_names,
-        )
+        h = self.current()
+        return h.mailbox.recv_search(msg_pat, self._pat(from_, h), self._pat(reply, h),
+                               timeout=timeout, remember_names=remember_names)
 
     def peek(
         self, msg_pat, from_=None, reply=None, timeout: Timeout = "poll",
         remember_names: bool = True,
     ):
-        return self.current().mailbox.peek(
-            msg_pat, self._pat(from_), self._pat(reply),
-            timeout=timeout, remember_names=remember_names,
-        )
+        h = self.current()
+        return h.mailbox.peek(msg_pat, self._pat(from_, h), self._pat(reply, h),
+                              timeout=timeout, remember_names=remember_names)
 
     def commit(self, ref: MessageRef) -> None:
         self.current().mailbox.commit(ref)
@@ -584,9 +584,9 @@ class Node:
             env = None
             try:
                 wait = BLOCK if from_ is None or not len(mailbox) else "poll"
-                hit = mailbox._consume([Guard(request, from_)], True, wait)
+                hit = mailbox._consume(((request, from_, None, None),), True, wait)
                 if hit is None:  # none is from_'s, so the oldest is another's
-                    env = mailbox._consume([Guard(request)], True, "poll", True)[0]
+                    env = mailbox._consume(((request, None, None, None),), True, "poll", True)[0]
                     raise TermbusError(f"sent by {env.sender}")
                 env = hit[0]
                 answer = handle(deref(request), env.reply_to)
@@ -657,7 +657,7 @@ class Node:
                 raise NodeShutdown()
             return query()
 
-        with self.db._cond:
+        with self._lock:
             result = self.db._cond.wait_for(ready, timeout)
         if not result:
             raise TimeoutError("thread_wait timed out")
@@ -690,9 +690,7 @@ class Node:
                 if isinstance(to, int) and to <= self._next_tid:
                     # ids are never reused, so this thread is gone for good
                     self._counters.add("dropped")
-                    log.debug(
-                        "event=drop_exited_target to=%s from=%s", env.to, env.sender
-                    )
+                    log.debug("event=drop_exited_target to=%s from=%s", env.to, env.sender)
                     return
                 # its thread may not exist yet: a flushed backlog can outrun its start
                 self._undelivered.put(to, env)
@@ -710,18 +708,22 @@ class _RouterLink(ConnLoop):
     Frames sent while the link is down wait in the outbox, a Holds of one
     key, and are queued ahead of any newer frame before the link is
     published, so one sender's order survives a router restart.
-    ``frames_out`` counts the frames the socket has taken whole; a failed
-    link's unsent frames go back to the outbox.
+    ``frames_out`` counts the frames the socket has taken whole, under the
+    link's lock; a failed link's unsent frames go back to the outbox.  The
+    other counts are made in the loop thread, or by a sender under the lock
+    while the link is down and delivers nothing.
     """
 
     TICK = RECONNECT_MIN  # the backoff: doubled by each failed dial
+    WRITTEN = "frames_out"
 
     def __init__(self, node: Node, endpoint: str):
         super().__init__(node._counters)
         self.node = node
         self.addr = endpoint_addr(endpoint)
         self.ready = threading.Event()
-        self._cond = threading.Condition()  # guards _conn, _outbox and _conn's queue
+        self._lock = threading.RLock()  # guards _conn, _outbox and _conn's queue
+        self._cond = threading.Condition(self._lock)  # signals a drained queue
         self._conn: Optional[_Conn] = None  # set while registered
         self._outbox = Holds(node._counters, "outbox_overflow process=%s")
 
@@ -733,33 +735,16 @@ class _RouterLink(ConnLoop):
         leave what the socket does not take to the loop.  While the link is
         registered and its queue holds WRITE_BOUND bytes, wait first: the
         rule the router applies to its producers."""
-        with self._cond:
+        with self._lock:
             while (c := self._conn) is not None and c.wbytes >= WRITE_BOUND:
                 self._cond.wait()
             if c is None:
                 self._outbox.put(self.node.process, frame)
-                return
-            self._queue(c, frame)
-            if len(c.wbuf) > 1:  # the loop is writing the queue
-                return
-            self._send(c)
-            if c.wbuf:  # the socket took part of it, or failed
+            elif self._queue(c, frame):  # the socket did not take all of it
                 self._wake()
-            else:  # sent whole: the loop has nothing to send
-                self._dirty.discard(c)
-
-    def _send(self, c: _Conn) -> int:
-        # counted before the write, so the count is never behind a delivery;
-        # the frames the socket did not take whole are taken back
-        whole = len(c.wbuf) if c is self._conn else 0  # not the REGISTER of a dial
-        self._counters.add("frames_out", whole)
-        done = super()._send(c)
-        if done < whole:
-            self._counters.add("frames_out", max(done, 0) - whole)
-        return done
 
     def _flush(self, c: _Conn) -> None:
-        with self._cond:
+        with self._lock:
             super()._flush(c)
             self._cond.notify_all()
 
@@ -793,7 +778,7 @@ class _RouterLink(ConnLoop):
 
     def _registered(self, c: _Conn) -> None:
         c.dial_deadline = None
-        with self._cond:  # the frames buffered while the link was down go first
+        with self._lock:  # the frames buffered while the link was down go first
             self._queue(c, *self._outbox.take(self.node.process))
             self._conn = c
         self.TICK = RECONNECT_MIN
@@ -804,7 +789,7 @@ class _RouterLink(ConnLoop):
         if c is not self._conn:  # a dial that failed
             self.TICK = min(self.TICK * 2, RECONNECT_MAX)
             return
-        with self._cond:  # a sender waiting on the queue goes to the outbox
+        with self._lock:  # a sender waiting on the queue goes to the outbox
             self._conn = None
             for frame in c.wbuf:  # the outbox is empty while the link is up
                 self._outbox.put(self.node.process, frame)

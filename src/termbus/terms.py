@@ -14,7 +14,10 @@ same class with equal fields, the hash of the tuple of fields, and
 Variables are mutable binding cells.  Unification binds cells in place and
 records every binding on a trail so that a failed attempt can be unwound,
 leaving every cell exactly as it was.  That undo discipline is what the
-mailbox matching operations and the clause store lean on.
+mailbox matching operations and the clause store lean on.  Each cell gets a
+process-wide id from one shared counter without a lock: the counter's step
+is a single C call, which the GIL makes atomic, so cells made at once by
+many threads still get distinct ids.
 
 No walker recurses, so a term of any length or depth can be matched,
 copied, compared, hashed, named and written.  unify_into and could_unify are
@@ -35,20 +38,13 @@ copy and is not rebuilt.
 from __future__ import annotations
 
 import itertools
-import threading
 from operator import is_
 from typing import Callable, Iterator, Optional, Union
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
 
-_cell_counter = itertools.count(1)
-_cell_lock = threading.Lock()
-
-
-def _next_cell_id() -> int:
-    with _cell_lock:
-        return next(_cell_counter)
+_next_cell_id = itertools.count(1).__next__  # atomic under the GIL
 
 
 class Var:

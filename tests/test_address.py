@@ -53,6 +53,7 @@ def test_parse_memo_shares_results_and_stays_bounded():
     for i in range(termbus.address._PARSED_MAX + 10):
         assert parse_address(f"t{i}:p@h") == Address(f"t{i}", "p", "h")
     assert len(termbus.address._PARSED) <= termbus.address._PARSED_MAX
+    assert len(termbus.address._SHARED) <= termbus.address._PARSED_MAX
 
 
 def test_format_roundtrip():

@@ -91,6 +91,7 @@ def test_atom_and_functor_byte_cache_stays_bounded():
         t = mk(f"f{i}", Atom(f"a{i}"))
         assert decode_term_binary(encode_term_binary(t)) == t
     assert len(termbus.codec._HEADS) <= termbus.codec._HEADS_MAX
+    assert len(termbus.codec._TEXTS) <= termbus.codec._HEADS_MAX
 
 
 def test_address_field_memo_stays_bounded():
@@ -101,7 +102,7 @@ def test_address_field_memo_stays_bounded():
     for unqualified in (Address("t"), Address("t", "p")):
         with pytest.raises(UnqualifiedAddressError):
             encode_envelope(Envelope(Atom("x"), A, B, reply_to=unqualified))
-        assert unqualified not in termbus.codec._FIELDS
+        assert id(unqualified) not in termbus.codec._FIELDS
 
 
 def _frame(to: bytes, sender: bytes, reply_to: bytes) -> bytes:

@@ -1,5 +1,6 @@
 """Selective receive on a single mailbox: ordering, retention, suspension."""
 
+import random
 import threading
 import time
 
@@ -532,6 +533,52 @@ def test_concurrent_posts_preserved_in_order_per_sender():
         seen[deref(vs["K"]).value].append(deref(vs["I"]).value)
     for k in range(n_senders):
         assert seen[k] == list(range(n_each))
+
+
+def test_the_owner_wakes_for_each_post_across_racing_timeouts():
+    # the owner alternates a 1 ms receive with a blocking one while a poster
+    # posts at jittered times, some close to the timeout
+    box = Mailbox()
+    n, timeout = 400, 0.001
+    rng = random.Random(23)
+    delays = [rng.choice((0.0, 0.0002, 0.0008, 0.001, 0.0012, 0.003)) for _ in range(n)]
+    posted: dict[int, float] = {}
+
+    def poster():
+        for i, delay in enumerate(delays):
+            time.sleep(delay)
+            posted[i] = time.monotonic()
+            box.post(env(f"m({i})"))
+
+    watchdog = threading.Timer(60.0, box.close)  # a lost wake-up fails, not hangs
+    watchdog.start()
+    th = threading.Thread(target=poster)
+    th.start()
+    got, early, late_blocks = [], [], []
+    try:
+        while len(got) < n:
+            k = Var()
+            timed = len(got) % 2 == 0
+            t0 = time.monotonic()
+            hit = box.recv_search(mk("m", k), timeout=timeout if timed else BLOCK)
+            if hit is None:
+                if time.monotonic() - t0 < timeout:
+                    early.append(time.monotonic() - t0)
+                # the post this timeout may have raced must not wake a later
+                # wait for nothing: this one blocks until the next post
+                k = Var()
+                box.recv_search(mk("m", k))
+                if time.monotonic() < posted[deref(k).value]:
+                    late_blocks.append(deref(k).value)
+            got.append(deref(k).value)
+    finally:
+        watchdog.cancel()
+        th.join(10.0)
+    assert not th.is_alive()
+    assert got == list(range(n))  # each message once, in order
+    assert early == []  # no timed receive gave up before its timeout
+    assert late_blocks == []  # a blocking receive returned only what was posted
+    assert len(box) == 0
 
 
 @settings(max_examples=60, deadline=None)

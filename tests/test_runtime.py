@@ -189,6 +189,17 @@ class TestLocalSend:
         node.recv_search(parse_term("m"), from_=w, timeout=2.0)
         assert format_term(deref(w)) == f"{out[0]}:shell@hostA"
 
+    def test_a_short_form_resolves_to_one_shared_address(self, node, monkeypatch):
+        # a short form naming the caller is its handle's address; any other
+        # short form is one qualified address shared between resolutions
+        h = node.current()
+        assert node._qualified("main") is h.address
+        assert node._qualified("producer") is node._qualified("producer")
+        posted = []
+        monkeypatch.setattr(h.mailbox, "post", lambda env, owned=False: posted.append(env))
+        node.send(Atom("x"), "main")
+        assert posted[0].to is h.address
+
     def test_send_to_unknown_thread_raises(self, node):
         with pytest.raises(UnknownThreadError):
             node.send(parse_term("m"), "nobody_home")

@@ -1,6 +1,8 @@
 import copy
 import pickle
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -195,6 +197,31 @@ def test_value_checks_stay():
         Int(2**63)
     with pytest.raises(ValueError):
         Compound("f", ())
+
+
+def test_cells_made_at_once_by_many_threads_get_distinct_ids():
+    threads, each = 8, 20_000
+    ids: list[list[int]] = [[] for _ in range(threads)]
+    start = threading.Barrier(threads)
+
+    def make(out):
+        start.wait(10.0)
+        out.extend(Var().id for _ in range(each))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=make, args=(out,)) for out in ids]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    every = [i for out in ids for i in out]
+    assert len(every) == threads * each
+    assert len(set(every)) == len(every)
 
 
 def test_variables_first_occurrence_order():
