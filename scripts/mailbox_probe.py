@@ -9,6 +9,10 @@ in a shuffled order, and then emptied in K order twice over:
   ends at the variable F, so the receive tests every older message it skips.
 
 Each receive checks the message it got by the K it bound (P's tag, or F).
+A third round, drain, posts the D messages in K order and takes each with
+the pattern _, as a serving loop drains a burst: every receive takes the
+oldest message, so whatever this column grows by with D is the cost of the
+buffer itself.
 
 For each depth it prints the mean microseconds per receive of each round.
 It exits 1 if any receive returns a message other than the one asked for.
@@ -65,6 +69,22 @@ def round_us(depth: int, pattern, rng: random.Random) -> float:
     return elapsed / depth * 1e6
 
 
+def drain_us(depth: int) -> float:
+    """Mean µs per receive of _ that empties a mailbox filled in K order."""
+    box = Mailbox()
+    for k in range(depth):
+        box.post(Envelope(message(k), ME, ME, ME, Flags(remember_names=False)))
+    elapsed = 0.0
+    for k in range(depth):
+        got = Var()
+        t0 = time.perf_counter()
+        ok = box.recv_search(got, timeout=POLL)
+        elapsed += time.perf_counter() - t0
+        if not ok or deref(got).args[0] != Int(k):
+            raise WrongMessage(f"drain {depth}: expected {k} next, got {ok and deref(got)}")
+    return elapsed / depth * 1e6
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--depths", default="16,256,4096",
@@ -72,12 +92,12 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
-    print(f"{'depth':>6} {'keyed_us':>10} {'unkeyed_us':>11}")
+    print(f"{'depth':>6} {'keyed_us':>10} {'unkeyed_us':>11} {'drain_us':>9}")
     try:
         for depth in (int(d) for d in args.depths.split(",")):
             k_us = round_us(depth, keyed, rng)
             u_us = round_us(depth, unkeyed, rng)
-            print(f"{depth:>6} {k_us:>10.1f} {u_us:>11.1f}")
+            print(f"{depth:>6} {k_us:>10.1f} {u_us:>11.1f} {drain_us(depth):>9.1f}")
     except WrongMessage as e:
         print(f"wrong message: {e}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""The leftmost-path index shared by mailboxes and the clause store.
+"""The ordered, keyed store behind mailboxes and the clause store.
 
 index_key(t) follows first arguments down from t itself: each compound met
 adds its functor and arity, and the path ends at the constant reached,
@@ -11,19 +11,22 @@ differ, so they cannot unify; a constant's type is part of its key, so
 ``1``, ``'1'`` and ``"1"`` key apart.  Keys hold only strings, integers and
 classes, so hashing and comparing them runs no Python code.
 
-A KeyIndex files tuples whose first field is their seq under their key,
-each key's list in seq order, with the None key a list of its own.  after()
-merges the lists of a pattern's keys with the None list by seq: every
-stored item that can unify with the pattern, in the order it was stored,
-and nothing filed under another key.
+A KeyIndex is the ordered, keyed store behind a thread's mailbox and each
+predicate of the clause store.  add() numbers each item itself, as
+(seq, key, *fields), and keeps every item in seq order and each key's items
+in seq order, the None key a list of its own.  after() reads the items past
+a cursor: every one, or a pattern's keys merged by seq with the None list,
+that is every stored item that can unify with the pattern, in the order it
+was stored, and nothing filed under another key.  remove() takes an item by
+its seq alone.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Collection, Optional
 
 from .terms import Atom, Compound, Term, Var
 
@@ -48,34 +51,53 @@ def index_key(t: Term) -> Optional[tuple]:
 
 
 class KeyIndex:
-    """(seq, ...) tuples by index key, each key's list in seq order."""
+    """(seq, key, *fields) items in seq order, and by key in seq order."""
 
-    __slots__ = ("_lists",)
+    __slots__ = ("_items", "_lists", "_seqs")
 
     def __init__(self):
+        self._items: list[tuple] = []
         self._lists: dict[Optional[tuple], list[tuple]] = {}
+        self._seqs = count().__next__
 
-    def add(self, key: Optional[tuple], item: tuple) -> None:
-        """File a (seq, ...) tuple; seq must exceed every seq filed before."""
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def add(self, key: Optional[tuple], *fields) -> None:
+        """File (seq, key, *fields) under key, seq one past the last."""
+        item = (self._seqs(), key) + fields
+        self._items.append(item)
         lst = self._lists.get(key)
         if lst is None:
             self._lists[key] = [item]
         else:
             lst.append(item)
 
-    def remove(self, key: Optional[tuple], seq: int) -> None:
+    def remove(self, seq: int) -> bool:
+        """Take out the item numbered seq; False if none is stored."""
+        items = self._items  # the head, the usual case, is taken unsearched
+        i = 0 if items and items[0][0] == seq else bisect_left(items, seq, key=seq_of)
+        if i == len(items) or items[i][0] != seq:
+            return False
+        key = items.pop(i)[1]
         lst = self._lists[key]
-        # receives mostly take the oldest message of a key
         del lst[0 if lst[0][0] == seq else bisect_left(lst, seq, key=seq_of)]
         if not lst:
             del self._lists[key]
+        return True
 
-    def clear(self) -> None:
-        self._lists.clear()
-
-    def after(self, keys: Iterable[tuple], cursor: int = -1) -> list[tuple]:
-        """The items filed under one of keys (distinct, none of them None) or
-        under None whose seq is past cursor, in seq order, as a new list."""
+    def after(
+        self, keys: Collection[Optional[tuple]] = (None,), cursor: int = -1, first: bool = False
+    ) -> list[tuple]:
+        """The items past cursor that a pattern keyed by one of keys can
+        match, in seq order, as a new list: every item when None is among
+        keys (only the first with first), else those filed under one of keys
+        (distinct) or under None.
+        """
+        if None in keys:
+            items = self._items
+            i = 0 if items and items[0][0] > cursor else bisect_right(items, cursor, key=seq_of)
+            return items[i : i + 1] if first else items[i:]
         runs = []
         for key in (*keys, None):
             lst = self._lists.get(key)

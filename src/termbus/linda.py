@@ -81,7 +81,7 @@ def _handle(node: Node, ref: Term, client: Address) -> None:
 def _operate(node: Node, r: Term, client: Address) -> Term:
     """Carry out client's request r and return its reply; disconnect ends
     the handler thread."""
-    if r == Atom("disconnect"):
+    if type(r) is Atom and r.name == "disconnect":
         log.info("event=client_left client=%s", client)
         node.exit_thread()
     op = r.functor if type(r) is Compound and r.arity == 2 else None
@@ -144,7 +144,9 @@ class LindaSession:
         found = self._call(op, pattern, timeout if isinstance(timeout, (int, float)) else BLOCK)
         if found is None:
             raise LindaError("no reply from tuple-space handler")
-        return found != Atom("fail") and _bind(pattern, found) is not None
+        if type(found) is Atom and found.name == "fail":
+            return False
+        return _bind(pattern, found) is not None
 
     def inp(self, pattern: Term, timeout: Timeout = BLOCK) -> bool:
         """Try to remove a matching tuple right now."""

@@ -7,15 +7,16 @@ across its three components (payload, sender, reply-to): either all three
 unify with the caller's patterns, or every binding made along the way is
 undone.
 
-The index.  Beside the buffer, each mailbox files every message under the
-leftmost path of its payload (keyindex.index_key), computed once when it is
-posted and kept in the buffered item with its owned flag; a payload whose
-path ends at a variable is filed under None.  A receive that may skip
-messages (recv_search, peek, message_choice) and whose every alternative
-has a message pattern with a non-None key reads only those keys' messages
-and the None ones, merged in arrival order: any other message clashes with
-every pattern, so skipping it unread changes no outcome.  Every other
-receive, and recv_first always, scans the whole buffer.
+The buffer.  It is one keyindex.KeyIndex, which numbers the messages in
+arrival order and files each under the leftmost path of its payload
+(keyindex.index_key), computed once when it is posted and kept in the
+buffered item with its owned flag; a payload whose path ends at a variable
+is filed under None.  A receive that may skip messages (recv_search, peek,
+message_choice) and whose every alternative has a message pattern with a
+non-None key reads only those keys' messages and the None ones, merged in
+arrival order: any other message clashes with every pattern, so skipping it
+unread changes no outcome.  Every other receive reads the whole buffer, and
+recv_first only its first message.
 
 Payload views.  Every candidate's payload is first compared with the
 pattern by a copy-free test (``could_unify``), then its sender and reply-to
@@ -47,13 +48,12 @@ from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Union
 
 from .address import Address, match_address
 from .codec import Envelope
-from .keyindex import KeyIndex, index_key, seq_of
+from .keyindex import KeyIndex, index_key
 from .terms import (
     Substitution,
     Term,
@@ -114,16 +114,14 @@ class Mailbox:
         self._park = threading.Lock()  # held, but while a post wakes the owner
         self._park.acquire()
         self._parked = False  # the owner waits on _park
-        # (seq, env, key, owned): the payload's index key, and whether the
+        # (seq, key, env, owned): the payload's index key, and whether the
         # payload may be bound in place, both fixed when it is posted
-        self._items: list[tuple[int, Envelope, Optional[tuple], bool]] = []
-        self._index = KeyIndex()  # the same items by payload key
-        self._next_seq = 0
+        self._index = KeyIndex()
         self._closed = False
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._items)
+            return len(self._index)
 
     def post(self, env: Envelope, owned: bool = False) -> None:
         """Append an envelope and wake the owner.  Any thread may call this.
@@ -137,11 +135,7 @@ class Mailbox:
         with self._lock:
             if self._closed:
                 return
-            seq = self._next_seq
-            self._next_seq = seq + 1
-            item = (seq, env, key, owned)
-            self._items.append(item)
-            self._index.add(key, item)
+            self._index.add(key, env, owned)
             if self._parked:
                 self._parked = False
                 self._park.release()
@@ -149,22 +143,12 @@ class Mailbox:
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            self._items.clear()
-            self._index.clear()
+            self._index = KeyIndex()
             if self._parked:
                 self._parked = False
                 self._park.release()
 
     # -- internals ---------------------------------------------------------
-
-    def _remove(self, seq: int) -> bool:
-        with self._lock:
-            items = self._items  # receives mostly take the oldest message:
-            i = 0 if items and items[0][0] == seq else bisect_left(items, seq, key=seq_of)
-            if i < len(items) and items[i][0] == seq:
-                self._index.remove(items.pop(i)[2], seq)
-                return True
-            return False
 
     def _match_env(
         self,
@@ -210,18 +194,13 @@ class Mailbox:
         timeout, then examines only newer arrivals; it ends when the timeout
         is spent, or with head_only after the first message.  When every
         alternative's message pattern has a key (and not head_only) only
-        the messages filed under those keys or under None are examined.
+        the messages filed under those keys or under None are read.
         consuming lets an owned payload be matched in place: the caller
         removes the first message yielded.
         """
-        keys = None if head_only else ()  # the alternatives' distinct keys
+        keys = (None,) if head_only else {}  # the alternatives' distinct keys
         for alt in () if head_only else alts:
-            key = index_key(alt[0])
-            if key is None:
-                keys = None
-                break
-            if key not in keys:
-                keys += (key,)
+            keys[index_key(alt[0])] = None
         deadline = None
         cursor = -1
         while True:
@@ -229,14 +208,7 @@ class Mailbox:
                 while True:
                     if self._closed:
                         raise MailboxClosed()
-                    if keys is None:
-                        i = bisect_right(self._items, cursor, key=seq_of)
-                        batch = self._items[i : i + 1] if head_only else self._items[i:]
-                    else:
-                        batch = self._index.after(keys, cursor)
-                        if not batch:
-                            # nothing newer can match: do not look at it again
-                            cursor = self._next_seq - 1
+                    batch = self._index.after(keys, cursor, head_only)
                     if batch:
                         break
                     if timeout == POLL:
@@ -256,7 +228,7 @@ class Mailbox:
                     if not woken and not self._parked:  # a post released it late
                         self._park.acquire()
                     self._parked = False
-            for seq, env, _, owned in batch:
+            for seq, _, env, owned in batch:
                 cursor = seq
                 in_place = consuming and owned
                 for i, (message, from_, reply, test) in enumerate(alts):
@@ -280,7 +252,8 @@ class Mailbox:
         """Remove the scan's first hit and keep its bindings: (env, index of
         the alternative that took it, trail), or None."""
         for seq, env, i, trail in self._scan(alts, remember, timeout, head_only, True):
-            self._remove(seq)
+            with self._lock:
+                self._index.remove(seq)
             return env, i, trail
         return None
 
@@ -327,7 +300,9 @@ class Mailbox:
 
     def commit(self, ref: MessageRef) -> None:
         """Remove a peeked message from the buffer."""
-        if not self._remove(ref.seq):
+        with self._lock:
+            removed = self._index.remove(ref.seq)
+        if not removed:
             raise StaleReferenceError(f"message {ref.seq} is no longer buffered")
 
     def message_choice(self, guards: list[Guard], timeout=None) -> Any:

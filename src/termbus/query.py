@@ -408,7 +408,7 @@ class AnswerStream:
             self._done = True  # the generator exits after reporting its fault
             self._forget()
             raise
-        if got == Atom("fail"):
+        if type(got) is Atom and got.name == "fail":
             self._done = True
             self._forget()
             return None

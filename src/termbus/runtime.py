@@ -49,7 +49,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .address import CREATOR, SELF, Address, parse_address, resolve, term_to_address
 from .codec import (
@@ -155,27 +155,16 @@ class ThreadHandle:
         return self.mailbox.registry
 
 
-class _Predicate:
-    """One predicate's clauses in assertion order, plus their index."""
-
-    __slots__ = ("clauses", "index")
-
-    def __init__(self):
-        # seq -> (seq, (head, body)), and the same pairs filed by head key
-        self.clauses: dict[int, tuple[int, tuple[Term, Term]]] = {}
-        self.index = KeyIndex()
-
-
 class ClauseDB:
     """Assertion-ordered clauses per functor/arity, hashed on the leftmost path.
 
-    Each predicate keeps its clauses in a ``seq -> (seq, (head, body))``
-    dict, so removal is O(1), and beside it a KeyIndex that files the same
-    pairs under their head's index_key(), the key a mailbox files messages
-    under; clauses whose key is None have a list of their own.  A pattern
-    with a key gets the clauses sharing it merged by seq with the None list,
-    so assertion order holds and one clause such as p(X) adds itself, not
-    the whole predicate; a pattern whose own key is None gets every clause.
+    Each predicate's clauses are one keyindex.KeyIndex of
+    (seq, key, (head, body)), numbered in assertion order and filed under
+    their head's index_key(), the key a mailbox files messages under;
+    clauses whose key is None have a list of their own.  A pattern with a
+    key gets the clauses sharing it merged by seq with the None list, so
+    assertion order holds and one clause such as p(X) adds itself, not the
+    whole predicate; a pattern whose own key is None gets every clause.
     lookup, retract and resolution match each candidate's head in place with
     unify_head, which binds no stored cell and copies no head.
 
@@ -187,8 +176,7 @@ class ClauseDB:
     def __init__(self, lock: threading.RLock):
         self._lock = lock
         self._cond = threading.Condition(lock)
-        self._preds: dict[tuple[str, int], _Predicate] = {}
-        self._seq = 0  # numbers the clauses in assertion order
+        self._preds: dict[tuple[str, int], KeyIndex] = {}
 
     @staticmethod
     def split_clause(clause: Term) -> tuple[Term, Term]:
@@ -209,39 +197,32 @@ class ClauseDB:
     def assertz(self, clause: Term) -> None:
         head, body = self.split_clause(clause)
         pred_key = self.key_of(head)
-        snapshot = fresh_copy(Compound(":-", (head, body)))
-        entry = (snapshot.args[0], snapshot.args[1])
+        entry = fresh_copy(Compound(":-", (head, body))).args
         key = index_key(entry[0])
         with self._lock:
-            self._seq += 1
             pred = self._preds.get(pred_key)
             if pred is None:
-                pred = self._preds[pred_key] = _Predicate()
-            pair = pred.clauses[self._seq] = (self._seq, entry)
-            pred.index.add(key, pair)
+                pred = self._preds[pred_key] = KeyIndex()
+            pred.add(key, entry)
             self._cond.notify_all()
 
-    def _candidates(self, pat: Term) -> Iterable[tuple[int, tuple[Term, Term]]]:
-        """(seq, (head, body)) of the clauses pat may match, in assertion
-        order; lock held, and read before it is released."""
-        pred = self._preds.get(self.key_of(pat))
-        if pred is None:
-            return ()
-        key = index_key(pat)
-        return pred.clauses.values() if key is None else pred.index.after((key,))
+    @staticmethod
+    def _candidates(pred: Optional[KeyIndex], pat: Term) -> list[tuple]:
+        """(seq, key, (head, body)) of pred's clauses pat may match, in
+        assertion order; lock held."""
+        return [] if pred is None else pred.after((index_key(pat),))
 
     def retract(self, head_pat: Term) -> Optional[Substitution]:
         """Remove the first clause whose head unifies; bindings stay made."""
         pat = deref(head_pat)
+        pred_key = self.key_of(pat)
         with self._lock:
-            for seq, (head, _) in self._candidates(pat):
+            pred = self._preds.get(pred_key)
+            for seq, _, (head, _) in self._candidates(pred, pat):
                 trail: list = []
                 if unify_head(pat, head, TRUE, trail) is not None:
-                    pred_key = self.key_of(pat)
-                    pred = self._preds[pred_key]
-                    del pred.clauses[seq]  # the loop ends here, so its view may change
-                    pred.index.remove(index_key(head), seq)
-                    if not pred.clauses:
+                    pred.remove(seq)
+                    if not pred:
                         del self._preds[pred_key]
                     self._cond.notify_all()
                     return Substitution(trail)
@@ -251,9 +232,10 @@ class ClauseDB:
     def lookup(self, head_pat: Term) -> Iterator[Substitution]:
         """Enumerate matching clauses; bindings undone as iteration advances."""
         pat = deref(head_pat)
+        pred_key = self.key_of(pat)
         with self._lock:  # only the snapshot: matching binds no stored cell
-            snapshot = list(self._candidates(pat))
-        for _, (head, _) in snapshot:
+            snapshot = self._candidates(self._preds.get(pred_key), pat)
+        for _, _, (head, _) in snapshot:
             trail: list = []
             if unify_head(pat, head, TRUE, trail) is not None:
                 yield Substitution(trail)
@@ -268,8 +250,10 @@ class ClauseDB:
         an undefined one: defines() tells them apart.
         """
         pat = deref(head_pat)
+        pred_key = self.key_of(pat)
         with self._lock:
-            return [entry for _, entry in self._candidates(pat)]
+            candidates = self._candidates(self._preds.get(pred_key), pat)
+        return [entry for _, _, entry in candidates]
 
     def defines(self, key: tuple[str, int]) -> bool:
         """True while the predicate name/arity has at least one clause."""
@@ -278,7 +262,7 @@ class ClauseDB:
 
     def size(self) -> int:
         with self._lock:
-            return sum(len(p.clauses) for p in self._preds.values())
+            return sum(map(len, self._preds.values()))
 
 
 def reply(ref: Term, x: Term) -> Term:  # every service's answer x to its request ref

@@ -490,9 +490,6 @@ class Substitution:
     def __getitem__(self, v: Var) -> Term:
         return resolve(v)
 
-    def mapping(self) -> dict[int, Term]:
-        return {v.id: resolve(v) for v in self._trail}
-
     def undo(self) -> None:
         undo_to(self._trail, 0)
 

@@ -38,7 +38,7 @@ def env(text, sender=ALICE, reply=None, remember=True):
 
 
 def payloads(box):
-    return [format_term(item[1].payload) for item in box._items]
+    return [format_term(item[2].payload) for item in box._index.after()]
 
 
 
@@ -731,7 +731,7 @@ class TestKeyedIndexAgreesWithALinearScan:
         else:
             i, _, want = hits[0]
             assert got and variant(resolve(pat), want)
-            assert [item[0] for item in box._items] == [j for j in range(len(specs)) if j != i]
+            assert [item[0] for item in box._index.after()] == [j for j in range(len(specs)) if j != i]
 
     @settings(max_examples=150, deadline=None)
     @given(_BUFFERS, st.lists(st.tuples(shaped(), st.booleans()), min_size=1, max_size=3))
@@ -751,7 +751,7 @@ class TestKeyedIndexAgreesWithALinearScan:
         else:
             i, gi, want = hits[0]
             assert r == gi and variant(resolve(pats[gi]), want)
-            assert [item[0] for item in box._items] == [j for j in range(len(specs)) if j != i]
+            assert [item[0] for item in box._index.after()] == [j for j in range(len(specs)) if j != i]
 
 
 def test_a_blocked_keyed_search_takes_the_first_matching_arrival():
