@@ -14,7 +14,9 @@ the pattern _, as a serving loop drains a burst: every receive takes the
 oldest message, so whatever this column grows by with D is the cost of the
 buffer itself.
 
-For each depth it prints the mean microseconds per receive of each round.
+One untimed pass of the three rounds, at the first depth listed, runs
+before the timed ones, so that depth does not carry first-use costs.  For
+each depth it prints the mean microseconds per receive of each round.
 It exits 1 if any receive returns a message other than the one asked for.
 
 Run it as ``PYTHONPATH=src python scripts/mailbox_probe.py [--depths 16,256,4096]``.
@@ -92,9 +94,14 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
+    depths = [int(d) for d in args.depths.split(",")]
     print(f"{'depth':>6} {'keyed_us':>10} {'unkeyed_us':>11} {'drain_us':>9}")
     try:
-        for depth in (int(d) for d in args.depths.split(",")):
+        warm = random.Random(args.seed)  # the timed rounds keep their own shuffles
+        for pattern in (keyed, unkeyed):
+            round_us(depths[0], pattern, warm)
+        drain_us(depths[0])
+        for depth in depths:
             k_us = round_us(depth, keyed, rng)
             u_us = round_us(depth, unkeyed, rng)
             print(f"{depth:>6} {k_us:>10.1f} {u_us:>11.1f} {drain_us(depth):>9.1f}")

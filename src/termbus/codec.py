@@ -40,7 +40,8 @@ any compound is and gives the same term.
 A router relays frames unchanged and validates only the header (length,
 version, flags and the three addresses): decode_envelope(frame, body=False)
 skips a data frame's body.  A bad body therefore travels on and surfaces at
-the receiving node, whose full decode rejects it.
+the receiving node, whose full decode rejects it.  A header seen before is
+read with one lookup in a bounded memo of checked headers.
 """
 
 from __future__ import annotations
@@ -459,7 +460,11 @@ def encode_envelope(env: Envelope) -> bytes:
 # passed are kept, and the memo is emptied when it reaches its bound
 _HEADER: dict[bytes, Address] = {}
 _HEADER_MAX = 4096
-_HEADER_FIELDS = ("destination", "sender", "reply-to")
+
+# a whole header, the flags byte and three fields whose lengths take one
+# byte each -> (Flags, to, sender, reply_to); kept only once the fields
+# above have checked it, and bounded in the same way
+_WHOLE_HEADER: dict[bytes, tuple] = {}
 
 
 def _get_address(data, pos: int, end: int, what: str) -> tuple[Address, int]:
@@ -493,8 +498,9 @@ def decode_envelope(frame: bytes, body: bool = True) -> Envelope:
     data body only surfaces at the node that decodes it in full.  A control
     frame's body is always decoded, since the body is what it says.
 
-    A header field with a one-byte length whose bytes are in the memo is
-    read in line; any other goes through _get_address.
+    A header seen before, each field with a one-byte length, is one lookup
+    in _WHOLE_HEADER; any other header is read field by field through
+    _get_address and the _HEADER memo.
     """
     if len(frame) < 4:
         raise TruncatedFrameError("frame shorter than its length prefix")
@@ -513,21 +519,25 @@ def decode_envelope(frame: bytes, body: bool = True) -> Envelope:
         raise VersionMismatchError(f"unsupported version 0x{version:02x}")
     if end < 6:
         raise TruncatedFrameError("unexpected end of frame")
-    flags = _FLAGS[frame[5] & 0x07]
-    memo = _HEADER.get
-    fields = []
-    pos = 6
-    for what in _HEADER_FIELDS:
-        a = None
-        if pos < end and frame[pos] < 0x80:
-            stop = pos + 1 + frame[pos]
-            if stop <= end:
-                a = memo(frame[pos + 1 : stop])
-        if a is None:
-            a, stop = _get_address(frame, pos, end, what)
-        fields.append(a)
-        pos = stop
-    to, sender, reply_to = fields
+    try:  # the header ends at pos when each field's length takes one byte
+        i = 7 + frame[6]
+        j = i + 1 + frame[i]
+        pos = j + 1 + frame[j]
+        head = frame[5:pos] if (frame[6] | frame[i] | frame[j]) < 0x80 else None
+    except IndexError:
+        head = None
+    hit = _WHOLE_HEADER.get(head)
+    if hit is not None:
+        flags, to, sender, reply_to = hit
+    else:
+        flags = _FLAGS[frame[5] & 0x07]
+        to, pos = _get_address(frame, 6, end, "destination")
+        sender, pos = _get_address(frame, pos, end, "sender")
+        reply_to, pos = _get_address(frame, pos, end, "reply-to")
+        if head is not None:  # checked, and every length took one byte
+            if len(_WHOLE_HEADER) >= _HEADER_MAX:
+                _WHOLE_HEADER.clear()
+            _WHOLE_HEADER[head] = (flags, to, sender, reply_to)
     if not (body or flags.control):
         payload = None
     elif flags.encoded:

@@ -63,6 +63,10 @@ class KeyIndex:
     def __len__(self) -> int:
         return len(self._items)
 
+    def __iter__(self):
+        """Every item in seq order, read in place: no add or remove meanwhile."""
+        return iter(self._items)
+
     def add(self, key: Optional[tuple], *fields) -> None:
         """File (seq, key, *fields) under key, seq one past the last."""
         item = (self._seqs(), key) + fields

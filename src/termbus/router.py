@@ -12,7 +12,9 @@ dropped.  Held frames wait in a Holds (below), as a node's do.
 One ConnLoop (below) serves every connection of the router from one
 thread; each node's link to its router (runtime._RouterLink) runs one too.
 The loop owns the write queues: ConnLoop._queue appends every frame that
-either owner sends, and sends at once what finds its queue empty.
+either owner sends, and sends at once what finds its queue empty, a lone
+frame in one send.  A read of exactly one whole frame, with nothing
+buffered, goes to the owner as received, without the receive buffer.
 A data frame counts in ``frames_out`` once queued; if its connection dies
 first, the count is taken back and the frame is routed again, so at
 quiescence frames_in == frames_out + queued + dropped.
@@ -32,6 +34,7 @@ import errno
 import logging
 import select
 import socket
+import struct
 import threading
 import time
 from collections import OrderedDict, deque
@@ -61,6 +64,7 @@ PEER_IDLE = 30.0
 HOLD_TOTAL = 1 << 16  # frames one Holds keeps over all its keys
 DROP_LOG_INTERVAL = 1.0  # least seconds between two drop lines of one Holds
 READ, WRITE = select.POLLIN, select.POLLOUT
+_length = struct.Struct(">I").unpack_from  # a frame's length prefix
 
 
 def endpoint_addr(endpoint: str) -> tuple[str, int]:
@@ -98,17 +102,17 @@ class _Conn:
 class ConnLoop:
     """One thread's poll loop over non-blocking sockets.
 
-    Each connection has a receive buffer cut by codec.cut_frames and a write
-    queue whose frames go out joined, up to SEND_CHUNK bytes a send; _queue
-    alone appends to a queue, and sends at once frames that find it empty,
-    so they cost the loop a turn only if the socket does not take them
-    whole.  A frame that finds a queue at WRITE_BOUND bytes is still queued,
-    but its producer is not read again until that queue drains: a slow
-    consumer pauses its producers, loses nothing and delays no other
-    connection.  Dials do not block.  The owner says what a connection's
-    frames mean (_inbound), what a closed one leaves behind (_closed), what
-    the tick every TICK seconds does (_tick) and, if it listens, how it
-    accepts (_accept).
+    Each connection has a receive buffer cut by codec.cut_frames (a read of
+    one whole frame skips it) and a write queue whose frames go out joined,
+    up to SEND_CHUNK bytes a send; _queue alone appends to a queue, and
+    sends at once frames that find it empty, so they cost the loop a turn
+    only if the socket does not take them whole.  A frame that finds a
+    queue at WRITE_BOUND bytes is still queued, but its producer is not read
+    again until that queue drains: a slow consumer pauses its producers,
+    loses nothing and delays no other connection.  Dials do not block.  The
+    owner says what a connection's frames mean (_inbound), what a closed one
+    leaves behind (_closed), what the tick every TICK seconds does (_tick)
+    and, if it listens, how it accepts (_accept).
     """
 
     TICK = 0.1
@@ -183,7 +187,9 @@ class ConnLoop:
                     return
                 except OSError:  # reset: the same as a close
                     data = b""
-                if data:
+                if not c.rbuf and len(data) > 4 and _length(data)[0] == len(data) - 4:
+                    self._inbound(c, [data])  # one whole frame: the usual read
+                elif data:
                     c.rbuf += data
                     self._inbound(c, cut_frames(c.rbuf))
                 elif c.rbuf:
@@ -209,13 +215,26 @@ class ConnLoop:
             c.events = want
 
     def _queue(self, c: _Conn, *frames: bytes) -> bool:
-        """Append frames to c's write queue and, when it was empty and c is
-        not dialling, send them at once.  The loop sends what is left; True
-        says it was not sending this queue, so a caller in another thread wakes it."""
+        """Append frames to c's write queue and, when it was empty and c is not dialling,
+        send them at once: a lone frame in one send, which touches the queue only if the
+        socket leaves part of it.  The loop sends what is left; True says it was not
+        sending this queue, so a caller in another thread wakes it."""
+        fresh = not c.wbuf and c.dial_deadline is None
+        if fresh and len(frames) == 1:
+            if self.WRITTEN:  # counted before the write, as _send does
+                self._counters.add(self.WRITTEN)
+            try:
+                n = c.sock.send(frames[0])
+            except OSError:  # full, or failed: the loop's _send tells which
+                n = 0
+            if n == len(frames[0]):
+                return False
+            if self.WRITTEN:
+                self._counters.add(self.WRITTEN, -1)
+            c.sent = n
         c.wbuf.extend(frames)
         c.wbytes += sum(map(len, frames))
-        fresh = len(c.wbuf) == len(frames) and c.dial_deadline is None
-        if fresh and self._send(c) == len(frames):
+        if fresh and len(frames) != 1 and self._send(c) == len(frames):
             return False
         self._dirty.add(c)
         return fresh

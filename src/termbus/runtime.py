@@ -84,6 +84,7 @@ from .terms import (
 log = logging.getLogger("termbus.node")
 
 TRUE = Atom("true")
+_NO_CLAUSES = KeyIndex()  # an undefined predicate's clauses; never added to
 CONNECT_TIMEOUT = 5.0  # how long start() waits for the first registration
 RECONNECT_MIN = 0.05  # the router link's reconnect backoff doubles between these
 RECONNECT_MAX = 1.0
@@ -206,19 +207,13 @@ class ClauseDB:
             pred.add(key, entry)
             self._cond.notify_all()
 
-    @staticmethod
-    def _candidates(pred: Optional[KeyIndex], pat: Term) -> list[tuple]:
-        """(seq, key, (head, body)) of pred's clauses pat may match, in
-        assertion order; lock held."""
-        return [] if pred is None else pred.after((index_key(pat),))
-
     def retract(self, head_pat: Term) -> Optional[Substitution]:
         """Remove the first clause whose head unifies; bindings stay made."""
         pat = deref(head_pat)
         pred_key = self.key_of(pat)
         with self._lock:
             pred = self._preds.get(pred_key)
-            for seq, _, (head, _) in self._candidates(pred, pat):
+            for seq, _, (head, _) in (() if pred is None else pred.after((index_key(pat),))):
                 trail: list = []
                 if unify_head(pat, head, TRUE, trail) is not None:
                     pred.remove(seq)
@@ -234,7 +229,8 @@ class ClauseDB:
         pat = deref(head_pat)
         pred_key = self.key_of(pat)
         with self._lock:  # only the snapshot: matching binds no stored cell
-            snapshot = self._candidates(self._preds.get(pred_key), pat)
+            pred = self._preds.get(pred_key)
+            snapshot = () if pred is None else pred.after((index_key(pat),))
         for _, _, (head, _) in snapshot:
             trail: list = []
             if unify_head(pat, head, TRUE, trail) is not None:
@@ -250,10 +246,10 @@ class ClauseDB:
         an undefined one: defines() tells them apart.
         """
         pat = deref(head_pat)
-        pred_key = self.key_of(pat)
-        with self._lock:
-            candidates = self._candidates(self._preds.get(pred_key), pat)
-        return [entry for _, _, entry in candidates]
+        pred_key, key = self.key_of(pat), index_key(pat)
+        with self._lock:  # a pattern with no key reads every clause in place
+            pred = self._preds.get(pred_key, _NO_CLAUSES)
+            return [entry for _, _, entry in (pred if key is None else pred.after((key,)))]
 
     def defines(self, key: tuple[str, int]) -> bool:
         """True while the predicate name/arity has at least one clause."""

@@ -134,6 +134,57 @@ def test_a_bad_sender_field_is_rejected_on_every_frame(sender):
     assert sender not in termbus.codec._HEADER
 
 
+def _head(frame: bytes) -> bytes:
+    """A frame's whole header, the memo's key, when each length takes one byte."""
+    i = 7 + frame[6]
+    j = i + 1 + frame[i]
+    return frame[5 : j + 1 + frame[j]]
+
+
+def test_whole_header_memo_holds_what_it_read_and_stays_bounded():
+    frames = [
+        encode_envelope(Envelope(Atom("x"), Address(f"t{i}", "p", "h"), B))
+        for i in range(termbus.codec._HEADER_MAX + 10)
+    ]
+    for frame in frames:
+        env = decode_envelope(frame, body=False)
+        assert termbus.codec._WHOLE_HEADER[_head(frame)] == (env.flags, env.to, B, B)
+        assert len(termbus.codec._WHOLE_HEADER) <= termbus.codec._HEADER_MAX
+    for frame in frames[-3:]:  # a hit decodes as the miss did
+        hit = decode_envelope(frame)
+        assert (hit.to, hit.sender, hit.reply_to, hit.payload) == (
+            decode_envelope(frame).to, B, B, Atom("x"))
+
+
+def test_a_field_longer_than_127_bytes_decodes_through_the_fields():
+    long = Address("t" * 200, "p", "h")
+    memo = termbus.codec._WHOLE_HEADER
+    for env in (Envelope(mk("f", Int(1)), long, B, flags=Flags(encoded=True)),
+                Envelope(Atom("x"), A, long), Envelope(Atom("x"), A, B, reply_to=long)):
+        frame = encode_envelope(env)
+        size = len(memo)
+        for _ in range(2):
+            got = decode_envelope(frame)
+            assert (got.to, got.sender, got.reply_to, got.flags) == (
+                env.to, env.sender, env.reply_to, env.flags)
+            assert got.payload == env.payload and len(memo) <= size
+        assert not any(long in hit for hit in memo.values())
+
+
+@pytest.mark.parametrize("frame", [
+    _frame(b"t:p@h", b"u:q", b"u:q@h"),  # an unqualified sender
+    _frame(b"t:p@h", b"u:q@h", b"u:q@h!"),  # a malformed reply-to
+    _frame(b"t:p@h", b"u:q@h", b"\xff:q@h"),  # bad UTF-8
+    _frame(b"self", b"u:q@h", b"u:q@h"),  # a reserved destination
+])
+def test_a_header_that_fails_its_checks_never_enters_the_memo(frame):
+    memo = termbus.codec._WHOLE_HEADER
+    for _ in range(2):
+        with pytest.raises(CodecError):
+            decode_envelope(frame, body=False)
+        assert _head(frame) not in memo
+
+
 def test_one_address_decodes_to_one_shared_object():
     frame = encode_envelope(Envelope(Atom("x"), A, B, reply_to=A))
     first, second = decode_envelope(frame), decode_envelope(frame, body=False)

@@ -22,9 +22,10 @@ from termbus.codec import (
     is_register_ack,
     make_register,
     make_register_ack,
+    split_frames,
 )
 from termbus.counters import Counters
-from termbus.router import WRITE_BOUND, ConnLoop, Router, RouterConfig, _Conn
+from termbus.router import READ, WRITE_BOUND, ConnLoop, Router, RouterConfig, _Conn
 from termbus.runtime import Node, NodeConfig, RouterUnavailableError
 from termbus.syntax import format_term, parse_term, parse_term_with_vars
 from termbus.terms import Atom, Int, Str, Var, deref, list_parts, mk, mklist
@@ -700,6 +701,132 @@ def test_a_long_write_queue_drains_in_linear_work():
     assert done == len(frames) and c.wbytes == 0 and c.sent == 0
     assert sock.got == b"".join(frames)  # every byte, in frame order
     assert sum(sock.handed) <= 2 * moved
+
+
+class _WrittenLoop(ConnLoop):
+    WRITTEN = "frames_out"
+
+
+class _FullSocket:
+    def send(self, data):
+        raise BlockingIOError
+
+
+class TestLoneFrameWrite:
+    """A lone frame that finds its queue empty is written with one send and
+    touches the queue only if the socket leaves part of it."""
+
+    def loop(self):
+        return _WrittenLoop(Counters("bad_frames", "frames_out"))
+
+    def test_a_frame_taken_whole_never_enters_the_queue(self):
+        loop, sock, frame = self.loop(), _StingySocket(take=1 << 20), data_frame("sink", 1)
+        c = _Conn(sock)
+        assert loop._queue(c, frame) is False  # nothing left for the loop
+        assert sock.handed == [len(frame)] and sock.got == frame
+        assert not c.wbuf and c.wbytes == 0 and c.sent == 0 and c not in loop._dirty
+        assert loop._counters.snapshot()["frames_out"] == 1
+
+    def test_a_frame_taken_in_part_leaves_exactly_the_remainder_queued(self):
+        loop, sock, frame = self.loop(), _StingySocket(take=10), data_frame("sink", 1, pad=50)
+        c = _Conn(sock)
+        assert loop._queue(c, frame) is True  # the loop sends the rest
+        assert list(c.wbuf) == [frame] and c.sent == 10 and c.wbytes == len(frame)
+        assert c in loop._dirty and sock.handed == [len(frame)]
+        assert loop._counters.snapshot()["frames_out"] == 0  # taken back
+        sock.take = 1 << 20
+        assert loop._send(c) == 1
+        assert sock.handed[1] == len(frame) - 10 and sock.got == frame
+        assert not c.wbuf and c.wbytes == 0 and c.sent == 0
+        assert loop._counters.snapshot()["frames_out"] == 1
+
+    def test_a_frame_a_full_socket_refuses_is_queued_whole(self):
+        loop, frame = self.loop(), data_frame("sink", 1)
+        c = _Conn(_FullSocket())
+        assert loop._queue(c, frame) is True
+        assert list(c.wbuf) == [frame] and c.sent == 0 and c.wbytes == len(frame)
+        assert loop._counters.snapshot()["frames_out"] == 0
+
+    def test_a_frame_behind_a_queued_one_waits_its_turn(self):
+        loop, sock = self.loop(), _StingySocket(take=10)
+        c = _Conn(sock)
+        first, second = data_frame("sink", 1, pad=50), data_frame("sink", 2)
+        loop._queue(c, first)
+        assert loop._queue(c, second) is False  # the loop is already sending c
+        assert list(c.wbuf) == [first, second] and len(sock.handed) == 1
+
+
+class TestOneLoopReads:
+    """Through the router's own loop: a read of exactly one whole frame goes
+    to _inbound as received, and any other read is cut by cut_frames.  Either
+    way every good frame is routed once and in order, and a malformed one
+    counts in bad_frames."""
+
+    @pytest.fixture
+    def hop(self, monkeypatch):
+        r = Router(RouterConfig(host="hostA"))  # not started: the test drives _serve
+        src, feed = socket.socketpair()
+        sink, out = socket.socketpair()
+        for s in (src, sink, out):
+            s.setblocking(False)
+        c, dest = _Conn(src), _Conn(sink)
+        r._conns.update((c, dest))
+        r._live["sink"] = dest
+        cuts = []
+
+        def cut(buf):
+            cuts.append(bytes(buf))
+            return cut_frames(buf)
+
+        monkeypatch.setattr(termbus.router, "cut_frames", cut)
+
+        def read(data):
+            """One read of data by the loop; the seqs it routed to sink."""
+            feed.sendall(data)
+            r._serve(c, READ)
+            got = b""
+            try:
+                while chunk := out.recv(1 << 16):
+                    got += chunk
+            except BlockingIOError:
+                pass
+            return [frame_seq(f) for f in split_frames(got)]
+
+        yield r, c, read, cuts
+        for s in (src, feed, sink, out):
+            s.close()
+
+    def test_exactly_one_frame_skips_the_receive_buffer(self, hop):
+        r, c, read, cuts = hop
+        assert [read(data_frame("sink", i)) for i in range(3)] == [[0], [1], [2]]
+        assert cuts == [] and not c.rbuf
+        s = r.stats()
+        assert s["frames_in"] == s["frames_out"] == 3 and s["bad_frames"] == 0
+
+    def test_one_frame_split_over_two_reads(self, hop):
+        r, c, read, cuts = hop
+        frame = data_frame("sink", 7, pad=30)
+        assert read(frame[:9]) == [] and c.rbuf == frame[:9]
+        assert read(frame[9:]) == [7] and not c.rbuf
+        assert read(data_frame("sink", 8)) == [8] and len(cuts) == 2
+
+    def test_two_frames_and_part_of_a_third(self, hop):
+        r, c, read, cuts = hop
+        frames = [data_frame("sink", i, pad=i) for i in range(3)]
+        assert read(frames[0] + frames[1] + frames[2][:5]) == [0, 1]
+        assert c.rbuf == frames[2][:5]
+        assert read(frames[2][5:]) == [2] and not c.rbuf
+        assert r.stats()["frames_out"] == 3 and r.stats()["bad_frames"] == 0
+
+    def test_a_good_frame_then_a_malformed_one(self, hop):
+        r, c, read, cuts = hop
+        bad = raw_frame("main:sink@hostA", "main:src")  # an unqualified sender
+        assert read(data_frame("sink", 0) + bad) == [0]
+        assert r.stats()["bad_frames"] == 1
+        assert read(bad) == [] and r.stats()["bad_frames"] == 2  # alone in its read
+        assert read(data_frame("sink", 1)) == [1]
+        s = r.stats()
+        assert s["frames_in"] == s["frames_out"] == 2 and c in r._conns and not c.rbuf
 
 
 class TestFramingFaults:
