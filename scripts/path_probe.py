@@ -29,11 +29,16 @@ of its own:
 
 It prints CPU microseconds, Python-level calls and all calls per exchange,
 for each thread and in total.  The call counts repeat exactly between runs
-on one Python version; the CPU figures do not.  It exits 1 when a miss is
-answered with anything but fail, or a pull with anything but the next
-fact.
+on one Python version; the CPU figures do not, as the shared CPU's speed
+drifts.  So beside each CPU figure it prints one divided by the CPU's
+slowness (``perfbench/calib.py``'s ``slowness()``: 1.0 at reference speed),
+the mean of a reading taken before and one after the timed exchanges.  It
+exits 1 when a miss is answered with anything but fail, or a pull with
+anything but the next fact, and when a --max-py-calls bound is passed (see
+pycalls.py).
 
-Run it as ``PYTHONPATH=src python scripts/path_probe.py [--mode pull] [--n 2000]``.
+Run it as ``PYTHONPATH=src python scripts/path_probe.py [--mode pull] [--n 2000]
+[--max-py-calls total=130]``.
 """
 
 import argparse
@@ -43,8 +48,8 @@ import os
 import sys
 import threading
 import time
-import types
 
+import pycalls
 from termbus import linda
 from termbus.query import SERVER_SYMBOL, query_server_main, query_stream
 from termbus.router import Router, RouterConfig
@@ -54,15 +59,9 @@ from termbus.terms import Atom, Int, Var, deref, mk
 WARM = 200  # exchanges before the measured ones
 QUIET = 0.05  # seconds to let every thread block before a reading
 
-
-def calls(prof: cProfile.Profile) -> tuple[int, int]:
-    """(Python-level, all) calls prof has counted so far."""
-    py = every = 0
-    for entry in prof.getstats():
-        every += entry.callcount
-        if isinstance(entry.code, types.CodeType):
-            py += entry.callcount
-    return py, every
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+from calib import slowness  # noqa: E402  (read only: the benchmark's CPU speed reading)
 
 
 class Network:
@@ -186,17 +185,19 @@ def readings(read, threads: dict) -> dict:
     return {name: read(t) for name, t in threads.items()}
 
 
-def timed(make, n: int) -> tuple[bool, dict]:
-    """CPU µs per exchange by thread."""
+def timed(make, n: int) -> tuple[bool, dict, float]:
+    """CPU µs per exchange by thread, and the CPU's mean slowness."""
     net = make(n)
     try:
         ok = net.check() and net.exchanges(WARM)
         threads = net.threads()
         clock = lambda t: time.clock_gettime(time.pthread_getcpuclockid(t.ident))
+        slow = slowness()  # the main thread's clock is read after this
         before = readings(clock, threads)
         ok = ok and net.exchanges(n)
         after = readings(clock, threads)
-        return ok, {k: (after[k] - before[k]) * 1e6 / n for k in threads}
+        slow = (slow + slowness()) / 2
+        return ok, {k: (after[k] - before[k]) * 1e6 / n for k in threads}, slow
     finally:
         net.close()
 
@@ -223,7 +224,7 @@ def profiled(make, n: int) -> tuple[bool, dict]:
         ok = net.check() and net.exchanges(WARM)
         threads = net.threads()
         main = profiles[threading.get_ident()] = cProfile.Profile()
-        count = lambda t: calls(profiles[t.ident])
+        count = lambda t: pycalls.calls(profiles[t.ident])
         before = readings(count, threads)
         main.enable()
         ok = ok and net.exchanges(n)
@@ -239,24 +240,25 @@ def main(argv=None) -> int:
     ap.add_argument("--mode", choices=sorted(MODES), default="miss",
                     help="the exchange measured (default miss)")
     ap.add_argument("--n", type=int, default=2000, help="measured exchanges per pass")
+    pycalls.add_option(ap, "a thread as printed, or total")
     args = ap.parse_args(argv)
     logging.basicConfig(level=logging.ERROR)
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     make = MODES[args.mode]
-    ok_cpu, cpu = timed(make, args.n)
+    ok_cpu, cpu, slow = timed(make, args.n)
     ok_calls, counts = profiled(make, args.n)
-    print(f"{args.n} warm {make.WHAT} as threads on one CPU")
-    print(f"{'thread':<16}{'cpu_us':>9}{'py_calls':>10}{'calls':>8}")
-    for name in (*make.ROLES.values(), make.SERVING):
+    counts["total"] = tuple(map(sum, zip(*counts.values())))
+    cpu["total"] = sum(cpu.values())
+    print(f"{args.n} warm {make.WHAT} as threads on one CPU, slowness {slow:.2f}")
+    print(f"{'thread':<16}{'cpu_us':>9}{'ref_us':>9}{'py_calls':>10}{'calls':>8}")
+    for name in (*make.ROLES.values(), make.SERVING, "total"):
         py, every = counts[name]
-        print(f"{name:<16}{cpu[name]:>9.1f}{py:>10.0f}{every:>8.0f}")
-    total_py = sum(c[0] for c in counts.values())
-    total = sum(c[1] for c in counts.values())
-    print(f"{'total':<16}{sum(cpu.values()):>9.1f}{total_py:>10.0f}{total:>8.0f}")
+        print(f"{name:<16}{cpu[name]:>9.1f}{cpu[name] / slow:>9.1f}{py:>10.0f}{every:>8.0f}")
+    within = pycalls.within({name: c[0] for name, c in counts.items()}, args.max_py_calls)
     if not (ok_cpu and ok_calls):
         print(f"a {args.mode} got a wrong answer", file=sys.stderr)
         return 1
-    return 0
+    return 0 if within else 1
 
 
 if __name__ == "__main__":

@@ -45,8 +45,8 @@ import operator
 from typing import Iterator, Optional, Union
 
 from .address import Address, AddressError, address_to_term
-from .mailbox import BLOCK, Guard, Timeout
-from .runtime import TRUE, ClauseDB, ClauseError, Node, TermbusError, reply
+from .mailbox import BLOCK, Timeout
+from .runtime import ClauseDB, ClauseError, Node, TermbusError, reply
 from .syntax import format_term, parse_clause
 from .terms import (
     Atom,
@@ -74,6 +74,7 @@ log = logging.getLogger("termbus.query")
 SERVER_SYMBOL = "query_thread"
 GENERATOR_LABEL = "ans_gen"
 
+_NEXT, _FINISH, _FAIL = Atom("next"), Atom("finish"), Atom("fail")
 _COMPARE = {"<": operator.lt, ">": operator.gt, ">=": operator.ge, "=<": operator.le}
 
 
@@ -100,17 +101,19 @@ def solve(node: Node, goal: Term, timeout: Optional[float] = None) -> Iterator[S
     iterator undoes those bindings before searching on, and abandoning it
     keeps the last ones made.  Builtins: true, =, integer or atom
     comparison.  ``G ? S`` and ``G ?? S`` ship the subgoal to server S.
-    A goal's candidate clauses come from the store's index; unify_head
-    matches each stored head in place and builds only a matched one's body.
     A predicate with no clauses logs a diagnostic and produces no solutions,
     so a serving loop survives bad queries; a defined one with no matching
     clause simply fails.  ``=`` and heads unify with the occurs check.
     timeout bounds each remote exchange.
 
     The search is one loop over the goals left, as nested ``(goal, rest)``
-    pairs, and a stack of choicepoints: a goal's untried alternatives, the
-    trail length when it was reached and the goals after it.  So no
-    conjunction or recursion in the clauses uses the Python stack.
+    pairs, and a stack of choicepoints: a goal, its candidates (the list
+    ClauseDB.clauses took when it was reached, which no later change
+    alters, or a remote goal's answers), the index of the next one, the
+    trail length then and the goals after it.  So no conjunction or
+    recursion uses the Python stack.  The last candidate pops its
+    choicepoint before it is tried, so a goal with one leaves none.
+    unify_head matches each head in place and builds only a match's body.
     """
     trail: list = []
     goals = (goal, None)
@@ -120,7 +123,8 @@ def solve(node: Node, goal: Term, timeout: Optional[float] = None) -> Iterator[S
             yield Substitution(trail)
         else:
             g, rest = goals
-            g = deref(g)
+            while type(g) is Var and g.ref is not None:
+                g = g.ref
             f = g.functor if type(g) is Compound and len(g.args) == 2 else None
             if f == ",":
                 goals = (g.args[0], (g.args[1], rest))
@@ -131,20 +135,31 @@ def solve(node: Node, goal: Term, timeout: Optional[float] = None) -> Iterator[S
                 proved = _compare(f, g.args[0], g.args[1])
             else:
                 proved = type(g) is Atom and g.name == "true"
-                if not proved:
-                    choices.append((_alternatives(node, g, f, trail, timeout), len(trail), rest))
+                if not proved and (candidates := _candidates(node, g, f, timeout)):
+                    choices.append([g, candidates, 0, len(trail), rest])
             if proved:
                 goals = rest
                 continue
-        # backtrack: the newest choicepoint's next alternative
+        # backtrack: the newest choicepoint's next candidate; the last one
+        # pops its choicepoint before it is tried
         while choices:
-            alternatives, mark, rest = choices[-1]
-            undo_to(trail, mark)
-            body = next(alternatives, None)
+            choice = choices[-1]
+            g, candidates, i, mark, rest = choice
+            while len(trail) > mark:
+                trail.pop().ref = None
+            if type(candidates) is not list:  # a remote goal's answers
+                if next(candidates, None) is not None:
+                    goals = rest
+                    break
+                choices.pop()
+                continue
+            if i + 1 == len(candidates):
+                choices.pop()
+            choice[2] = i + 1
+            body = unify_head(g, *candidates[i], trail)
             if body is not None:
                 goals = (body, rest)
                 break
-            choices.pop()
         else:
             undo_to(trail, 0)
             return
@@ -161,35 +176,25 @@ def _compare(op: str, a: Term, b: Term) -> bool:
     return False
 
 
-def _alternatives(node: Node, g: Term, f: Optional[str], trail: list,
-                  timeout: Optional[float]) -> Iterator[Term]:
-    """The ways to prove g, a goal that is no builtin, one at a time: each is
-    the goal left to prove once it is taken.  f is g's functor when g is a
-    compound of arity 2."""
-    if type(g) is Var:
-        log.warning("event=unbound_goal")
-        return
+def _candidates(node: Node, g: Term, f: Optional[str], timeout: Optional[float]):
+    """g's candidate clauses, or a remote goal's answers, for a goal that is
+    no builtin; f is g's functor when g is a compound of arity 2."""
     if f == "?" or f == "??":
         remote = query_all if f == "?" else query_stream
-        for _ in remote(node, g.args[0], g.args[1], timeout=timeout):
-            yield TRUE
-        return
+        return iter(remote(node, g.args[0], g.args[1], timeout=timeout))
     # diagnostics name the predicate or the type, never the goal's text:
     # a deep goal would make a long log line
     try:
         matched = node.db.clauses(g)
     except ClauseError:
-        log.warning("event=uncallable_goal type=%s", type(g).__name__)
-        return
+        if type(g) is Var:
+            log.warning("event=unbound_goal")
+        else:
+            log.warning("event=uncallable_goal type=%s", type(g).__name__)
+        return None
     if not matched and not node.db.defines(key := ClauseDB.key_of(g)):
         log.warning("event=unknown_predicate pred=%s/%d", *key)
-        return
-    mark = len(trail)
-    for head, body in matched:
-        body = unify_head(g, head, body, trail)
-        if body is not None:
-            yield body
-        undo_to(trail, mark)
+    return matched
 
 
 def find_all(node: Node, goal: Term, timeout: Optional[float] = None) -> list:
@@ -262,24 +267,23 @@ def ans_gen(node: Node, ref: Term, call: Term, client: Address):
     as reply(ref, answer(G')).
 
     Sends the first answer unprompted, then waits for next or finish from
-    the client between solutions.  Exhaustion is reported with fail, and a
-    search that raises with an error reply.  The exit hook sweeps remote
-    streams this search opened, on every exit path, which is what
-    propagates a finish down a delegation chain.
+    the client between solutions: one receive, built once per stream and
+    taken as Node.serve takes a request, so other messages stay buffered.
+    An answer goes out as call stands: a remote send encodes it and a local
+    one posts a copy, so the client holds a snapshot either way.  Exhaustion
+    is reported with fail, and a search that raises with an error reply.
+    The exit hook sweeps remote streams this search opened, on every exit
+    path, which is what propagates a finish down a delegation chain.
     """
     def search():
         name_unnamed(call, VarRegistry())
+        consume = node.current().mailbox._consume
+        words = ((_NEXT, client, None, None), (_FINISH, client, None, None))
         for _ in solve(node, call):
-            node.send(reply(ref, mk("answer", fresh_copy(call))), client, remember_names=False)
-            word = node.message_choice(
-                [
-                    Guard(Atom("next"), from_=client, body=lambda: "next"),
-                    Guard(Atom("finish"), from_=client, body=lambda: "finish"),
-                ]
-            )
-            if word == "finish":
+            node.send(reply(ref, Compound("answer", (call,))), client, remember_names=False)
+            if consume(words, False, BLOCK)[1]:  # the second word: finish
                 return None
-        return Atom("fail")
+        return _FAIL
 
     def run():
         node.on_exit(lambda: kill_orphans(node))
@@ -315,7 +319,7 @@ def _finish(node: Node, gen: Union[Address, Term]) -> None:
     try:
         to = node._as_address(gen)
         node.recv_search(reply(Var(), Var()), from_=to, timeout="poll")
-        node.send(Atom("finish"), to, remember_names=False)
+        node.send(_FINISH, to, remember_names=False)
     except (TermbusError, AddressError) as e:
         log.debug("event=orphan_gone err=%s", e)
 
@@ -400,7 +404,7 @@ class AnswerStream:
             return None
         undo_to(self._trail, 0)
         if self._started:
-            self.node.send(Atom("next"), self.generator, remember_names=False)
+            self.node.send(_NEXT, self.generator, remember_names=False)
         self._started = True
         try:
             got = _await(self.node, self._ref, self.generator, self.timeout, "answer")

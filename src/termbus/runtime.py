@@ -49,6 +49,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional
 
 from .address import CREATOR, SELF, Address, parse_address, resolve, term_to_address
@@ -85,6 +86,7 @@ log = logging.getLogger("termbus.node")
 
 TRUE = Atom("true")
 _NO_CLAUSES = KeyIndex()  # an undefined predicate's clauses; never added to
+_entry = itemgetter(2)  # (head, body) of a stored clause's (seq, key, entry)
 CONNECT_TIMEOUT = 5.0  # how long start() waits for the first registration
 RECONNECT_MIN = 0.05  # the router link's reconnect backoff doubles between these
 RECONNECT_MAX = 1.0
@@ -166,8 +168,10 @@ class ClauseDB:
     key gets the clauses sharing it merged by seq with the None list, so
     assertion order holds and one clause such as p(X) adds itself, not the
     whole predicate; a pattern whose own key is None gets every clause.
-    lookup, retract and resolution match each candidate's head in place with
-    unify_head, which binds no stored cell and copies no head.
+    lookup and clauses, which resolution calls once a goal, copy the
+    candidates under the lock, a snapshot no later change alters; they and
+    retract match each head in place with unify_head, which binds no stored
+    cell and copies no head.
 
     Every method holds the node lock; mutations wake thread_wait's waiters.
     retract and lookup match heads only, with the occurs check, so no
@@ -229,8 +233,7 @@ class ClauseDB:
         pat = deref(head_pat)
         pred_key = self.key_of(pat)
         with self._lock:  # only the snapshot: matching binds no stored cell
-            pred = self._preds.get(pred_key)
-            snapshot = () if pred is None else pred.after((index_key(pat),))
+            snapshot = self._preds.get(pred_key, _NO_CLAUSES).after((index_key(pat),))
         for _, _, (head, _) in snapshot:
             trail: list = []
             if unify_head(pat, head, TRUE, trail) is not None:
@@ -240,16 +243,17 @@ class ClauseDB:
     def clauses(self, head_pat: Term) -> list:
         """(head, body) of the clauses head_pat may match, in assertion order.
 
-        These are the index candidates, not yet tried; the stored terms are
-        shared and must never be bound, so a caller matches one with
-        unify_head.  Empty for a defined predicate with no candidate as for
-        an undefined one: defines() tells them apart.
+        These are the index candidates, not yet tried, in a new list taken
+        under the node lock; the stored terms are shared and must never be
+        bound, so a caller matches one with unify_head.  Empty for a defined
+        predicate with no candidate as for an undefined one (see defines()).
         """
-        pat = deref(head_pat)
-        pred_key, key = self.key_of(pat), index_key(pat)
+        pat = head_pat  # key_of and index_key follow a bound variable
+        pred_key = (pat.functor, len(pat.args)) if type(pat) is Compound else self.key_of(pat)
+        key = index_key(pat)
         with self._lock:  # a pattern with no key reads every clause in place
             pred = self._preds.get(pred_key, _NO_CLAUSES)
-            return [entry for _, _, entry in (pred if key is None else pred.after((key,)))]
+            return list(map(_entry, pred if key is None else pred.after((key,))))
 
     def defines(self, key: tuple[str, int]) -> bool:
         """True while the predicate name/arity has at least one clause."""

@@ -267,13 +267,14 @@ def _subterms(t: Term) -> Iterator[Term]:
             stack.extend(reversed(x.args))
 
 
-def _rebuild(t: Term, var: Callable[[Var], Term]) -> Term:
-    """t rebuilt bottom-up with each unbound variable v replaced by var(v).
+def _rebuild(t: Term, cells: dict, var: Optional[Callable[[Var], Term]] = None) -> Term:
+    """t rebuilt bottom-up with each unbound variable v replaced by cells[v],
+    entered first as var(v), or without var as a new cell named as v.
 
     Bound variables are followed.  A compound whose arguments all come back
     as the very objects it holds is kept, not rebuilt, so it is shared with
     the result.  So one holding a bound variable is always rebuilt, and one
-    holding an unbound variable v is kept only when var(v) is v.
+    holding an unbound variable v is kept only when v maps to itself.
     """
     # compounds still collecting their arguments: [original, index of the
     # argument being rebuilt, the new arguments or None while all are same]
@@ -286,8 +287,8 @@ def _rebuild(t: Term, var: Callable[[Var], Term]) -> Term:
             open_.append([x, 0, None])
             x = x.args[0]
             continue
-        if type(x) is Var:
-            x = var(x)
+        if type(x) is Var:  # a term is never falsy
+            x = cells.get(x) or cells.setdefault(x, Var(x.name) if var is None else var(x))
         while open_:
             frame = open_[-1]
             src, i, args = frame
@@ -304,12 +305,6 @@ def _rebuild(t: Term, var: Callable[[Var], Term]) -> Term:
             x = src if args is None else Compound(src.functor, tuple(args))
         else:
             return x
-
-
-def _renaming(cells: dict) -> Callable[[Var], Term]:
-    """_rebuild's var for a copy: v's term in cells, a new cell named as v
-    when v is first met."""
-    return lambda v: cells.get(v) or cells.setdefault(v, Var(v.name))
 
 
 def _pairwise(a: Term, b: Term, same_vars: Callable[[Term, Term], bool]) -> bool:
@@ -345,7 +340,7 @@ def resolve(t: Term) -> Term:
     Unbound variables are kept as the very same cells, so the result still
     shares them with the input.
     """
-    return _rebuild(t, lambda v: v)
+    return _rebuild(t, {}, lambda v: v)
 
 
 def variables(t: Term) -> list[Var]:
@@ -390,11 +385,6 @@ def _occurs(v: Var, t: Term) -> bool:
     return type(t) is Compound and any(x is v for x in _subterms(t))
 
 
-def _bind(v: Var, t: Term, trail: Trail) -> None:
-    v.ref = t
-    trail.append(v)
-
-
 def unify_into(a: Term, b: Term, trail: Trail, occurs_check: bool = False) -> bool:
     """Destructively unify a and b, recording bindings on trail.
 
@@ -411,19 +401,21 @@ def unify_into(a: Term, b: Term, trail: Trail, occurs_check: bool = False) -> bo
         while type(b) is Var and b.ref is not None:
             b = b.ref
         if a is not b:
-            if type(a) is Var:
+            if type(b) is Var and type(a) is not Var:
+                a, b = b, a
+            t = type(a)
+            if t is Var:
                 if occurs_check and _occurs(a, b):
                     return False
-                _bind(a, b, trail)
-            elif type(b) is Var:
-                if occurs_check and _occurs(b, a):
-                    return False
-                _bind(b, a, trail)
-            elif type(a) is Compound and type(b) is Compound:
+                a.ref = b
+                trail.append(a)
+            elif t is not type(b):
+                return False
+            elif t is Compound:
                 if a.functor != b.functor or len(a.args) != len(b.args):
                     return False
                 stack.extend(zip(reversed(a.args), reversed(b.args)))
-            elif type(a) is not type(b) or a != b:
+            elif (a.name != b.name) if t is Atom else (a.value != b.value):
                 return False
         if not stack:
             return True
@@ -517,10 +509,9 @@ def unify_head(goal: Term, head: Term, body: Term, trail: Trail) -> Optional[Ter
     No stored cell is bound, so threads share stored clauses unlocked.  Each
     clause variable maps to the goal subterm it first meets; later ones unify
     with that.  A head compound meeting an unbound goal variable is built
-    through the map, and the body likewise once the head has unified.
+    through the map, and the body likewise, with no call per variable.
     """
     seen: dict[Var, Term] = {}
-    cell = _renaming(seen)
     stack = [((head,), (goal,))]
     while stack:
         hs, gs = stack.pop()
@@ -533,10 +524,11 @@ def unify_head(goal: Term, head: Term, body: Term, trail: Trail) -> Optional[Ter
                 if first is not g and not unify_into(first, g, trail, True):
                     return None
             elif type(g) is Var:
-                built = _rebuild(h, cell) if t is Compound else h
+                built = _rebuild(h, seen) if t is Compound else h
                 if built is not h and _occurs(g, built):
                     return None
-                _bind(g, built, trail)
+                g.ref = built
+                trail.append(g)
             elif t is not type(g):
                 return None
             elif t is Compound:
@@ -545,7 +537,7 @@ def unify_head(goal: Term, head: Term, body: Term, trail: Trail) -> Optional[Ter
                 stack.append((h.args, g.args))
             elif (h.name != g.name) if t is Atom else (h.value != g.value):
                 return None
-    return _rebuild(body, cell) if type(body) is Compound or type(body) is Var else body
+    return _rebuild(body, seen) if type(body) is Compound or type(body) is Var else body
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +569,7 @@ def fresh_copy(t: Term) -> Term:
     """
     if not _holds_var(t):
         return t
-    return _rebuild(t, _renaming({}))
+    return _rebuild(t, {})
 
 
 class VarRegistry:
@@ -658,7 +650,7 @@ def intern_named(t: Term, reg: VarRegistry) -> Term:
     Unnamed variables are left as they are, and a compound none of whose
     arguments changed is kept rather than rebuilt.
     """
-    return _rebuild(t, lambda v: v if v.name is None else reg.intern(v.name))
+    return _rebuild(t, {}, lambda v: v if v.name is None else reg.intern(v.name))
 
 
 # ---------------------------------------------------------------------------

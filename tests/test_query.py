@@ -10,6 +10,7 @@ import pytest
 
 from termbus import query
 from termbus.address import Address
+from termbus.codec import _FLAGS, Envelope, encode_envelope
 from termbus.query import (
     QueryError,
     RemoteTimeout,
@@ -23,7 +24,19 @@ from termbus.query import (
 from termbus.router import Router, RouterConfig
 from termbus.runtime import Node, NodeConfig, TermbusError
 from termbus.syntax import format_term, parse_clause, parse_goal, parse_goal_with_vars
-from termbus.terms import Atom, Int, Var, deref, list_parts, mk, mklist, resolve
+from termbus.terms import (
+    Atom,
+    Int,
+    Var,
+    VarRegistry,
+    deref,
+    fresh_copy,
+    list_parts,
+    mk,
+    mklist,
+    name_unnamed,
+    resolve,
+)
 
 from netutil import wait_until
 from queryoracle import canon, oracle_answers, to_data
@@ -41,6 +54,16 @@ CHAIN_DB = [f"edge(n{i}, n{i + 1})." for i in range(10_000)] + EDGE_DB[2:]
 CHAIN_ANSWERS = [Atom(f"n{i}") for i in range(1, 10_001)]
 
 
+# answers that hold structure built by the search, and unbound variables
+SNAPSHOT_DB = EDGE_DB + [
+    "pair(X, p(X, Y), Y) :- edge(X, Y).",
+    "hole(1, Q).",
+    "hole(2, Q).",
+    "hole(3, f(Q, Q)).",
+    "hole(4, g(_)).",
+]
+
+
 def fill(node, texts):
     for t in texts:
         node.assert_clause(parse_clause(t))
@@ -53,6 +76,33 @@ def engine_answers(node, goal_text):
 
 def orphan_count(node):
     return sum(1 for _ in node.clause_lookup(mk("remote_thread", Var(), Var())))
+
+
+def buffered(h):
+    """The payloads a thread's mailbox holds, as text, oldest first."""
+    return [format_term(item[2].payload) for item in h.mailbox._index.after()]
+
+
+def pulls_are_snapshots(node, server):
+    """A term held from one pull is unchanged by the next, and a variable a
+    solution leaves unbound arrives as a fresh one on each pull."""
+    g, vs = parse_goal_with_vars("pair(A, P, B)")
+    s = query_stream(node, g, server, timeout=5.0)
+    assert s.pull()
+    held = deref(vs["P"])
+    assert s.pull()
+    assert format_term(held) == "p(a,b)"
+    assert format_term(deref(vs["P"])) == "p(b,c)"
+    s.finish()
+    g, vs = parse_goal_with_vars("hole(N, H)")
+    s = query_stream(node, g, server, timeout=5.0)
+    holes = []
+    for _ in range(2):
+        assert s.pull()
+        holes.append(deref(vs["H"]))
+    s.finish()
+    assert all(type(h) is Var and h.ref is None for h in holes)
+    assert holes[0] is not holes[1] and vs["H"] not in holes
 
 
 @pytest.fixture
@@ -141,6 +191,17 @@ class TestSolve:
         b1 = format_term(deref(vs["X"]))
         del it
         assert format_term(deref(vs["X"])) == b1 == "b"
+
+    def test_a_goal_keeps_the_candidates_it_was_reached_with(self, local):
+        fill(local, ["p(1).", "p(2).", "p(3).", "p(4)."])
+        x = Var()
+        it = solve(local, mk("p", x))
+        assert next(it) and deref(x) == Int(1)
+        local.assert_clause(mk("p", Int(9)))
+        assert local.retract_clause(mk("p", Int(3)))
+        assert [deref(x).value for _ in it] == [2, 3, 4]
+        y = Var()
+        assert [deref(y).value for _ in solve(local, mk("p", y))] == [1, 2, 4, 9]
 
     def test_random_dag_dbs_agree_with_oracle(self):
         rng = random.Random(20260815)
@@ -532,6 +593,70 @@ class TestServing:
                          Address(mute.id, None, None), timeout=0.2)
 
 
+class FrameRecorder:
+    """A router link that keeps the frames its node writes."""
+
+    def __init__(self):
+        self.frames = []
+
+    def send_frame(self, frame):
+        self.frames.append(frame)
+
+    def stop(self):
+        pass
+
+
+class TestStreamAnswers:
+    def test_a_held_answer_survives_the_next_pull(self, served):
+        fill(served, SNAPSHOT_DB[len(EDGE_DB):])
+        pulls_are_snapshots(served, query.SERVER_SYMBOL)
+
+    def test_an_answer_frame_is_the_one_a_copied_answer_makes(self):
+        n = Node(NodeConfig(process="qframes", host="hostq")).start()
+        link = n._link = FrameRecorder()
+        try:
+            n.attach("tester")
+            fill(n, SNAPSHOT_DB)
+            client = Address("main", "qclient", "hostr")  # a thread of another process
+            goal, ref = "pair(A, P, B), hole(N, H)", Int(7)
+            gen = n.fork(query.ans_gen(n, ref, parse_goal(goal), client),
+                         label=query.GENERATOR_LABEL)
+            call = name_unnamed(parse_goal(goal), VarRegistry())
+            want = [mk("answer", fresh_copy(call)) for _ in solve(n, call)] + [Atom("fail")]
+            want = [encode_envelope(Envelope(mk("reply", ref, x), client, gen.address,
+                                             gen.address, _FLAGS[1])) for x in want]
+            for sent in range(1, len(want)):
+                wait_until(lambda: len(link.frames) == sent, msg=f"answer {sent}")
+                gen.mailbox.post(Envelope(Atom("next"), gen.address, client, client, _FLAGS[1]))
+            wait_until(lambda: len(link.frames) == len(want), msg="fail")
+            assert len(want) == 9 and link.frames == want
+        finally:
+            n.shutdown()
+
+    def test_a_client_message_that_is_no_word_stays_buffered(self, served):
+        s = query_stream(served, parse_goal("edge(X, Y)"), query.SERVER_SYMBOL, timeout=5.0)
+        assert s.pull()
+        gen = served._lookup_local(s.generator.thread)
+        served.send(Atom("hello"), s.generator, remember_names=False)
+        assert s.pull() and format_term(resolve(s.call)) == "edge(b,c)"
+        assert buffered(gen) == ["hello"]
+        assert s.pull() is None
+
+    def test_a_next_from_a_third_thread_is_not_the_clients(self, served):
+        s = query_stream(served, parse_goal("edge(X, Y)"), query.SERVER_SYMBOL, timeout=5.0)
+        assert s.pull()
+        gen = served._lookup_local(s.generator.thread)
+        third = served.fork(lambda: served.send(Atom("next"), s.generator,
+                                                remember_names=False))
+        third.pythread.join(5.0)
+        time.sleep(0.2)  # time enough for a generator that took it to answer
+        assert buffered(gen) == ["next"]
+        assert len(served.current().mailbox) == 0
+        assert s.pull() and format_term(resolve(s.call)) == "edge(b,c)"
+        assert buffered(gen) == ["next"]
+        s.finish()
+
+
 @pytest.fixture
 def network():
     """Router plus as many serving nodes as a test asks for."""
@@ -558,6 +683,11 @@ def network():
 
 
 class TestDistributed:
+    def test_a_held_answer_survives_the_next_pull_across_a_router(self, network):
+        network("qs_snap", SNAPSHOT_DB)
+        client = network("qc_snap", [], serve=False)
+        pulls_are_snapshots(client, "query_thread:qs_snap@hostq")
+
     def test_remote_all_annotation(self, network):
         a = network("qs_a", ["far(X) :- thing(X) ? query_thread:qs_b@hostq.",
                              "twice(X, Y) :- thing(X) ? query_thread:qs_b@hostq, Y = X."])
