@@ -1,10 +1,16 @@
 """Print what the binary body codec costs, in CPU µs per payload.
 
-Three payloads, those the rpc_same_host benchmark rotates:
+Three payloads, those the rpc_same_host benchmark rotates, and two more
+list shapes, each list one row per size:
 
-- atom:   the atom ping;
-- job/4:  job(7, grind, [0..9], X), with X an unbound variable;
-- list N: a proper list of N seeded integers, one row per size.
+- atom:    the atom ping;
+- job/4:   job(7, grind, [0..9], X), with X an unbound variable;
+- list N:  a proper list of N seeded integers;
+- atoms N: a proper list of N seeded atoms, heads the codec reads and
+  writes in their cell's turn, as it does integers;
+- mixed N: a proper list whose heads cycle through an integer, an atom, a
+  compound p(K) and an unbound variable, the last two taking the codec's
+  path for any other term.
 
 For each it encodes a binary-bodied envelope with encode_envelope, decodes
 the frame with decode_envelope and copies the decoded payload with
@@ -34,6 +40,19 @@ def payloads(sizes, rng: random.Random):
     yield "job/4", mk("job", Int(7), Atom("grind"), mklist(Int(k) for k in range(10)), Var())
     for n in sizes:
         yield f"list {n}", mklist(Int(rng.randrange(-10**6, 10**6)) for _ in range(n))
+    for n in sizes:
+        yield f"atoms {n}", mklist(Atom(f"a{rng.randrange(100)}") for _ in range(n))
+    for n in sizes:
+        yield f"mixed {n}", mklist(mixed_head(k, rng) for k in range(n))
+
+
+def mixed_head(k: int, rng: random.Random):
+    kind = k % 4
+    if kind == 0:
+        return Int(rng.randrange(-10**6, 10**6))
+    if kind == 1:
+        return Atom(f"a{rng.randrange(100)}")
+    return mk("p", Int(rng.randrange(1000))) if kind == 2 else Var()
 
 
 def cpu_us(fn, arg, calls: int, rounds: int) -> float:

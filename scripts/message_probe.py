@@ -17,17 +17,24 @@ thread main:client@hosta talks to handler 7:linda_server@hostb.
 It prints the least thread CPU time per call over --rounds rounds of
 --calls calls each (a serve round is timed as a whole; each turn's handler
 posts the next request, so a turn includes one post and the mailbox holds
-one message).  It checks every reply taken, that decoding a frame twice gives the
+one message).  Beside each time it prints the Python-level calls per call,
+the job's own call included, counted in one more round run under a profiler
+(see pycalls.py); these repeat exactly between runs on one Python version.
+It checks every reply taken, that decoding a frame twice gives the
 identical destination object, and that serve hands its handler the decoded
-request's own reply-to object, and exits 1 when any of them fails.
+request's own reply-to object, and exits 1 when any of them fails or when a
+``--max-py-calls ROW=N`` bound (ROW one of request, decode, reply, serve) is
+passed.
 
-Run it as ``PYTHONPATH=src python scripts/message_probe.py [--calls 2000]``.
+Run it as ``PYTHONPATH=src python scripts/message_probe.py [--calls 2000]
+[--max-py-calls serve=37]``.
 """
 
 import argparse
 import sys
 import time
 
+import pycalls
 from termbus.address import parse_address
 from termbus.codec import Envelope, Flags, decode_envelope, encode_envelope
 from termbus.runtime import Node, NodeConfig, ThreadExit, reply
@@ -69,6 +76,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--calls", type=int, default=2000)
     p.add_argument("--rounds", type=int, default=5)
+    pycalls.add_option(p, "request, decode, reply or serve")
     args = p.parse_args(argv)
 
     node = Node(NodeConfig("client", "hosta"))
@@ -120,14 +128,13 @@ def main(argv=None) -> int:
         sent = decode_envelope(link.frame)
         stop = Envelope(Atom("stop"), sent.to, me, me)
         check(sent.to == HANDLER and sent.sender == me, f"request went {sent.sender} -> {sent.to}")
-        rows = [
-            ("request", best_us(request, args.calls, args.rounds)),
-            ("decode", best_us(decode, args.calls, args.rounds)),
-            ("reply", best_us(post_and_await, args.calls, args.rounds)),
-            ("serve", min(serve_round() for _ in range(args.rounds))),
-        ]
-        for name, us in rows:
-            print(f"{name:<8} {us:8.2f} us/call")
+        jobs = {"request": request, "decode": decode, "reply": post_and_await}
+        rows = {name: best_us(job, args.calls, args.rounds) for name, job in jobs.items()}
+        rows["serve"] = min(serve_round() for _ in range(args.rounds))
+        counts = {name: pycalls.py_calls(job, args.calls) / args.calls for name, job in jobs.items()}
+        counts["serve"] = pycalls.py_calls(serve_round) / args.calls
+        for name, us in rows.items():
+            print(f"{name:<8} {us:8.2f} us/call {counts[name]:8.1f} py_calls")
         check(decode_envelope(frame).to is decode_envelope(frame).to,
               "decoding one frame twice gives two destination objects")
         answered = decode_envelope(server._link.frame)
@@ -139,7 +146,7 @@ def main(argv=None) -> int:
         print(f"FAIL: {e}", file=sys.stderr)
         return 1
     print("all replies right; decoded addresses are shared; serve answers the reply-to")
-    return 0
+    return 0 if pycalls.within(counts, args.max_py_calls) else 1
 
 
 if __name__ == "__main__":

@@ -23,6 +23,19 @@ def calls(prof: cProfile.Profile) -> tuple[int, int]:
     return py, every
 
 
+def py_calls(job, repeat: int = 1) -> int:
+    """The Python-level calls that repeat calls of job() make, job's own
+    calls included."""
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        for _ in range(repeat):
+            job()
+    finally:
+        prof.disable()
+    return calls(prof)[0]
+
+
 def add_option(ap: argparse.ArgumentParser, rows: str) -> None:
     ap.add_argument("--max-py-calls", action="append", default=[], type=_bound,
                     metavar="ROW=N", help=f"exit 1 when row ROW ({rows}) reads more "

@@ -25,7 +25,6 @@ Run it as ``PYTHONPATH=src python scripts/solve_probe.py [--rounds 60]
 """
 
 import argparse
-import cProfile
 import itertools
 import random
 import sys
@@ -60,17 +59,6 @@ def best_ms(job, rounds: int) -> float:
         job()
         best = min(best, time.perf_counter() - t0)
     return best * 1e3
-
-
-def py_calls(job) -> int:
-    """The Python-level calls job() makes, job's own call included."""
-    prof = cProfile.Profile()
-    prof.enable()
-    try:
-        job()
-    finally:
-        prof.disable()
-    return pycalls.calls(prof)[0]
 
 
 def query(node: Node) -> None:
@@ -126,7 +114,7 @@ def lookups(node: Node, kind: str, calls: int, rounds: int,
     keys = [rng.randrange(TUPLES) for _ in range(calls)]
     pats = patterns(kind, keys)
     subs: list = []
-    counted = py_calls(lambda: subs.extend(first_matches(node, pats)))
+    counted = pycalls.py_calls(lambda: subs.extend(first_matches(node, pats)))
     check_matches(kind, keys, pats, subs)
     best = float("inf")
     for _ in range(rounds):
@@ -161,7 +149,7 @@ def main(argv=None) -> int:
         for k in range(TUPLES):
             node.assert_clause(task(Int(k), Atom(f"o{k % OWNERS}"), Int(k % 7)))
         ms = best_ms(lambda: query(node), args.rounds)
-        counts["query"] = py_calls(lambda: query(node))
+        counts["query"] = pycalls.py_calls(lambda: query(node))
         print(f"query    {ms:>9.3f} ms {counts['query']:>8} py_calls"
               f"  (find_all over {EDGES} edges + {ANSWERS} answers)")
         for kind in ("key", "owner", "miss"):

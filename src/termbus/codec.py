@@ -30,12 +30,10 @@ depth.
 
 A list has no tag of its own: each cell is the compound '.'/2, so a list of
 n elements is n cell headers ``05 01 2e 02``, each followed by that cell's
-head, and then the tail.  Both loops treat it as one run.  The encoder
-walks the spine once and stacks every head behind its cell header; the
-decoder opens one frame for the whole list, collects the heads while a
-canonical header follows each one, and builds the cells back to front once
-the tail is read.  A cell header spelled with a longer varint is read as
-any compound is and gives the same term.
+head, and then the tail.  Both loops treat it as one run, in which a cell
+and its integer or atom head (an atom of under 128 bytes, when read) take
+one turn; any other head is written or read as any term is.  A cell header
+spelled with a longer varint is read as any compound is, to the same term.
 
 A router relays frames unchanged and validates only the header (length,
 version, flags and the three addresses): decode_envelope(frame, body=False)
@@ -222,43 +220,39 @@ def _head(text: str) -> bytes:
 def _encode_term(out: bytearray, t: Term) -> None:
     """Append the binary encoding of t to out, in one pre-order pass.
 
-    A list's spine is walked once, following bound tails: its tail and then
-    each head with its cell's header (the _CELL object itself, which no
-    term is) go on the stack, back to front, so cells and heads are written
-    in the same pre-order as any compound's.
+    A list cell takes one turn: its header is written, its tail stacked,
+    and its head, bindings followed, written if atomic and else stacked
+    above the tail, in the same pre-order as any compound's.
     """
     put = out.append
     head = _HEADS.get
     serials: dict[int, int] = {}
     stack = [t]
-    pop, push = stack.pop, stack.extend
+    pop, push, push_one = stack.pop, stack.extend, stack.append
     while stack:
         x = pop()
         kind = type(x)
         if kind is Compound:
-            if len(x.args) == 2 and x.functor == CONS:
-                items = []
-                while type(x) is Compound and len(x.args) == 2 and x.functor == CONS:
-                    items.append(x.args[0])
-                    x = x.args[1]
-                    while type(x) is Var and x.ref is not None:
-                        x = x.ref
-                stack.append(x)
-                run = [_CELL] * (2 * len(items))
-                run[::2] = items[::-1]  # the last head, its header, ... the first header
-                push(run)
+            if len(x.args) != 2 or x.functor != CONS:
+                put(TAG_COMPOUND)
+                out += head(x.functor) or _head(x.functor)
+                n = len(x.args)
+                if n < 0x80:
+                    put(n)
+                else:
+                    _put_varint(out, n)
+                push(reversed(x.args))
                 continue
-            put(TAG_COMPOUND)
-            out += head(x.functor) or _head(x.functor)
-            n = len(x.args)
-            if n < 0x80:
-                put(n)
-            else:
-                _put_varint(out, n)
-            push(reversed(x.args))
-        elif x is _CELL:
             out += _CELL
-        elif kind is Int:
+            x, tail = x.args
+            push_one(tail)
+            while type(x) is Var and x.ref is not None:
+                x = x.ref
+            kind = type(x)
+            if kind is Compound:
+                push_one(x)
+                continue
+        if kind is Int:
             z = (x.value << 1) ^ (x.value >> 63)
             put(TAG_INT)
             while z > 0x7F:
@@ -270,7 +264,7 @@ def _encode_term(out: bytearray, t: Term) -> None:
             out += head(x.name) or _head(x.name)
         elif kind is Var:
             if x.ref is not None:  # a bound variable is written as its value
-                stack.append(x.ref)
+                push_one(x.ref)
             elif x.name is None:
                 put(TAG_VAR)
                 put(0)
@@ -292,8 +286,8 @@ def encode_term_binary(t: Term) -> bytes:
     return bytes(out)
 
 
-def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
-    """The binary term at data[pos:end] and the position after it.
+def _decode_term(data, pos: int) -> tuple[Term, int]:
+    """The binary term at data[pos:] and the position after it.
 
     One loop reads one node a turn.  Every tag is followed by a varint (an
     Int's value, else a text length), read in line: a byte below 0x80 at
@@ -303,10 +297,10 @@ def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
     ``open_`` holds those around it.  A list is one open run (``need`` 0)
     that collects the heads of its cells: after each head, a canonical cell
     header continues the run, and anything else is the tail (``need`` -1),
-    from which the cells are built back to front.  An atom or functor
-    text is decoded from UTF-8 once while the bounded _TEXTS memo holds
-    it.  Every read is checked against end.
+    from which the cells are built back to front; an integer or short atom
+    head is read in its cell header's turn.  Every read is bounds-checked.
     """
+    end = len(data)
     named: dict[str, Var] = {}
     by_serial: dict[int, Var] = {}
     text_of = _TEXTS.get
@@ -392,10 +386,41 @@ def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
                 _set_args(term, tuple(args))
             elif need == 0:  # term is the head of a list cell
                 args.append(term)
-                if cell(_CELL, pos, end):
-                    pos += 4
-                else:
-                    need = -1
+                try:
+                    while cell(_CELL, pos):  # the next cell, and its head if atomic
+                        tag = data[pos + 4]
+                        if tag == TAG_INT:
+                            n, pos = data[pos + 5], pos + 6
+                            if n > 0x7F:  # read on as the loop above does
+                                n, shift = n & 0x7F, 7
+                                while True:
+                                    b, pos = data[pos], pos + 1
+                                    n |= (b & 0x7F) << shift
+                                    if b < 0x80:
+                                        break
+                                    shift += 7
+                                    if shift > 70:
+                                        raise BodyParseError("varint too long")
+                            value = n >> 1 ^ -(n & 1)
+                            if not INT_MIN <= value <= INT_MAX:
+                                raise BodyParseError(f"integer out of 64-bit range: {value}")
+                            term = _new(Int)
+                            _set_int(term, value)
+                        elif tag == TAG_ATOM and (n := data[pos + 5]) < 0x80:
+                            stop = pos + 6 + n
+                            if stop > end:
+                                raise TruncatedFrameError("unexpected end of frame")
+                            raw, pos = data[pos + 6:stop], stop
+                            term = _new(Atom)
+                            _set_name(term, text_of(raw) or _text(raw))
+                        else:  # read as any head is
+                            pos += 4
+                            break
+                        args.append(term)
+                    else:
+                        need = -1
+                except IndexError:
+                    raise TruncatedFrameError("unexpected end of frame") from None
                 break
             else:  # term is the list's tail
                 for h in reversed(args):
@@ -408,7 +433,7 @@ def _decode_term(data, pos: int, end: int) -> tuple[Term, int]:
 
 
 def decode_term_binary(data: bytes) -> Term:
-    t, pos = _decode_term(data, 0, len(data))
+    t, pos = _decode_term(data, 0)
     if pos != len(data):
         raise BodyParseError("trailing bytes after term")
     return t
@@ -541,7 +566,7 @@ def decode_envelope(frame: bytes, body: bool = True) -> Envelope:
     if not (body or flags.control):
         payload = None
     elif flags.encoded:
-        payload, pos = _decode_term(frame, pos, end)
+        payload, pos = _decode_term(frame, pos)
         if pos != end:
             raise BodyParseError("trailing bytes after body term")
     else:

@@ -31,8 +31,8 @@ and the writer's name pass) and a pairwise walk (_pairwise: term_equal,
 variant).  Compound's ``==``, ``hash`` and ``repr`` follow no binding, so
 they are loops of their own.  fresh_copy, which every consumed remote
 message runs, first scans the raw term for a variable cell (_holds_var),
-a flat loop that opens no frame per node; a term without one is its own
-copy and is not rebuilt.
+a flat loop with no frame per node that walks a list's spine in line; a
+term without one is its own copy and is not rebuilt.
 """
 
 from __future__ import annotations
@@ -544,15 +544,20 @@ def unify_head(goal: Term, head: Term, body: Term, trail: Trail) -> Optional[Ter
 # copying and naming
 
 def _holds_var(t: Term) -> bool:
-    """True when t holds a Var cell, bound or unbound.  The stack keeps the
-    argument tuples still to scan, and a head's are scanned before its
-    list's tail's, so a list of any length keeps a few of them."""
+    """True when t holds a Var cell, bound or unbound."""
     stack = [(t,)]
     while stack:
         for x in reversed(stack.pop()):
-            if type(x) is Compound:
-                stack.append(x.args)
-            elif type(x) is Var:
+            while type(x) is Compound:
+                if x.functor != CONS or len(x.args) != 2:
+                    stack.append(x.args)
+                    break
+                h, x = x.args  # a list's spine is walked, not stacked
+                if type(h) is Compound:
+                    stack.append(h.args)
+                elif type(h) is Var:
+                    return True
+            if type(x) is Var:
                 return True
     return False
 

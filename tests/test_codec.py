@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 import termbus.codec
 from termbus.address import Address
@@ -388,6 +388,98 @@ def test_an_int_past_64_bits_in_a_list_is_a_parse_error():
     body = bytes.fromhex("05 01 2e 02 02 02 05 01 2e 02 02") + encode_varint(2**64) + bytes.fromhex("01 02 5b 5d")
     with pytest.raises(BodyParseError, match=r"^integer out of 64-bit range: 9223372036854775808$"):
         decode_term_binary(body)
+
+
+# A cell whose head is an integer or an atom is written and read in one
+# turn of the codec's loops; every other head takes the path of any term.
+# The lists below mix both kinds of head and every kind of tail.
+
+def _bound(t):
+    v = Var()
+    v.ref = t
+    return v
+
+
+def _varint_bytes(k):
+    """Integers whose zigzag varint takes k bytes."""
+    return st.integers(0 if k == 1 else 1 << 7 * (k - 1), min((1 << 7 * k) - 1, 2**64 - 1)).map(unzigzag)
+
+
+_RUN_INTS = st.one_of(
+    st.sampled_from([INT_MIN, INT_MAX, INT_MIN + 1, INT_MAX - 1, 0, -1]),
+    st.integers(1, 10).flatmap(_varint_bytes),
+)
+
+
+@st.composite
+def list_runs(draw):
+    shared = [Var("X"), Var()]
+    atomic = st.one_of(
+        _RUN_INTS.map(Int),
+        st.one_of(st.sampled_from(["a", "[]", ".", "héllo", "x" * 200]), st.text(max_size=3)).map(Atom),
+        st.sampled_from(["", "s", "x" * 200]).map(Str),
+    )
+    compound = st.builds(
+        lambda f, args: Compound(f, tuple(args)),
+        st.sampled_from(["f", "."]),
+        st.lists(st.one_of(atomic, st.sampled_from(shared)), min_size=1, max_size=2),
+    )
+    head = st.one_of(
+        atomic, compound, st.sampled_from(shared), st.builds(Var),
+        st.one_of(atomic, compound).map(_bound),
+    )
+    tail = st.one_of(
+        st.just(Atom("[]")), st.sampled_from(shared), st.builds(Var),
+        st.builds(Atom, st.sampled_from(["end", "x" * 200])), compound,
+        st.builds(lambda hs, t: _bound(mklist(hs, t)), st.lists(head, max_size=3),
+                  st.sampled_from([Atom("[]"), Atom("end")])),
+        st.builds(Atom, st.just("end")).map(_bound),
+    )
+    return mklist(draw(st.lists(head, min_size=1, max_size=30)), draw(tail))
+
+
+@settings(max_examples=300, deadline=None)
+@given(list_runs())
+def test_a_list_of_any_heads_and_tail_round_trips_bit_exact(t):
+    data = encode_term_binary(t)
+    back = decode_term_binary(data)
+    assert variant(back, t)
+    assert encode_term_binary(back) == data
+
+
+def test_every_strict_prefix_of_an_integer_run_is_truncated():
+    rng = random.Random(27)
+    heads = [Int(unzigzag(rng.randrange(0 if k == 1 else 1 << 7 * (k - 1), min(1 << 7 * k, 2**64))))
+             for k in (rng.randint(1, 10) for _ in range(300))]
+    body = encode_term_binary(mklist(heads))
+    assert decode_term_binary(body) == mklist(heads)
+    for k in range(len(body)):
+        with pytest.raises(TruncatedFrameError):
+            decode_term_binary(body[:k])
+
+
+def _error(body):
+    with pytest.raises(CodecError) as caught:
+        decode_term_binary(body)
+    return caught.value
+
+
+@pytest.mark.parametrize("node, error", [
+    ("09 01 61", BodyParseError),  # an unknown tag
+    ("02" + " ff" * 11 + " 01", BodyParseError),  # an integer's varint past 10 bytes
+    ("01" + " ff" * 11 + " 01", BodyParseError),  # an atom length's varint past 10 bytes
+    ("02 " + encode_varint(2**64).hex(" "), BodyParseError),  # an integer past 64 bits
+    ("01 02 ff fe", BodyParseError),  # an atom name that is not UTF-8
+    ("03 02 ff fe", BodyParseError),  # a string that is not UTF-8
+    ("01 05 61 62", TruncatedFrameError),  # an atom name past the end
+])
+def test_a_bad_head_raises_the_same_error_inside_a_run_as_outside(node, error):
+    node = bytes.fromhex(node)
+    outside = _error(node)
+    run = bytes.fromhex("05 01 2e 02 02 02 05 01 2e 02") + node + bytes.fromhex("01 02 5b 5d")
+    inside = _error(run if error is BodyParseError else run[: -4])
+    assert type(outside) is type(inside) is error
+    assert str(inside) == str(outside)
 
 
 def test_binary_preserves_sharing_raw_renames_consistently():

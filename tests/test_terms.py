@@ -329,6 +329,63 @@ class TestFreshCopy:
         assert term_equal(c, mk("f", mk("g", Int(1))))
 
 
+# fresh_copy first scans a term for a variable cell, walking a list's spine
+# in line; a list holding one anywhere is copied, and one holding none is
+# its own copy.
+
+def _list_with_one_var(where, v):
+    heads = [Int(i) for i in range(50)]
+    tail = Atom("[]")
+    if where == "tail":
+        tail = v
+    elif where == "last head":
+        heads[-1] = v
+    else:
+        heads[25] = mk("f", Atom("a"), mk("g", mklist([Int(1), v])))
+    return mklist(heads, tail)
+
+
+@pytest.mark.parametrize("where", ["tail", "last head", "nested head"])
+def test_fresh_copy_copies_a_list_with_one_variable_in_the(where):
+    v = Var("V")
+    t = _list_with_one_var(where, v)
+    c = fresh_copy(t)
+    assert c is not t and variant(c, t)
+    [w] = variables(c)
+    assert w is not v and w.name == "V" and variables(t) == [v]
+
+
+def test_fresh_copy_follows_a_bound_head_and_tail_of_a_list():
+    x, rest = Var("X"), Var("R")
+    x.ref = mk("p", Int(1))
+    rest.ref = mklist([Atom("b")])
+    t = mklist([Int(0), x, Atom("a")], tail=rest)
+    c = fresh_copy(t)
+    x.ref = rest.ref = None
+    items, tail = list_parts(c)
+    assert items == [Int(0), mk("p", Int(1)), Atom("a"), Atom("b")] and tail == Atom("[]")
+    assert variables(c) == []
+
+
+def test_fresh_copy_of_a_ground_list_is_the_list():
+    t = mklist([Int(1), Atom("a"), Str("s"), mk("f", mklist([Int(2)])), mklist([])],
+               tail=Atom("end"))
+    assert fresh_copy(t) is t
+
+
+def test_fresh_copy_scans_a_long_list_without_recursion():
+    n = 100_000
+    flat = mklist(mk("p", Int(i)) for i in range(n))
+    nested = Atom("[]")
+    for _ in range(n):  # each head the list before it
+        nested = mklist([nested])
+    assert fresh_copy(flat) is flat and fresh_copy(nested) is nested
+    v = Var()
+    heads = list_parts(flat)[0]
+    items, tail = list_parts(fresh_copy(mklist(heads, tail=v)))
+    assert items == heads and type(tail) is Var and tail is not v
+
+
 def test_variant_examples():
     assert variant(mk("f", Var(), Var()), mk("f", Var(), Var()))
     a = Var()
